@@ -59,7 +59,6 @@ from .trees import (
     prune,
     ranrut,
     sizes_table,
-    subtree_distribution,
 )
 
 __version__ = "0.1.0"

@@ -13,22 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from . import experiment
 from .dynamics import DynamicsSchedule, ScheduleParams
 from .errors import CountingError, RoundLimitExceeded
 from .protocol import ProtocolConfig, count
-from .topology import gnp, path, star, tree_to_topology
-from .trees import (
-    RANRUT_VARIANTS,
-    SubtreeDistribution,
-    check_tables,
-    prune,
-    ranrut,
-    sizes_table,
-)
+from .trees import RANRUT_VARIANTS, check_tables
 
 _FAMILY_ALIASES = {"tree": "random-tree"}
 
@@ -102,27 +93,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args) -> int:
+def _schedule_params(args, T, delta_defaults) -> ScheduleParams:
+    """Schedule parameters from the flags; --delta may be omitted for the
+    families in ``delta_defaults``, where it becomes n - 1."""
     family = _family(args.family)
-    n = args.n
     delta = args.delta
-    rng = random.Random(args.seed)
-    if family == "star":
-        topo = star(n)
-    elif family == "path":
-        topo = path(n)
-    elif family == "gnp":
-        if args.p is None:
-            raise CountingError("gnp requires --p")
-        topo = gnp(n, args.p, rng)
-    else:
-        if delta is None:
-            raise CountingError("random-tree requires --delta")
-        dist = SubtreeDistribution(sizes_table(n), n) if n > 2 else None
-        tree = ranrut(n, dist, rng, args.ranrut_variant)
-        tree = prune(tree, delta, rng)
-        topo = tree_to_topology(tree)
-    text = json.dumps(topo.to_json_dict()) + "\n"
+    if delta is None and family in delta_defaults:
+        delta = args.n - 1
+    if delta is None:
+        raise CountingError(f"{family} requires --delta")
+    return ScheduleParams(
+        family=family, n=args.n, delta=delta, T=T, seed=args.seed, p=args.p
+    )
+
+
+def _cmd_generate(args) -> int:
+    # The round-1 snapshot is epoch 0 for every T; T = 1 is merely a value
+    # that every family accepts.
+    params = _schedule_params(args, 1, ("star", "gnp", "path"))
+    schedule = DynamicsSchedule(params, ranrut_variant=args.ranrut_variant)
+    text = json.dumps(schedule.topology_at(1).to_json_dict()) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -132,20 +122,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    family = _family(args.family)
-    delta = args.delta
-    if delta is None and family in ("star", "gnp"):
-        delta = args.n - 1
-    if delta is None:
-        raise CountingError(f"{family} requires --delta")
-    params = ScheduleParams(
-        family=family, n=args.n, delta=delta, T=args.T, seed=args.seed, p=args.p
-    )
+    params = _schedule_params(args, args.T, ("star", "gnp"))
     config = ProtocolConfig(
         c=args.c,
         mode=args.mode,
         max_rounds=args.max_rounds,
-        disconnection_tolerant=(family == "gnp"),
+        disconnection_tolerant=(params.family == "gnp"),
     )
     schedule = DynamicsSchedule(params)
     status = 0

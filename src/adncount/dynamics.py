@@ -20,6 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidParameters, NonMonotoneAccess
 from .seeds import derive_seed
@@ -87,7 +88,7 @@ class DynamicsSchedule:
         self._trace = trace
         self._dist = None
         if params.family == "random-tree":
-            self._dist = SubtreeDistribution(sizes_table(params.n), params.n)
+            self._dist = _subtree_tables(params.n)
         self._epoch = -1
         self._topology = None
         self._served = 1
@@ -104,10 +105,6 @@ class DynamicsSchedule:
         epoch = 0 if T == math.inf else (r - 1) // int(T)
         if epoch != self._epoch:
             self._set_epoch(epoch)
-        return self._topology
-
-    @property
-    def current(self) -> Topology:
         return self._topology
 
     @property
@@ -140,6 +137,12 @@ class DynamicsSchedule:
         tree = ranrut(p.n, self._dist, rng, self._variant)
         tree = prune(tree, p.delta, rng)
         return tree_to_topology(tree)
+
+
+@lru_cache(maxsize=None)
+def _subtree_tables(n: int) -> SubtreeDistribution:
+    """The (j, d) tables for trees on up to n vertices, built once per n."""
+    return SubtreeDistribution(sizes_table(n), n)
 
 
 def _permuted_path(n: int, rng: random.Random) -> Topology:

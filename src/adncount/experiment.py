@@ -206,9 +206,12 @@ class SweepResult:
 
     def aggregates(self) -> list[dict]:
         """Per-configuration summary of rounds_total over ok rows."""
+        groups: dict[int, list[RunRow]] = {}
+        for row in self.rows:
+            groups.setdefault(row.config_index, []).append(row)
         out = []
         for ci, setting in enumerate(self.spec.settings()):
-            rows = self.rows_for(ci)
+            rows = groups.get(ci, [])
             totals = [r.record.rounds_total for r in rows if r.record.status == "ok"]
             out.append(
                 {

@@ -9,6 +9,7 @@ converted with ``tree_to_topology``.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import numpy as np
 
@@ -82,33 +83,24 @@ class Topology:
     def collection_arrays(self):
         """Directed (src, dst) pairs with non-leader senders only."""
         if self._coll_arrays is None:
-            src, dst = [], []
-            for u, v in self.edges:
-                if u != 0:
-                    src.append(u)
-                    dst.append(v)
-                if v != 0:
-                    src.append(v)
-                    dst.append(u)
-            self._coll_arrays = (
-                np.array(src, dtype=np.intp),
-                np.array(dst, dtype=np.intp),
-            )
+            src, dst = self.symmetric_arrays()
+            keep = src != 0
+            self._coll_arrays = (src[keep], dst[keep])
         return self._coll_arrays
 
     def symmetric_arrays(self):
-        """Directed (src, dst) pairs in both directions for every edge."""
+        """Directed (src, dst) pairs in both directions for every edge.
+
+        Each edge (u, v) yields u -> v immediately followed by v -> u, in
+        sorted edge order; the per-node float sums in the round kernels add
+        inflows in this order.
+        """
         if self._sym_arrays is None:
-            src, dst = [], []
-            for u, v in self.edges:
-                src.append(u)
-                dst.append(v)
-                src.append(v)
-                dst.append(u)
-            self._sym_arrays = (
-                np.array(src, dtype=np.intp),
-                np.array(dst, dtype=np.intp),
-            )
+            # fromiter on the flattened pairs is about twice as fast as
+            # np.array on the tuple of edge tuples
+            pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                                count=2 * len(self.edges)).reshape(-1, 2)
+            self._sym_arrays = (pairs.ravel(), pairs[:, ::-1].ravel())
         return self._sym_arrays
 
     def retention(self, delta: int):

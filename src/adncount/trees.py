@@ -1,7 +1,7 @@
 """Uniform random rooted trees with a degree bound.
 
 Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
-``subtree_distribution`` turns the counts into per-size tables over
+``SubtreeDistribution`` turns the counts into per-size tables over
 (copies, subtree-size) pairs, ``ranrut`` samples a tree recursively from
 those tables, and ``prune`` pushes subtrees downward until every vertex
 respects the degree bound.
@@ -19,7 +19,6 @@ to cross-check it.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from bisect import bisect_left
@@ -187,18 +186,16 @@ class SubtreeDistribution:
         return pairs[i]
 
 
-def subtree_distribution(counts: list[int], n: int) -> SubtreeDistribution:
-    """Build the (j, d) tables for all sizes 3..n from a counts table."""
-    return SubtreeDistribution(counts, n)
-
-
 def ranrut(
     n: int,
     dist: SubtreeDistribution | None,
     rng: random.Random,
     variant: str = "paper-literal",
 ) -> RootedTree:
-    """Sample a rooted tree on n vertices; see the module docstring for variants."""
+    """Sample a rooted tree on n vertices; see the module docstring for variants.
+
+    Vertices are numbered in preorder with the root at 0.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if variant not in RANRUT_VARIANTS:
@@ -208,57 +205,55 @@ def ranrut(
             raise ValueError("a SubtreeDistribution is required for n > 2")
         if dist.n < n:
             raise ValueError(f"distribution covers sizes up to {dist.n} < {n}")
-    return _from_nested(_ranrut_nested(n, dist, rng, variant))
-
-
-def _ranrut_nested(n, dist, rng, variant):
-    if n == 1:
-        return []
-    if n == 2:
-        return [[]]
-    j, d = dist.draw(n, rng)
-    base = _ranrut_nested(n - j * d, dist, rng, variant)
-    if variant == "same-copy":
-        sub = _ranrut_nested(d, dist, rng, variant)
-        base.append(sub)
-        for _ in range(j - 1):
-            base.append(copy.deepcopy(sub))
-    else:
-        for _ in range(j):
-            base.append(_ranrut_nested(d, dist, rng, variant))
-    return base
-
-
-def _from_nested(nested) -> RootedTree:
-    """Index a nested child-list structure in preorder; root becomes 0."""
     children: list[list[int]] = []
 
-    def visit(node) -> int:
-        idx = len(children)
+    def grow(size: int) -> int:
+        """Append a random subtree on ``size`` vertices; return its root."""
+        v = len(children)
         children.append([])
-        children[idx] = [visit(ch) for ch in node]
-        return idx
+        # A tree on k >= 3 vertices is j copies of a size-d subtree attached
+        # to a tree on k - j*d vertices, so the pairs form a chain down to a
+        # base of one or two vertices. The whole chain is drawn first; the
+        # subtrees then grow from the base outward, each in full before the
+        # next, which keeps both the draw order and the preorder numbering.
+        chain = []
+        while size > 2:
+            j, d = dist.draw(size, rng)
+            chain.append((j, d))
+            size -= j * d
+        kids = children[v]
+        if size == 2:
+            kids.append(grow(1))
+        for j, d in reversed(chain):
+            if variant == "same-copy":
+                first = grow(d)
+                kids.append(first)
+                # the copy's vertices follow in preorder, shifted by offset
+                for _ in range(j - 1):
+                    offset = len(children) - first
+                    kids.append(first + offset)
+                    for u in range(first, first + d):
+                        children.append([c + offset for c in children[u]])
+            else:
+                for _ in range(j):
+                    kids.append(grow(d))
+        return v
 
-    visit(nested)
+    grow(n)
     return RootedTree(children=children, root=0)
-
-
-def _to_nested(tree: RootedTree):
-    def build(v):
-        return [build(c) for c in tree.children[v]]
-
-    return build(tree.root)
 
 
 def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
     """Push subtrees downward until every vertex has graph degree <= delta.
 
     The root may keep up to delta children; every other vertex up to
-    delta - 1 (its parent edge takes one slot). Excess subtrees are
-    detached rightmost-first and re-attached below a uniformly chosen
-    child, descending until a vertex with room is found. Depth never
-    decreases and the vertex count is preserved. Returns the input
-    unchanged when it already satisfies the bound.
+    delta - 1 (its parent edge takes one slot). Vertices are visited depth
+    first, left to right; excess subtrees are detached rightmost-first and
+    re-attached below a uniformly chosen child, descending until a vertex
+    with room is found. Depth never decreases and the vertex count is
+    preserved. Returns the input unchanged when it already satisfies the
+    bound; otherwise a new tree with the same vertex indices and root, and
+    the input is left as it was.
     """
     if tree.nodes >= 3 and delta < 2:
         raise InfeasibleDegreeBound(
@@ -266,31 +261,26 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
         )
     if delta < 1:
         raise InfeasibleDegreeBound("delta must be >= 1")
-    nested = _to_nested(tree)
-    if not _prune_node(nested, delta, True, rng):
-        return tree
-    return _from_nested(nested)
-
-
-def _prune_node(node, delta, is_root, rng) -> bool:
-    limit = delta if is_root else delta - 1
+    children = [list(kids) for kids in tree.children]
     changed = False
-    while len(node) > limit:
-        sub = node.pop()  # rightmost subtree
-        _attach(node, sub, delta, is_root, rng)
-        changed = True
-    for child in node:
-        changed |= _prune_node(child, delta, False, rng)
-    return changed
-
-
-def _attach(node, sub, delta, is_root, rng) -> None:
-    limit = delta if is_root else delta - 1
-    if len(node) < limit:
-        node.append(sub)
-    else:
-        # node is full, so it has >= 1 child; descend and retry
-        _attach(node[rng.randrange(len(node))], sub, delta, False, rng)
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        kids = children[v]
+        limit = delta if v == tree.root else delta - 1
+        while len(kids) > limit:
+            sub = kids.pop()  # rightmost subtree
+            # v is still full: descend through uniform children until one
+            # has room (a non-root vertex keeps at most delta - 1 children)
+            w = kids[rng.randrange(len(kids))]
+            while len(children[w]) >= delta - 1:
+                w = children[w][rng.randrange(len(children[w]))]
+            children[w].append(sub)
+            changed = True
+        stack.extend(reversed(kids))
+    if not changed:
+        return tree
+    return RootedTree(children=children, root=tree.root)
 
 
 def canonical_form(tree: RootedTree) -> tuple:

@@ -16,6 +16,7 @@ import pytest
 from adncount import (
     ProtocolConfig,
     ProtocolState,
+    SubtreeDistribution,
     SweepSpec,
     canonical_form,
     check_bound,
@@ -33,7 +34,6 @@ from adncount import (
     run_verification,
     run_sweep,
     sizes_table,
-    subtree_distribution,
     verification_rounds,
 )
 
@@ -145,7 +145,7 @@ def test_criterion_06_ranrut_uniformity():
     n = 5
     draws = 90000
     classes = enumerate_rooted_trees(n)
-    dist = subtree_distribution(sizes_table(n), n)
+    dist = SubtreeDistribution(sizes_table(n), n)
     rng = random.Random(2025)
     counts = dict.fromkeys(classes, 0)
     for _ in range(draws):

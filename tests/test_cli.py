@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adncount import new_schedule
 from adncount.cli import main
 
 
@@ -36,6 +37,32 @@ def test_generate_infeasible_delta_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "gnp", "--n", "1", "--p", "0.5"],
+    ["--family", "gnp", "--n", "5", "--p", "1.5"],
+    ["--family", "star", "--n", "1"],
+    ["--family", "tree", "--n", "5", "--delta", "5"],
+])
+def test_generate_bad_parameters_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, schedule", [
+    (["--family", "tree", "--n", "12", "--delta", "3", "--seed", "5"],
+     ("random-tree", 12, 3, 1, 5)),
+    (["--family", "gnp", "--n", "12", "--p", "0.3", "--seed", "5"],
+     ("gnp", 12, 11, 1, 5, 0.3)),
+])
+def test_generate_prints_round_one_snapshot(capsys, argv, schedule):
+    code, out, _ = run_cli(capsys, "generate", *argv)
+    assert code == 0
+    expected = new_schedule(*schedule).topology_at(1).to_json_dict()
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_generate_gnp_needs_p(capsys):

@@ -75,9 +75,9 @@ def test_tree_to_topology_nonzero_root():
 
 def test_tree_to_topology_edge_count():
     rng = random.Random(3)
-    from adncount import ranrut, sizes_table, subtree_distribution
+    from adncount import SubtreeDistribution, ranrut, sizes_table
 
-    dist = subtree_distribution(sizes_table(30), 30)
+    dist = SubtreeDistribution(sizes_table(30), 30)
     for n in (2, 5, 17, 30):
         topo = tree_to_topology(ranrut(n, dist, rng))
         assert len(topo.edges) == n - 1

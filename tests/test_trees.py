@@ -13,7 +13,6 @@ from adncount import (
     prune,
     ranrut,
     sizes_table,
-    subtree_distribution,
 )
 from adncount.errors import InfeasibleDegreeBound
 
@@ -39,7 +38,7 @@ def test_sizes_table_rejects_bad_input():
 
 
 def test_distribution_k3_probabilities():
-    dist = subtree_distribution(sizes_table(3), 3)
+    dist = SubtreeDistribution(sizes_table(3), 3)
     assert dist.prob(3, 1, 1) == pytest.approx(0.25, abs=0)
     assert dist.prob(3, 2, 1) == pytest.approx(0.25, abs=0)
     assert dist.prob(3, 1, 2) == pytest.approx(0.5, abs=0)
@@ -50,7 +49,7 @@ def test_distribution_k3_probabilities():
 
 
 def test_distribution_rows_sum_to_one():
-    dist = subtree_distribution(sizes_table(40), 40)
+    dist = SubtreeDistribution(sizes_table(40), 40)
     for k in range(3, 41):
         total = sum(p for _, _, p in dist.row_pairs(k))
         assert abs(total - 1.0) <= 1e-12
@@ -71,7 +70,7 @@ def test_ranrut_tiny_sizes():
 
 @pytest.mark.parametrize("variant", ["paper-literal", "same-copy"])
 def test_ranrut_vertex_and_edge_counts(variant):
-    dist = subtree_distribution(sizes_table(25), 25)
+    dist = SubtreeDistribution(sizes_table(25), 25)
     rng = random.Random(11)
     for n in range(1, 26):
         for _ in range(5):
@@ -82,7 +81,7 @@ def test_ranrut_vertex_and_edge_counts(variant):
 
 
 def test_ranrut_deterministic_per_seed():
-    dist = subtree_distribution(sizes_table(20), 20)
+    dist = SubtreeDistribution(sizes_table(20), 20)
     a = ranrut(20, dist, random.Random(5), "paper-literal")
     b = ranrut(20, dist, random.Random(5), "paper-literal")
     assert a.children == b.children
@@ -91,7 +90,7 @@ def test_ranrut_deterministic_per_seed():
 
 
 def test_ranrut_validation():
-    dist = subtree_distribution(sizes_table(5), 5)
+    dist = SubtreeDistribution(sizes_table(5), 5)
     with pytest.raises(ValueError):
         ranrut(6, dist, random.Random(0))
     with pytest.raises(ValueError):
@@ -102,7 +101,7 @@ def test_ranrut_validation():
 
 def test_ranrut_same_copy_uniformity_smoke():
     # 4 isomorphism classes at n=4; expect ~2500 each out of 10k draws
-    dist = subtree_distribution(sizes_table(4), 4)
+    dist = SubtreeDistribution(sizes_table(4), 4)
     rng = random.Random(2024)
     counts = {}
     for _ in range(10000):
@@ -148,15 +147,20 @@ def test_prune_small_trees_with_delta1():
 
 
 def test_prune_properties_random_trees():
-    # depth never decreases, degrees bounded, vertex count preserved
-    dist = subtree_distribution(sizes_table(40), 40)
+    # depth never decreases, degrees bounded, vertex count preserved, and
+    # the input tree is never modified
+    dist = SubtreeDistribution(sizes_table(40), 40)
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(2, 40)
         tree = ranrut(n, dist, rng, "paper-literal")
         delta = rng.randint(2, 6)
         before_depth = tree.depth()
+        before_children = [list(kids) for kids in tree.children]
+        within_bound = tree.max_graph_degree() <= delta
         pruned = prune(tree, delta, rng)
+        assert tree.children == before_children
+        assert (pruned is tree) == within_bound
         pruned.validate()
         assert pruned.nodes == n
         assert pruned.max_graph_degree() <= delta
