@@ -6,7 +6,7 @@ counting protocol (collection / verification / notification), and the
 parameter-sweep harness used to check the polynomial-envelope claims.
 """
 
-from .dynamics import FAMILIES, DynamicsSchedule, ScheduleParams, new_schedule
+from .dynamics import DynamicsSchedule, ScheduleParams, new_schedule
 from .errors import (
     BudgetOverflow,
     CountingError,
@@ -26,14 +26,12 @@ from .experiment import (
     export_csv,
     export_json,
     load_json,
-    run_one,
     run_sweep,
     standard_grid,
 )
 from .protocol import (
     PhaseTrace,
     ProtocolConfig,
-    ProtocolState,
     RunDiagnostics,
     RunRecord,
     collection_budget,
@@ -42,13 +40,10 @@ from .protocol import (
     heard_round,
     notification_round,
     notification_rounds,
-    run_collection,
-    run_notification,
-    run_verification,
     verification_round,
     verification_rounds,
 )
-from .seeds import derive_seed, splitmix64
+from .seeds import derive_seed
 from .topology import Topology, gnp, path, star, tree_to_topology
 from .trees import (
     RootedTree,

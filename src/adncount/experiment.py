@@ -27,6 +27,14 @@ CSV_HEADER = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunSetting:
     """One grid point of a sweep."""
@@ -66,17 +74,23 @@ class SweepSpec:
                 raise InvalidParameters(f"unknown family {f!r}")
         if not self.families:
             raise InvalidParameters("families must be non-empty")
+        if len(self.n_range) != 2 or not all(map(_is_int, self.n_range)):
+            raise InvalidParameters(f"n_range must be two integers, got {self.n_range!r}")
         lo, hi = self.n_range
         if not (2 <= lo <= hi):
             raise InvalidParameters("n_range must satisfy 2 <= lo <= hi")
-        if self.repetitions < 1:
-            raise InvalidParameters("repetitions must be >= 1")
+        if not _is_int(self.repetitions) or self.repetitions < 1:
+            raise InvalidParameters("repetitions must be an integer >= 1")
+        if not _is_int(self.master_seed):
+            raise InvalidParameters("master_seed must be an integer")
         if self.delta_rule not in DELTA_RULES:
             raise InvalidParameters(f"unknown delta_rule {self.delta_rule!r}")
+        if self.delta_cap is not None and not _is_int(self.delta_cap):
+            raise InvalidParameters("delta_cap must be an integer or null")
         if not self.T_set:
             raise InvalidParameters("T_set must be non-empty")
         for T in self.T_set:
-            if T != math.inf and (int(T) != T or T < 1):
+            if T != math.inf and not (_is_real(T) and T >= 1 and int(T) == T):
                 raise InvalidParameters(f"bad T value {T!r}")
         if "gnp" in self.families:
             if not self.p_set:
@@ -84,10 +98,18 @@ class SweepSpec:
             if math.inf in self.T_set:
                 raise InvalidParameters("gnp cannot be swept with T = inf")
             for p in self.p_set:
-                if not 0.0 <= p <= 1.0:
+                if not (_is_real(p) and 0.0 <= p <= 1.0):
                     raise InvalidParameters(f"bad p value {p!r}")
+        if not _is_real(self.c):
+            raise InvalidParameters(f"bad c value {self.c!r}")
+        if self.max_rounds is not None and not _is_int(self.max_rounds):
+            raise InvalidParameters("max_rounds must be an integer or null")
         # c and mode are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
+        if not self.settings():
+            raise InvalidParameters(
+                "the grid is empty: no power-of-two degree bound fits n_range and delta_cap"
+            )
 
     def _deltas(self, family: str, n: int) -> list[int]:
         if family in ("star", "gnp"):
@@ -137,19 +159,28 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
+        """Parse a spec file's JSON object; malformed fields raise
+        InvalidParameters, missing required keys KeyError."""
+        if not isinstance(data, dict):
+            raise InvalidParameters("a sweep spec must be a JSON object")
+
+        def items(key, default=None):
+            value = data[key] if default is None else data.get(key, default)
+            if not isinstance(value, list):
+                raise InvalidParameters(f"{key} must be a JSON list, got {value!r}")
+            return tuple(value)
+
         return cls(
-            families=tuple(data["families"]),
-            n_range=tuple(data["n_range"]),
-            T_set=tuple(
-                math.inf if T in ("inf", math.inf) else int(T) for T in data["T_set"]
-            ),
+            families=items("families"),
+            n_range=items("n_range"),
+            T_set=tuple(math.inf if T == "inf" else T for T in items("T_set")),
             repetitions=data["repetitions"],
             master_seed=data["master_seed"],
             mode=data.get("mode", "experimental"),
             c=data.get("c", 1.01),
             delta_rule=data.get("delta_rule", "powers-of-two"),
             delta_cap=data.get("delta_cap"),
-            p_set=tuple(data.get("p_set", ())),
+            p_set=items("p_set", []),
             max_rounds=data.get("max_rounds"),
         )
 

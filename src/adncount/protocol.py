@@ -75,36 +75,6 @@ class ProtocolConfig:
         return 10 * delta * n**4
 
 
-@dataclass
-class ProtocolState:
-    """Per-round vectors plus the candidate size and global round counter."""
-
-    k: int
-    r: int
-    energy: np.ndarray
-    max_heard: np.ndarray
-    heard_sources: list[int] | None
-    halt: np.ndarray
-    is_correct: bool
-
-    @classmethod
-    def initial(cls, n: int) -> "ProtocolState":
-        return cls(
-            k=1,
-            r=1,
-            energy=np.zeros(n),
-            max_heard=np.zeros(n),
-            heard_sources=None,
-            halt=np.zeros(n, dtype=bool),
-            is_correct=False,
-        )
-
-    def reset_energy(self) -> None:
-        """(0, 1, 1, ..., 1): leader empty, one unit everywhere else."""
-        self.energy = np.zeros(len(self.energy))
-        self.energy[1:] = 1.0
-
-
 @dataclass(frozen=True)
 class PhaseTrace:
     k: int
@@ -278,28 +248,22 @@ def heard_round(heard: list[int], topology: Topology) -> list[int]:
     return new
 
 
-class _RunStats:
-    """Mutable accumulator for diagnostics and partial-phase accounting."""
+_PHASES = ("collection", "verification", "notification")
 
-    __slots__ = (
-        "max_conservation_error",
-        "max_nonleader_energy",
-        "min_energy",
-        "min_leader_gain",
-        "phase_rounds",
-    )
+
+class _Diagnostics:
+    """Running extremes of the per-round collection statistics."""
+
+    __slots__ = ("max_conservation_error", "max_nonleader_energy", "min_energy",
+                 "min_leader_gain")
 
     def __init__(self):
         self.max_conservation_error = 0.0
         self.max_nonleader_energy = 0.0
         self.min_energy = math.inf
         self.min_leader_gain = math.inf
-        self.phase_rounds = {"collection": 0, "verification": 0, "notification": 0}
 
-    def begin_k(self):
-        self.phase_rounds = {"collection": 0, "verification": 0, "notification": 0}
-
-    def update_collection(self, energy: np.ndarray, prev_leader: float, n: int):
+    def update(self, energy: np.ndarray, prev_leader: float, n: int) -> None:
         total = float(energy.sum())
         err = abs(total - (n - 1.0))
         if err > self.max_conservation_error:
@@ -314,134 +278,13 @@ class _RunStats:
         if gain < self.min_leader_gain:
             self.min_leader_gain = gain
 
-    def diagnostics(self) -> RunDiagnostics:
+    def freeze(self) -> RunDiagnostics:
         return RunDiagnostics(
             max_conservation_error=self.max_conservation_error,
             max_nonleader_energy=self.max_nonleader_energy,
             min_energy=0.0 if self.min_energy == math.inf else self.min_energy,
             min_leader_gain=0.0 if self.min_leader_gain == math.inf else self.min_leader_gain,
         )
-
-
-def _check_limit(state: ProtocolState, limit: int, phase: str) -> None:
-    if state.r > limit:
-        raise RoundLimitExceeded(f"round limit {limit} exceeded during {phase}")
-
-
-def run_collection(
-    state: ProtocolState,
-    schedule: DynamicsSchedule,
-    config: ProtocolConfig,
-    stats: _RunStats | None = None,
-) -> int:
-    """Run the collection phase for the current k; returns rounds used.
-
-    Precondition: the energy vector is freshly reset to (0, 1, ..., 1).
-    """
-    params = schedule.params
-    n, delta = params.n, params.delta
-    limit = config.effective_max_rounds(n, delta)
-
-    def step():
-        _check_limit(state, limit, "collection")
-        topo = schedule.topology_at(state.r)
-        prev_leader = float(state.energy[0])
-        state.energy = collection_round(state.energy, topo, delta)
-        state.r += 1
-        if stats is not None:
-            stats.update_collection(state.energy, prev_leader, n)
-            stats.phase_rounds["collection"] += 1
-
-    rounds = 0
-    if config.mode == "theoretical":
-        for _ in range(collection_budget(state.k, delta)):
-            step()
-            rounds += 1
-    else:
-        threshold = state.k - 1 - state.k ** (-config.c)
-        while state.energy[0] < threshold:
-            step()
-            rounds += 1
-    return rounds
-
-
-def run_verification(
-    state: ProtocolState,
-    schedule: DynamicsSchedule,
-    config: ProtocolConfig,
-    stats: _RunStats | None = None,
-) -> tuple[bool, int]:
-    """Run the verification phase; returns (is_correct, rounds used)."""
-    params = schedule.params
-    n = params.n
-    k = state.k
-    limit = config.effective_max_rounds(n, params.delta)
-    # Both rejection tests have zero real-arithmetic margin at k = n (the
-    # leader's energy converges to exactly k-1 and the residuals to 1/k^c
-    # from below), so they get the conservation tolerance 1e-9*n as slack;
-    # for k < n the detection margins exceed it by orders of magnitude.
-    drift_tol = 1e-9 * n
-    if state.energy[0] > k - 1 + drift_tol:
-        state.is_correct = False
-    state.max_heard = state.energy.copy()
-    state.max_heard[0] = 0.0
-    tolerant = config.disconnection_tolerant
-    if tolerant:
-        state.heard_sources = [1 << i for i in range(n)]
-
-    def step():
-        _check_limit(state, limit, "verification")
-        topo = schedule.topology_at(state.r)
-        state.max_heard = verification_round(state.max_heard, topo)
-        if tolerant:
-            state.heard_sources = heard_round(state.heard_sources, topo)
-        state.r += 1
-        if stats is not None:
-            stats.phase_rounds["verification"] += 1
-
-    rounds = 0
-    for _ in range(verification_rounds(k, config.c)):
-        step()
-        rounds += 1
-    if tolerant:
-        everyone = (1 << n) - 1
-        while state.heard_sources[0] != everyone:
-            step()
-            rounds += 1
-    if state.max_heard[0] > k ** (-config.c) + drift_tol:
-        state.is_correct = False
-    return state.is_correct, rounds
-
-
-def run_notification(
-    state: ProtocolState,
-    schedule: DynamicsSchedule,
-    config: ProtocolConfig,
-    stats: _RunStats | None = None,
-) -> int:
-    """Run the notification phase; returns rounds used."""
-    params = schedule.params
-    limit = config.effective_max_rounds(params.n, params.delta)
-    state.halt = np.zeros(params.n, dtype=bool)
-    state.halt[0] = state.is_correct
-
-    def step():
-        _check_limit(state, limit, "notification")
-        topo = schedule.topology_at(state.r)
-        state.halt = notification_round(state.halt, topo)
-        state.r += 1
-        if stats is not None:
-            stats.phase_rounds["notification"] += 1
-
-    rounds = 0
-    for _ in range(notification_rounds(state.k)):
-        step()
-        rounds += 1
-    if config.disconnection_tolerant:
-        while bool(state.halt[0]) and not bool(state.halt.all()):
-            step()
-            rounds += 1
-    return rounds
 
 
 def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> RunRecord:
@@ -457,43 +300,96 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     if config is None:
         config = ProtocolConfig()
     params = schedule.params
-    if config.mode == "theoretical" and not config.allow_large_theoretical:
-        if params.n > _THEORETICAL_N_GATE or params.delta > _THEORETICAL_DELTA_GATE:
+    n, delta, c = params.n, params.delta, config.c
+    theoretical = config.mode == "theoretical"
+    if theoretical and not config.allow_large_theoretical:
+        if n > _THEORETICAL_N_GATE or delta > _THEORETICAL_DELTA_GATE:
             raise InvalidParameters(
                 f"theoretical mode is gated to n <= {_THEORETICAL_N_GATE} and "
                 f"delta <= {_THEORETICAL_DELTA_GATE}; set allow_large_theoretical "
                 "to override"
             )
-    state = ProtocolState.initial(params.n)
-    stats = _RunStats()
+    tolerant = config.disconnection_tolerant
+    limit = config.effective_max_rounds(n, delta)
+    # Both rejection tests have zero real-arithmetic margin at k = n (the
+    # leader's energy converges to exactly k-1 and the residuals to 1/k^c
+    # from below), so they get the conservation tolerance 1e-9*n as slack;
+    # for k < n the detection margins exceed it by orders of magnitude.
+    drift_tol = 1e-9 * n
+    everyone = (1 << n) - 1
+    topology_at = schedule.topology_at
+    diagnostics = _Diagnostics()
     traces: list[PhaseTrace] = []
+    r = 1
+    spent = [0, 0, 0]  # rounds of the current k, per phase
+
+    def next_topology(phase: int) -> Topology:
+        """Open global round r in ``phase``: the only place rounds advance."""
+        nonlocal r
+        if r > limit:
+            raise RoundLimitExceeded(f"round limit {limit} exceeded during {_PHASES[phase]}")
+        topology = topology_at(r)
+        r += 1
+        spent[phase] += 1
+        return topology
+
+    k = 1
     try:
         while True:
-            state.k += 1
-            state.is_correct = True
-            state.reset_energy()
-            stats.begin_k()
-            rc = run_collection(state, schedule, config, stats)
-            _, rv = run_verification(state, schedule, config, stats)
-            rn = run_notification(state, schedule, config, stats)
-            traces.append(
-                PhaseTrace(k=state.k, collection=rc, verification=rv, notification=rn)
-            )
-            if state.is_correct:
+            k += 1
+            spent[:] = (0, 0, 0)
+            is_correct = True
+
+            # collection, from (0, 1, ..., 1): the leader starts empty
+            energy = np.zeros(n)
+            energy[1:] = 1.0
+            budget = collection_budget(k, delta) if theoretical else 0
+            threshold = k - 1 - k ** (-c)
+            while (spent[0] < budget) if theoretical else (energy[0] < threshold):
+                topology = next_topology(0)
+                prev_leader = float(energy[0])
+                energy = collection_round(energy, topology, delta)
+                diagnostics.update(energy, prev_leader, n)
+
+            # verification: leader level, then max-gossip of the residuals
+            if energy[0] > k - 1 + drift_tol:
+                is_correct = False
+            max_heard = energy.copy()
+            max_heard[0] = 0.0
+            if tolerant:
+                heard = [1 << i for i in range(n)]
+            fixed = verification_rounds(k, c)
+            while spent[1] < fixed or (tolerant and heard[0] != everyone):
+                topology = next_topology(1)
+                max_heard = verification_round(max_heard, topology)
+                if tolerant:
+                    heard = heard_round(heard, topology)
+            if max_heard[0] > k ** (-c) + drift_tol:
+                is_correct = False
+
+            # notification: OR-gossip of the leader's verdict
+            halt = np.zeros(n, dtype=bool)
+            halt[0] = is_correct
+            fixed = notification_rounds(k)
+            while spent[2] < fixed or (tolerant and halt[0] and not halt.all()):
+                halt = notification_round(halt, next_topology(2))
+
+            traces.append(PhaseTrace(k, *spent))
+            if is_correct:
                 break
     except RoundLimitExceeded as exc:
-        traces.append(PhaseTrace(k=state.k, **stats.phase_rounds))
-        record = _assemble(params, config, state, traces, stats, None, "round_limit")
+        traces.append(PhaseTrace(k, *spent))
+        record = _assemble(params, config, r, traces, diagnostics, None, "round_limit")
         raise RoundLimitExceeded(str(exc), record=record) from None
-    return _assemble(params, config, state, traces, stats, state.k, "ok")
+    return _assemble(params, config, r, traces, diagnostics, k, "ok")
 
 
-def _assemble(params, config, state, traces, stats, estimate, status) -> RunRecord:
+def _assemble(params, config, r, traces, diagnostics, estimate, status) -> RunRecord:
     rounds_collection = sum(t.collection for t in traces)
     rounds_verification = sum(t.verification for t in traces)
     rounds_notification = sum(t.notification for t in traces)
     rounds_total = rounds_collection + rounds_verification + rounds_notification
-    assert rounds_total == state.r - 1, "phase accounting out of sync"
+    assert rounds_total == r - 1, "phase accounting out of sync"
     return RunRecord(
         family=params.family,
         n=params.n,
@@ -512,5 +408,5 @@ def _assemble(params, config, state, traces, stats, estimate, status) -> RunReco
         rounds_notification=rounds_notification,
         status=status,
         per_k_trace=tuple(traces),
-        diagnostics=stats.diagnostics(),
+        diagnostics=diagnostics.freeze(),
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InfeasibleDegreeBound
+from .errors import InfeasibleDegreeBound, InvalidParameters
 
 RANRUT_VARIANTS = ("paper-literal", "same-copy")
 
@@ -102,7 +102,7 @@ def sizes_table(n_max: int) -> list[int]:
     convolution recurrence divides by i-1, which is always exact.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidParameters(f"n_max must be >= 1, got {n_max}")
     return list(_sizes_cached(n_max))
 
 

@@ -15,12 +15,12 @@ import pytest
 
 from adncount import (
     ProtocolConfig,
-    ProtocolState,
     SubtreeDistribution,
     SweepSpec,
     canonical_form,
     check_bound,
     collection_budget,
+    collection_round,
     count,
     csv_text,
     enumerate_rooted_trees,
@@ -29,9 +29,6 @@ from adncount import (
     notification_rounds,
     path,
     ranrut,
-    run_collection,
-    run_notification,
-    run_verification,
     run_sweep,
     sizes_table,
     verification_rounds,
@@ -181,26 +178,18 @@ def test_criterion_07_phase_length_formulas():
 
 
 def test_criterion_08_theoretical_budget_sound():
+    import numpy as np
+
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    sch = new_schedule("path", 4, 2, math.inf, 0)
-    state = ProtocolState.initial(4)
-    leader_after = None
-    while True:
-        state.k += 1
-        state.is_correct = True
-        state.reset_energy()
-        run_collection(state, sch, cfg)
-        if state.k == 4:
-            leader_after = float(state.energy[0])
-        ok_k, _ = run_verification(state, sch, cfg)
-        run_notification(state, sch, cfg)
-        if ok_k:
-            break
+    topo = path(4)
+    energy = np.array([0.0, 1.0, 1.0, 1.0])
+    for _ in range(collection_budget(4, 2)):
+        energy = collection_round(energy, topo, 2)
+    leader_after = float(energy[0])
     threshold = 4 - 1 - 4 ** (-2.4)
-    budget_ok = leader_after is not None and leader_after >= threshold
     rec = count(new_schedule("path", 4, 2, math.inf, 0), cfg)
     report(8, "theoretical budget collects enough energy",
-           budget_ok and state.k == 4 and rec.estimate == 4,
+           leader_after >= threshold and rec.estimate == 4,
            f"e_leader {leader_after:.12f} >= {threshold:.12f} after "
            f"tau(4)={collection_budget(4, 2)} rounds; full run outputs {rec.estimate}")
 

@@ -186,6 +186,37 @@ def test_sweep_invalid_spec_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"T_set": [1.5]},  # not truncated to T = 1
+    {"T_set": ["x"]},
+    {"n_range": [3]},
+    {"repetitions": "2"},
+    {"families": ["gnp"], "T_set": [10], "p_set": ["a"]},
+    {"n_range": 3},
+    {"master_seed": "9"},
+    {"delta_cap": "2"},
+    {"c": "x"},
+    {"max_rounds": 1.5},
+    # empty grids: no power-of-two degree bound fits
+    {"n_range": [3, 4], "T_set": [1], "delta_cap": 1},
+    {"n_range": [2, 2]},
+    {"families": ["random-tree"], "n_range": [2, 2], "T_set": [1]},
+])
+def test_sweep_malformed_spec_exits_2(tmp_path, capsys, overrides):
+    code, out, err = run_cli(capsys, "sweep", "--spec", write_spec(tmp_path, **overrides))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_sweep_spec_not_an_object_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text("[]")
+    code, _, err = run_cli(capsys, "sweep", "--spec", str(spec_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_sweep_missing_spec_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.json"))
     assert code == 2
@@ -197,6 +228,14 @@ def test_check_tables(capsys):
     assert "sizes: 1,1,2,4,9,20,48,115" in out
     assert out.strip().endswith("PASS")
     assert run_cli(capsys, "check-tables", "--n-max", "1")[0] == 0
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_check_tables_bad_n_max_exits_2(capsys, n_max):
+    code, out, err = run_cli(capsys, "check-tables", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_check_bound_reads_sweep_json(tmp_path, capsys):

@@ -87,6 +87,13 @@ def test_spec_validation():
         tiny_spec(n_range=(1, 5))
     with pytest.raises(InvalidParameters):
         tiny_spec(c=0.9)
+    with pytest.raises(InvalidParameters):
+        tiny_spec(T_set=(1.5,))
+    # grids with no run: no power-of-two degree bound fits
+    with pytest.raises(InvalidParameters):
+        tiny_spec(n_range=(3, 4), delta_cap=1)
+    with pytest.raises(InvalidParameters):
+        tiny_spec(families=("random-tree",), n_range=(2, 2), T_set=(1,))
 
 
 def test_spec_json_round_trip():

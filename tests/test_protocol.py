@@ -9,7 +9,6 @@ import pytest
 from adncount import (
     PhaseTrace,
     ProtocolConfig,
-    ProtocolState,
     RunRecord,
     Topology,
     collection_budget,
@@ -21,9 +20,6 @@ from adncount import (
     notification_round,
     notification_rounds,
     path,
-    run_collection,
-    run_notification,
-    run_verification,
     star,
     verification_round,
     verification_rounds,
@@ -138,77 +134,89 @@ def test_collection_budget_overflow():
 
 # ------------------------------------------------------------ phase runs
 
-def make_state(n, k):
-    state = ProtocolState.initial(n)
-    state.k = k
-    state.is_correct = True
-    state.reset_energy()
-    return state
+def collect_to_threshold(topo, delta, k, c=1.01):
+    """Experimental collection from (0, 1, ..., 1) on a static topology."""
+    energy = np.ones(topo.n)
+    energy[0] = 0.0
+    rounds = 0
+    while energy[0] < k - 1 - k ** (-c):
+        energy = collection_round(energy, topo, delta)
+        rounds += 1
+    return energy, rounds
+
+
+def max_gossip(values, topo, rounds):
+    for _ in range(rounds):
+        values = verification_round(values, topo)
+    return values
 
 
 def test_run_collection_n2_takes_two_rounds():
-    sch = new_schedule("path", 2, 1, math.inf, 0)
-    state = make_state(2, 2)
-    rounds = run_collection(state, sch, ProtocolConfig())
+    # one round leaves the leader at 1/2, below the k = 2 threshold
+    # 1 - 2**-1.01; count's trace length is pinned by test_count_n2_golden_trace
+    energy, rounds = collect_to_threshold(path(2), 1, 2)
     assert rounds == 2
-    assert state.energy[0] == 0.75
-    assert state.energy[1] == 0.25
+    assert energy[0] == 0.75
+    assert energy[1] == 0.25
 
 
 def test_run_collection_theoretical_ignores_threshold():
-    sch = new_schedule("path", 2, 1, math.inf, 0)
-    state = make_state(2, 2)
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    rounds = run_collection(state, sch, cfg)
-    assert rounds == 6  # tau(2) with delta=1, well past the threshold
-    assert state.energy[0] == 1.0 - 2.0**-6
+    _, needed = collect_to_threshold(path(2), 1, 2, c=2.4)
+    rec = count(new_schedule("path", 2, 1, math.inf, 0), cfg)
+    assert needed == 3
+    # tau(2) with delta = 1, well past the threshold
+    assert rec.per_k_trace == (PhaseTrace(k=2, collection=6, verification=4, notification=2),)
 
 
 def test_run_verification_n2_trace():
-    sch = new_schedule("path", 2, 1, math.inf, 0)
-    state = make_state(2, 2)
-    run_collection(state, sch, ProtocolConfig())
-    ok, rounds = run_verification(state, sch, ProtocolConfig())
-    assert ok
-    assert rounds == 5
-    assert state.max_heard[0] == 0.25  # residual energy, below 1/2^1.01
+    energy, _ = collect_to_threshold(path(2), 1, 2)
+    residual = energy.copy()
+    residual[0] = 0.0
+    heard = max_gossip(residual, path(2), verification_rounds(2, 1.01))
+    assert heard[0] == 0.25  # residual energy, below 1/2^1.01
+    assert heard[0] <= 2 ** -1.01
 
 
 def test_run_verification_detects_undersized_candidate():
-    sch = new_schedule("path", 5, 2, math.inf, 0)
-    state = make_state(5, 2)
-    run_collection(state, sch, ProtocolConfig())
-    ok, _ = run_verification(state, sch, ProtocolConfig())
-    assert not ok
+    # on 5 nodes the k = 2 collection leaves residuals above 1/2^c, and the
+    # max-gossip carries one of them to the leader
+    topo = path(5)
+    energy, _ = collect_to_threshold(topo, 2, 2)
+    residual = energy.copy()
+    residual[0] = 0.0
+    heard = max_gossip(residual, topo, verification_rounds(2, 1.01))
+    assert energy[0] <= 1 + 1e-9 * 5
+    assert heard[0] > 2 ** -1.01 + 1e-9 * 5
 
 
 def test_max_heard_reaches_leader_on_static_topology():
     # at k = n the leader must hear the global maximum residual
-    sch = new_schedule("path", 6, 2, math.inf, 1)
-    state = make_state(6, 6)
-    cfg = ProtocolConfig()
-    run_collection(state, sch, cfg)
-    residual_max = float(state.energy[1:].max())
-    ok, _ = run_verification(state, sch, cfg)
-    assert ok
-    assert state.max_heard[0] == residual_max
+    topo = path(6)
+    energy, _ = collect_to_threshold(topo, 2, 6)
+    residual = energy.copy()
+    residual[0] = 0.0
+    heard = max_gossip(residual, topo, verification_rounds(6, 1.01))
+    assert heard[0] == residual.max()
+    assert heard[0] <= 6 ** -1.01 + 1e-9 * 6
 
 
 def test_run_notification_false_verdict_fixed_length():
-    sch = new_schedule("path", 4, 2, math.inf, 0)
-    state = make_state(4, 3)
-    state.is_correct = False
-    rounds = run_notification(state, sch, ProtocolConfig())
-    assert rounds == 3
-    assert not state.halt.any()
+    halt = np.zeros(4, dtype=bool)
+    for _ in range(notification_rounds(3)):
+        halt = notification_round(halt, path(4))
+    assert not halt.any()
+    # a rejected k is never spread, so tolerance adds no notification rounds
+    rec = count(new_schedule("gnp", 6, 5, 2, 3, p=0.5),
+                ProtocolConfig(disconnection_tolerant=True))
+    assert len(rec.per_k_trace) == 5
+    assert all(t.notification == t.k for t in rec.per_k_trace[:-1])
 
 
 def test_run_notification_star_one_round_suffices():
-    sch = new_schedule("star", 6, 5, math.inf, 0)
-    state = make_state(6, 2)
-    state.is_correct = True
-    run_notification(state, sch, ProtocolConfig())
-    assert state.halt.all()
+    halt = np.zeros(6, dtype=bool)
+    halt[0] = True
+    assert notification_round(halt, star(6)).all()
 
 
 def test_notification_spread_is_one_hop_per_round():
@@ -286,6 +294,37 @@ def test_count_round_limit_partial_record():
     assert rec.estimate is None
     assert rec.rounds_total == 40
     assert rec.per_k_trace == (PhaseTrace(k=2, collection=40, verification=0, notification=0),)
+
+
+def test_kernel_calls_match_phase_rounds(monkeypatch):
+    # one kernel call per simulated round, and heard_round on exactly the
+    # tolerant verification rounds; span tracers count rounds this way
+    from adncount import protocol
+
+    calls = dict.fromkeys(
+        ("collection_round", "verification_round", "notification_round", "heard_round"), 0
+    )
+    for name in calls:
+        def counted(*args, _kernel=getattr(protocol, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(protocol, name, counted)
+
+    def run(schedule, cfg):
+        calls.update(dict.fromkeys(calls, 0))
+        rec = count(schedule, cfg)
+        assert calls["collection_round"] == rec.rounds_collection
+        assert calls["verification_round"] == rec.rounds_verification
+        assert calls["notification_round"] == rec.rounds_notification
+        return rec
+
+    tolerant = run(new_schedule("gnp", 7, 6, 3, 11, p=0.3),
+                   ProtocolConfig(disconnection_tolerant=True))
+    assert calls["heard_round"] == tolerant.rounds_verification
+    # this stream keeps k = 2 verifying past its fixed length
+    assert tolerant.per_k_trace[0].verification > verification_rounds(2, 1.01)
+    run(new_schedule("path", 6, 2, math.inf, 0), ProtocolConfig())
+    assert calls["heard_round"] == 0
 
 
 def test_count_theoretical_full_run():
