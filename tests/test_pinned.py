@@ -1,25 +1,34 @@
 """Pinned output digests: any change to these bytes is a behaviour change.
 
-The digests were recorded from the implementation before the snapshot
-pipeline was refactored. A refactor or speed-up must leave them unchanged;
+The sweep and tree digests were recorded from the implementation before
+the snapshot pipeline was refactored, the single-record digests before the
+collection diagnostics were reduced in blocks. A refactor or speed-up must leave them unchanged;
 a deliberate behaviour change must update them and say so in CHANGES.md.
 """
 
 import hashlib
 import json
+import math
 import random
 
+import pytest
+
 from adncount import (
+    PhaseTrace,
+    ProtocolConfig,
     SubtreeDistribution,
     SweepSpec,
+    count,
     export_csv,
     export_json,
+    new_schedule,
     prune,
     ranrut,
     run_sweep,
     sizes_table,
     tree_to_topology,
 )
+from adncount.errors import RoundLimitExceeded
 
 # Four families in one grid: random-tree at delta 2 and 4 (prune fires) with
 # fresh trees every round (T = 1) and every 7 rounds; path at finite T, so
@@ -39,9 +48,44 @@ SWEEP_CSV_SHA256 = "4d38869247e9707b0556296df214fb55297504f42b61bc3044e5834d0e5d
 SWEEP_JSON_SHA256 = "4850333f260f79578a80a52e5e04587e20b13f42cc51a4469bc64b27d93adc32"
 TREE_SNAPSHOTS_SHA256 = "73c2a4088db127daa2f8b2674818e2afbfeaebcf45bcb23c53f62f872e5073af"
 
+# Single records, diagnostics included, whose collection phases are long:
+# (a) a static path at n = 30, 40 769 rounds, 39 755 of them collection;
+# (b) theoretical mode, fixed budgets of 24, 213 and 1420 collection rounds;
+# (c) the partial record of a round cap that fires in the 1000th round of
+#     the k = 20 collection phase of (a), which starts after round 7544.
+PATH30_RECORD_SHA256 = "79d341005fe13d0b638c1591e2ca02f33f87c4c38a9fa0dd41dcb05aa5c56a58"
+THEORETICAL_RECORD_SHA256 = "6d07b490c5658f28c85bf1d3750be864a79bd0267e9fee4bd1b4a5e6f6f4bd36"
+ROUND_LIMIT_RECORD_SHA256 = "203c2334382e03bbf2abea33d0d57932559327db4befdf966c95eb63e927f906"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def record_sha256(record) -> str:
+    return sha256(json.dumps(record.to_json_dict()).encode())
+
+
+def test_pinned_static_path_record():
+    rec = count(new_schedule("path", 30, 2, math.inf, 0))
+    assert (rec.rounds_total, rec.rounds_collection) == (40769, 39755)
+    assert record_sha256(rec) == PATH30_RECORD_SHA256
+
+
+def test_pinned_theoretical_record():
+    cfg = ProtocolConfig(c=2.4, mode="theoretical")
+    rec = count(new_schedule("path", 4, 2, math.inf, 0), cfg)
+    assert record_sha256(rec) == THEORETICAL_RECORD_SHA256
+
+
+def test_pinned_round_limit_record():
+    cfg = ProtocolConfig(max_rounds=7544 + 1000)
+    with pytest.raises(RoundLimitExceeded) as info:
+        count(new_schedule("path", 30, 2, math.inf, 0), cfg)
+    rec = info.value.record
+    assert rec.per_k_trace[-1] == PhaseTrace(k=20, collection=1000, verification=0,
+                                             notification=0)
+    assert record_sha256(rec) == ROUND_LIMIT_RECORD_SHA256
 
 
 def test_pinned_sweep_csv_and_json(tmp_path):
