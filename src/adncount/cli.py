@@ -16,17 +16,10 @@ import math
 import sys
 
 from . import experiment
-from .dynamics import DynamicsSchedule, ScheduleParams
+from .dynamics import DynamicsSchedule, ScheduleParams, canonical_family
 from .errors import CountingError, RoundLimitExceeded
 from .protocol import ProtocolConfig, count
 from .trees import RANRUT_VARIANTS, check_tables
-
-_FAMILY_ALIASES = {"tree": "random-tree"}
-
-
-def _family(value: str) -> str:
-    return _FAMILY_ALIASES.get(value, value)
-
 
 def _parse_T(value: str):
     if value == "inf":
@@ -96,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _schedule_params(args, T, delta_defaults) -> ScheduleParams:
     """Schedule parameters from the flags; --delta may be omitted for the
     families in ``delta_defaults``, where it becomes n - 1."""
-    family = _family(args.family)
+    family = canonical_family(args.family)
     delta = args.delta
     if delta is None and family in delta_defaults:
         delta = args.n - 1
@@ -152,7 +145,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.grid:
-        spec = experiment.standard_grid(_family(args.grid), full=args.full)
+        spec = experiment.standard_grid(canonical_family(args.grid), full=args.full)
     else:
         with open(args.spec) as fh:
             spec = experiment.SweepSpec.from_json_dict(json.load(fh))

@@ -28,6 +28,13 @@ from .topology import Topology, gnp, path, star, tree_to_topology
 from .trees import SubtreeDistribution, prune, ranrut, sizes_table
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
+_FAMILY_ALIASES = {"tree": "random-tree"}
+
+
+def canonical_family(name):
+    """The ``FAMILIES`` name for a family given on input: CLI flags and spec
+    files accept ``tree`` for ``random-tree``; outputs use the canonical name."""
+    return _FAMILY_ALIASES.get(name, name) if isinstance(name, str) else name
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,9 @@ def _permuted_path(n: int, rng: random.Random) -> Topology:
     labels = list(range(1, n))
     rng.shuffle(labels)
     order = [0] + labels
-    return Topology(n, [(order[i], order[i + 1]) for i in range(n - 1)])
+    return Topology._from_sorted(n, sorted(
+        (u, v) if u < v else (v, u) for u, v in zip(order, order[1:])
+    ))
 
 
 def new_schedule(family: str, n: int, delta: int, T: float, seed: int,

@@ -14,7 +14,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .dynamics import FAMILIES, DynamicsSchedule, ScheduleParams
+from .dynamics import FAMILIES, DynamicsSchedule, ScheduleParams, canonical_family
 from .errors import InvalidParameters, RoundLimitExceeded
 from .protocol import ProtocolConfig, RunRecord, count
 from .seeds import derive_seed
@@ -106,9 +106,12 @@ class SweepSpec:
             raise InvalidParameters("max_rounds must be an integer or null")
         # c and mode are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
-        if not self.settings():
+        unfit = [f for f in self.families
+                 if not any(self._deltas(f, n) for n in range(lo, hi + 1))]
+        if unfit:
             raise InvalidParameters(
-                "the grid is empty: no power-of-two degree bound fits n_range and delta_cap"
+                f"no power-of-two degree bound fits n_range and delta_cap for "
+                f"{', '.join(unfit)}"
             )
 
     def _deltas(self, family: str, n: int) -> list[int]:
@@ -160,7 +163,8 @@ class SweepSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
         """Parse a spec file's JSON object; malformed fields raise
-        InvalidParameters, missing required keys KeyError."""
+        InvalidParameters, missing required keys KeyError. Families may use
+        the CLI alias ``tree``."""
         if not isinstance(data, dict):
             raise InvalidParameters("a sweep spec must be a JSON object")
 
@@ -171,7 +175,7 @@ class SweepSpec:
             return tuple(value)
 
         return cls(
-            families=items("families"),
+            families=tuple(map(canonical_family, items("families"))),
             n_range=items("n_range"),
             T_set=tuple(math.inf if T == "inf" else T for T in items("T_set")),
             repetitions=data["repetitions"],

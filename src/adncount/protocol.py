@@ -85,7 +85,12 @@ class PhaseTrace:
 
 @dataclass(frozen=True)
 class RunDiagnostics:
-    """Worst-case per-round statistics gathered during collection."""
+    """Worst-case per-round statistics gathered during collection.
+
+    They are reduced over blocks of up to 256 collection rounds, once per
+    full block and once at the end of each collection phase, and equal the
+    extremes of per-round reductions.
+    """
 
     max_conservation_error: float
     max_nonleader_energy: float
@@ -250,9 +255,17 @@ def heard_round(heard: list[int], topology: Topology) -> list[int]:
 
 _PHASES = ("collection", "verification", "notification")
 
+_BLOCK = 256  # collection rounds per fold of the diagnostics
+
 
 class _Diagnostics:
-    """Running extremes of the per-round collection statistics."""
+    """Running extremes of the per-round collection statistics.
+
+    ``count`` folds in blocks of up to ``_BLOCK`` post-round energy vectors,
+    one row per round. Row-wise sums use the same pairwise summation as a
+    1-D ``energy.sum()``, and max, min and each leader gain are exact, so
+    the extremes equal those of per-round reductions.
+    """
 
     __slots__ = ("max_conservation_error", "max_nonleader_energy", "min_energy",
                  "min_leader_gain")
@@ -263,20 +276,18 @@ class _Diagnostics:
         self.min_energy = math.inf
         self.min_leader_gain = math.inf
 
-    def update(self, energy: np.ndarray, prev_leader: float, n: int) -> None:
-        total = float(energy.sum())
-        err = abs(total - (n - 1.0))
-        if err > self.max_conservation_error:
-            self.max_conservation_error = err
-        nonleader = float(energy[1:].max())
-        if nonleader > self.max_nonleader_energy:
-            self.max_nonleader_energy = nonleader
-        low = float(energy.min())
-        if low < self.min_energy:
-            self.min_energy = low
-        gain = float(energy[0]) - prev_leader
-        if gain < self.min_leader_gain:
-            self.min_leader_gain = gain
+    def fold(self, block: np.ndarray, prev_leader: float, n: int) -> None:
+        """Fold rows of post-round energies; ``prev_leader`` is the leader's
+        energy before the first row's round."""
+        if not len(block):
+            return
+        err = float(np.abs(block.sum(axis=1) - (n - 1.0)).max())
+        self.max_conservation_error = max(self.max_conservation_error, err)
+        nonleader = float(block[:, 1:].max())
+        self.max_nonleader_energy = max(self.max_nonleader_energy, nonleader)
+        self.min_energy = min(self.min_energy, float(block.min()))
+        gain = float(np.diff(block[:, 0], prepend=prev_leader).min())
+        self.min_leader_gain = min(self.min_leader_gain, gain)
 
     def freeze(self) -> RunDiagnostics:
         return RunDiagnostics(
@@ -319,6 +330,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     everyone = (1 << n) - 1
     topology_at = schedule.topology_at
     diagnostics = _Diagnostics()
+    block = np.empty((_BLOCK, n))
     traces: list[PhaseTrace] = []
     r = 1
     spent = [0, 0, 0]  # rounds of the current k, per phase
@@ -345,11 +357,21 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             energy[1:] = 1.0
             budget = collection_budget(k, delta) if theoretical else 0
             threshold = k - 1 - k ** (-c)
-            while (spent[0] < budget) if theoretical else (energy[0] < threshold):
-                topology = next_topology(0)
-                prev_leader = float(energy[0])
-                energy = collection_round(energy, topology, delta)
-                diagnostics.update(energy, prev_leader, n)
+            rows = 0
+            prev_leader = 0.0
+            try:
+                while (spent[0] < budget) if theoretical else (energy[0] < threshold):
+                    topology = next_topology(0)
+                    energy = collection_round(energy, topology, delta)
+                    block[rows] = energy
+                    rows += 1
+                    if rows == _BLOCK:
+                        diagnostics.fold(block, prev_leader, n)
+                        prev_leader = energy[0]
+                        rows = 0
+            finally:
+                # also on a round cap, before the partial record is built
+                diagnostics.fold(block[:rows], prev_leader, n)
 
             # verification: leader level, then max-gossip of the residuals
             if energy[0] > k - 1 + drift_tol:

@@ -19,7 +19,7 @@ from .trees import RootedTree
 class Topology:
     """Immutable snapshot; caches the flat edge arrays used per round."""
 
-    __slots__ = ("n", "edges", "neighbor_lists", "degrees", "max_degree",
+    __slots__ = ("n", "edges", "degrees", "max_degree", "_neighbor_lists",
                  "_coll_arrays", "_sym_arrays", "_retention")
 
     def __init__(self, n: int, edges):
@@ -38,18 +38,38 @@ class Topology:
             seen.add(key)
             normalized.append(key)
         normalized.sort()
+        self._build(n, normalized)
+
+    @classmethod
+    def _from_sorted(cls, n: int, edges) -> "Topology":
+        """Snapshot from edges that are already normalised (u < v), sorted
+        and distinct, as the generators below emit them; no validation."""
+        topology = cls.__new__(cls)
+        topology._build(n, edges)
+        return topology
+
+    def _build(self, n: int, edges) -> None:
         self.n = n
-        self.edges = tuple(normalized)
-        lists = [[] for _ in range(n)]
-        for u, v in normalized:
-            lists[u].append(v)
-            lists[v].append(u)
-        self.neighbor_lists = tuple(tuple(ns) for ns in lists)
-        self.degrees = np.array([len(ns) for ns in lists], dtype=np.intp)
-        self.max_degree = int(self.degrees.max()) if n else 0
+        self.edges = tuple(edges)
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                           count=2 * len(self.edges))
+        self.degrees = np.bincount(ends, minlength=n)
+        self.max_degree = int(self.degrees.max())
+        self._neighbor_lists = None
         self._coll_arrays = None
         self._sym_arrays = None
         self._retention = {}
+
+    @property
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbours in sorted edge order, built on first use."""
+        if self._neighbor_lists is None:
+            lists = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            self._neighbor_lists = tuple(tuple(ns) for ns in lists)
+        return self._neighbor_lists
 
     def __eq__(self, other):
         return (
@@ -126,14 +146,14 @@ def star(n: int) -> Topology:
     """Leader adjacent to all n-1 others; no other edges."""
     if n < 2:
         raise ValueError("star requires n >= 2")
-    return Topology(n, [(0, i) for i in range(1, n)])
+    return Topology._from_sorted(n, [(0, i) for i in range(1, n)])
 
 
 def path(n: int) -> Topology:
     """Edges {i, i+1}; the leader sits at one endpoint."""
     if n < 2:
         raise ValueError("path requires n >= 2")
-    return Topology(n, [(i, i + 1) for i in range(n - 1)])
+    return Topology._from_sorted(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Topology:
@@ -148,23 +168,21 @@ def gnp(n: int, p: float, rng: random.Random) -> Topology:
         for v in range(u + 1, n)
         if rng.random() < p
     ]
-    return Topology(n, edges)
+    return Topology._from_sorted(n, edges)
 
 
 def tree_to_topology(tree: RootedTree) -> Topology:
     """Relabel a rooted tree in preorder (root -> leader index 0)."""
     relabel = [0] * tree.nodes
-    order = 0
+    preorder = []
     stack = [tree.root]
-    edges = []
     while stack:
         v = stack.pop()
-        relabel[v] = order
-        order += 1
+        relabel[v] = len(preorder)
+        preorder.append(v)
         # reversed so the leftmost child gets the next preorder index
-        for c in reversed(tree.children[v]):
-            stack.append(c)
-    for v, kids in enumerate(tree.children):
-        for c in kids:
-            edges.append((relabel[v], relabel[c]))
-    return Topology(tree.nodes, edges)
+        stack.extend(reversed(tree.children[v]))
+    # parents in preorder, each one's children left to right: every edge is
+    # (parent, child) with parent < child, in sorted order
+    edges = [(relabel[v], relabel[c]) for v in preorder for c in tree.children[v]]
+    return Topology._from_sorted(tree.nodes, edges)

@@ -201,12 +201,29 @@ def test_sweep_invalid_spec_exits_2(tmp_path, capsys):
     {"n_range": [3, 4], "T_set": [1], "delta_cap": 1},
     {"n_range": [2, 2]},
     {"families": ["random-tree"], "n_range": [2, 2], "T_set": [1]},
+    {"families": ["star", "path"], "n_range": [2, 2]},  # path has no run
 ])
 def test_sweep_malformed_spec_exits_2(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--spec", write_spec(tmp_path, **overrides))
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_sweep_spec_tree_alias(tmp_path, capsys):
+    # the CLI alias is accepted in spec files; exports name the family
+    outputs = []
+    for family in ("tree", "random-tree"):
+        spec_dir = tmp_path / family
+        spec_dir.mkdir()
+        out_csv, out_json = spec_dir / "runs.csv", spec_dir / "runs.json"
+        spec_path = write_spec(spec_dir, families=[family], n_range=[4, 5], T_set=[1])
+        code, _, _ = run_cli(capsys, "sweep", "--spec", spec_path,
+                             "--out-csv", str(out_csv), "--out-json", str(out_json))
+        assert code == 0
+        outputs.append((out_csv.read_bytes(), out_json.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\nrandom-tree,") == 4
 
 
 def test_sweep_spec_not_an_object_exits_2(tmp_path, capsys):

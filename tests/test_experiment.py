@@ -94,6 +94,9 @@ def test_spec_validation():
         tiny_spec(n_range=(3, 4), delta_cap=1)
     with pytest.raises(InvalidParameters):
         tiny_spec(families=("random-tree",), n_range=(2, 2), T_set=(1,))
+    # a family with no run is named even when another family has runs
+    with pytest.raises(InvalidParameters, match=r"for random-tree, path$"):
+        tiny_spec(families=("random-tree", "star", "path"), n_range=(2, 2), T_set=(1,))
 
 
 def test_spec_json_round_trip():

@@ -1,5 +1,6 @@
 """Protocol engine: round updates, phase lengths, end-to-end counting."""
 
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from adncount import (
     PhaseTrace,
     ProtocolConfig,
+    RunDiagnostics,
     RunRecord,
     Topology,
     collection_budget,
@@ -325,6 +327,72 @@ def test_kernel_calls_match_phase_rounds(monkeypatch):
     assert tolerant.per_k_trace[0].verification > verification_rounds(2, 1.01)
     run(new_schedule("path", 6, 2, math.inf, 0), ProtocolConfig())
     assert calls["heard_round"] == 0
+
+
+def scalar_diagnostics(rec, energies):
+    """The four collection extremes, reduced round by round from the
+    post-round energies of every collection round of ``rec``."""
+    n = rec.n
+    err = nonleader = 0.0
+    low = gain = math.inf
+    rounds = iter(energies)
+    for t in rec.per_k_trace:
+        prev_leader = 0.0  # each collection phase starts from (0, 1, ..., 1)
+        for energy in itertools.islice(rounds, t.collection):
+            e = abs(float(energy.sum()) - (n - 1.0))
+            if e > err:
+                err = e
+            top = float(energy[1:].max())
+            if top > nonleader:
+                nonleader = top
+            bottom = float(energy.min())
+            if bottom < low:
+                low = bottom
+            g = float(energy[0]) - prev_leader
+            if g < gain:
+                gain = g
+            prev_leader = float(energy[0])
+    assert next(rounds, None) is None, "more collection rounds than the trace"
+    return RunDiagnostics(err, nonleader, 0.0 if low == math.inf else low,
+                          0.0 if gain == math.inf else gain)
+
+
+@pytest.mark.parametrize("schedule, config, last_k", [
+    (("path", 30, 2, math.inf, 0), {}, None),
+    (("star", 30, 29, math.inf, 0), {}, None),
+    (("random-tree", 16, 4, 1, 7), {}, None),
+    (("gnp", 12, 11, 3, 5, 0.3), {"disconnection_tolerant": True}, None),
+    (("path", 4, 2, math.inf, 0), {"c": 2.4, "mode": "theoretical"}, None),
+    # round caps: after 3 full 256-round blocks and 232 rows of the k = 20
+    # collection; on the first row of the second block of the last star
+    # collection, whose leader gain is the smallest of the run so far
+    (("path", 30, 2, math.inf, 0), {"max_rounds": 7544 + 1000}, (20, 1000)),
+    (("star", 30, 29, math.inf, 0), {"max_rounds": 2470 + 257}, (30, 257)),
+    (("gnp", 3, 2, 1, 5, 0.0), {"max_rounds": 40, "disconnection_tolerant": True},
+     (2, 40)),
+], ids=["path", "star", "tree-T1", "gnp-tolerant", "theoretical", "path-cap", "star-cap",
+        "gnp-cap"])
+def test_diagnostics_match_per_round_reduction(monkeypatch, schedule, config, last_k):
+    from adncount import protocol
+
+    energies = []
+
+    def recorded(*args, _kernel=protocol.collection_round):
+        energy = _kernel(*args)
+        energies.append(energy.copy())
+        return energy
+
+    monkeypatch.setattr(protocol, "collection_round", recorded)
+    cfg = ProtocolConfig(**config)
+    if last_k is None:
+        rec = count(new_schedule(*schedule), cfg)
+    else:
+        with pytest.raises(RoundLimitExceeded) as info:
+            count(new_schedule(*schedule), cfg)
+        rec = info.value.record
+        assert rec.per_k_trace[-1] == PhaseTrace(*last_k, 0, 0)
+    assert len(energies) == rec.rounds_collection
+    assert rec.diagnostics == scalar_diagnostics(rec, energies)
 
 
 def test_count_theoretical_full_run():

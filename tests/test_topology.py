@@ -4,7 +4,19 @@ import random
 
 import pytest
 
-from adncount import RootedTree, Topology, gnp, path, star, tree_to_topology
+from adncount import (
+    RootedTree,
+    SubtreeDistribution,
+    Topology,
+    gnp,
+    path,
+    prune,
+    ranrut,
+    sizes_table,
+    star,
+    tree_to_topology,
+)
+from adncount.dynamics import _permuted_path
 
 
 def test_star_shape():
@@ -105,6 +117,23 @@ def test_constructor_validation():
         Topology(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Topology(3, [(0, 3)])
+
+
+def test_generators_match_validating_constructor():
+    # the generators skip Topology's validation, so their edges must already
+    # be normalised, sorted and distinct
+    rng = random.Random(5)
+    dist = SubtreeDistribution(sizes_table(12), 12)
+    snapshots = [star(7), path(7), gnp(9, 0.5, rng), gnp(4, 0.0, rng), gnp(5, 1.0, rng)]
+    snapshots += [_permuted_path(n, rng) for n in (2, 3, 9)]
+    snapshots += [tree_to_topology(prune(ranrut(n, dist, rng, "paper-literal"), 3, rng))
+                  for n in range(1, 13)]
+    for topo in snapshots:
+        checked = Topology(topo.n, topo.edges)
+        assert topo.edges == checked.edges
+        assert topo.degrees.tolist() == checked.degrees.tolist()
+        assert topo.max_degree == checked.max_degree
+        assert topo.neighbor_lists == checked.neighbor_lists
 
 
 def test_collection_arrays_exclude_leader_sender():
