@@ -1,9 +1,12 @@
 """Pinned output digests: any change to these bytes is a behaviour change.
 
 The sweep and tree digests were recorded from the implementation before
-the snapshot pipeline was refactored, the single-record digests before the
-collection diagnostics were reduced in blocks. A refactor or speed-up must leave them unchanged;
-a deliberate behaviour change must update them and say so in CHANGES.md.
+the snapshot pipeline was refactored, the path, theoretical and round-cap
+record digests before the collection diagnostics were reduced in blocks,
+and the random-tree record digests before each tree snapshot was built in
+one draw pass and one walk. A refactor or speed-up must leave them
+unchanged; a deliberate behaviour change must update them and say so in
+CHANGES.md.
 """
 
 import hashlib
@@ -57,6 +60,16 @@ PATH30_RECORD_SHA256 = "79d341005fe13d0b638c1591e2ca02f33f87c4c38a9fa0dd41dcb05a
 THEORETICAL_RECORD_SHA256 = "6d07b490c5658f28c85bf1d3750be864a79bd0267e9fee4bd1b4a5e6f6f4bd36"
 ROUND_LIMIT_RECORD_SHA256 = "203c2334382e03bbf2abea33d0d57932559327db4befdf966c95eb63e927f906"
 
+# Random-tree records at n = 30 with a fresh tree every round (T = 1), so
+# thousands of snapshots each: delta 4 in both ranrut variants (prune
+# reshapes about 70 % of the trees) and delta 2 (prune reshapes every tree
+# into a path).
+TREE_RECORDS_SHA256 = {
+    (4, "paper-literal"): "47d575d53be3be00854f898a3abd17186b4bddb49d7474eae4c73b36560ea13b",
+    (4, "same-copy"): "51bc95f52dacd2e63b90749fa559e89afc4c523eae25efaef5097a4fffe92b60",
+    (2, "paper-literal"): "5331d48b18f059cdd28ce2159dde29ab05aeb46d10668ea7eaace8a505b361c7",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -86,6 +99,13 @@ def test_pinned_round_limit_record():
     assert rec.per_k_trace[-1] == PhaseTrace(k=20, collection=1000, verification=0,
                                              notification=0)
     assert record_sha256(rec) == ROUND_LIMIT_RECORD_SHA256
+
+
+@pytest.mark.parametrize("delta,variant", sorted(TREE_RECORDS_SHA256))
+def test_pinned_random_tree_record(delta, variant):
+    rec = count(new_schedule("random-tree", 30, delta, 1, 0, ranrut_variant=variant))
+    assert rec.estimate == 30
+    assert record_sha256(rec) == TREE_RECORDS_SHA256[delta, variant]
 
 
 def test_pinned_sweep_csv_and_json(tmp_path):
