@@ -17,7 +17,7 @@ import sys
 
 from . import experiment
 from .dynamics import DynamicsSchedule, ScheduleParams, canonical_family
-from .errors import CountingError, RoundLimitExceeded
+from .errors import CountingError, InvalidParameters, RoundLimitExceeded
 from .protocol import ProtocolConfig, count
 from .trees import RANRUT_VARIANTS, check_tables
 
@@ -146,6 +146,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.grid:
         spec = experiment.standard_grid(canonical_family(args.grid), full=args.full)
+    elif args.full:
+        raise InvalidParameters("--full applies to --grid only; a spec file sets its own grid")
     else:
         with open(args.spec) as fh:
             spec = experiment.SweepSpec.from_json_dict(json.load(fh))

@@ -19,7 +19,7 @@ from .trees import RootedTree
 class Topology:
     """Immutable snapshot; caches the flat edge arrays used per round."""
 
-    __slots__ = ("n", "edges", "degrees", "max_degree", "_neighbor_lists",
+    __slots__ = ("n", "_edges", "degrees", "max_degree", "_neighbor_lists",
                  "_coll_arrays", "_sym_arrays", "_retention")
 
     def __init__(self, n: int, edges):
@@ -38,27 +38,62 @@ class Topology:
             seen.add(key)
             normalized.append(key)
         normalized.sort()
-        self._build(n, normalized)
+        self._set(n, tuple(normalized))
 
     @classmethod
     def _from_sorted(cls, n: int, edges) -> "Topology":
         """Snapshot from edges that are already normalised (u < v), sorted
         and distinct, as the generators below emit them; no validation."""
         topology = cls.__new__(cls)
-        topology._build(n, edges)
+        topology._set(n, tuple(edges))
         return topology
 
-    def _build(self, n: int, edges) -> None:
+    @classmethod
+    def _from_parents(cls, parents) -> "Topology":
+        """Tree snapshot from preorder parent labels, no validation.
+
+        ``parents[c]`` is the parent of node c for c >= 1; ``parents[0]``
+        belongs to the root and is ignored. A stable sort by parent puts
+        the edges (parents[c], c) in sorted order, since in a preorder every
+        parent is below its child; ``edges`` is built from them on first
+        use.
+        """
+        n = len(parents)
+        par = np.array(parents[1:], dtype=np.intp)
+        child = np.argsort(par, kind="stable")
+        pairs = np.empty((n - 1, 2), dtype=np.intp)
+        pairs[:, 0] = par[child]
+        pairs[:, 1] = child + 1
+        topology = cls.__new__(cls)
+        topology._set(n, None, pairs)
+        return topology
+
+    def _set(self, n: int, edges, pairs=None) -> None:
+        """Fill the slots from the sorted edges: a tuple of pairs, or an
+        (m, 2) array of them, in which case the tuple waits for ``edges``."""
+        if pairs is None:
+            # fromiter on the flattened pairs is about twice as fast as
+            # np.array on the tuple of edge tuples
+            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
+                                count=2 * len(edges)).reshape(-1, 2)
+        ends = pairs.ravel()
         self.n = n
-        self.edges = tuple(edges)
-        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
-                           count=2 * len(self.edges))
+        self._edges = edges
         self.degrees = np.bincount(ends, minlength=n)
         self.max_degree = int(self.degrees.max())
         self._neighbor_lists = None
         self._coll_arrays = None
-        self._sym_arrays = None
+        self._sym_arrays = (ends, pairs[:, ::-1].ravel())
         self._retention = {}
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Normalised (u < v), sorted, distinct edges; a tree snapshot
+        builds them from its edge arrays on first use."""
+        if self._edges is None:
+            ends = self._sym_arrays[0]
+            self._edges = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
+        return self._edges
 
     @property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -113,14 +148,8 @@ class Topology:
 
         Each edge (u, v) yields u -> v immediately followed by v -> u, in
         sorted edge order; the per-node float sums in the round kernels add
-        inflows in this order.
+        inflows in this order. Built with the snapshot.
         """
-        if self._sym_arrays is None:
-            # fromiter on the flattened pairs is about twice as fast as
-            # np.array on the tuple of edge tuples
-            pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
-                                count=2 * len(self.edges)).reshape(-1, 2)
-            self._sym_arrays = (pairs.ravel(), pairs[:, ::-1].ravel())
         return self._sym_arrays
 
     def retention(self, delta: int):
@@ -172,17 +201,19 @@ def gnp(n: int, p: float, rng: random.Random) -> Topology:
 
 
 def tree_to_topology(tree: RootedTree) -> Topology:
-    """Relabel a rooted tree in preorder (root -> leader index 0)."""
-    relabel = [0] * tree.nodes
-    preorder = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        relabel[v] = len(preorder)
-        preorder.append(v)
-        # reversed so the leftmost child gets the next preorder index
-        stack.extend(reversed(tree.children[v]))
-    # parents in preorder, each one's children left to right: every edge is
-    # (parent, child) with parent < child, in sorted order
-    edges = [(relabel[v], relabel[c]) for v in preorder for c in tree.children[v]]
-    return Topology._from_sorted(tree.nodes, edges)
+    """Relabel a rooted tree in preorder (root -> leader index 0).
+
+    Uses the preorder parent labels that ``ranrut`` and ``prune`` hand on;
+    any other tree is walked once, depth first and left to right.
+    """
+    parents = tree.preorder_parents
+    if parents is None:
+        parents = []
+        stack = [(tree.root, -1)]
+        while stack:
+            v, parent = stack.pop()
+            label = len(parents)
+            parents.append(parent)
+            # reversed so the leftmost child gets the next preorder index
+            stack.extend((c, label) for c in reversed(tree.children[v]))
+    return Topology._from_parents(parents)

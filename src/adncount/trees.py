@@ -2,9 +2,10 @@
 
 Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
 ``SubtreeDistribution`` turns the counts into per-size tables over
-(copies, subtree-size) pairs, ``ranrut`` samples a tree recursively from
-those tables, and ``prune`` pushes subtrees downward until every vertex
-respects the degree bound.
+(copies, subtree-size) pairs, ``ranrut`` samples a tree from those tables
+in one pass over its vertices, and ``prune`` pushes subtrees downward until
+every vertex respects the degree bound. Both hand on the tree's preorder
+parent labels, so ``topology.tree_to_topology`` needs no walk of its own.
 
 ``ranrut`` has two variants. ``same-copy`` attaches j structurally
 identical copies of one recursive draw, which is the classic sampler whose
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,11 +37,16 @@ class RootedTree:
     """Ordered rooted tree over vertex indices 0..nodes-1.
 
     ``children[v]`` lists v's children in insertion order, so "rightmost
-    subtree" is well defined.
+    subtree" is well defined. ``ranrut`` and ``prune`` also set
+    ``preorder_parents``: entry i is the preorder index of the parent of
+    the i-th vertex in preorder (-1 for the root), which is all that
+    ``tree_to_topology`` needs; it walks trees that leave it None. Code
+    that edits ``children`` in place must reset it to None.
     """
 
     children: list[list[int]]
     root: int = 0
+    preorder_parents: list[int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def nodes(self) -> int:
@@ -144,6 +150,7 @@ class SubtreeDistribution:
         self._t = (0,) + tuple(counts)  # 1-indexed
         self.n = n
         self._rows: dict[int, tuple] = {}
+        self._draw_tables: list = [None, None, None]  # per size, for ranrut
         for k in range(3, min(n, self._EAGER_LIMIT) + 1):
             self._row(k)
 
@@ -161,6 +168,23 @@ class SubtreeDistribution:
             row = (pairs, probs, list(itertools.accumulate(probs)))
             self._rows[k] = row
         return row
+
+    def _draw_tables_upto(self, n: int) -> list:
+        """``ranrut``'s tables for sizes 3..n, indexed by size.
+
+        Entry k is (cumulative, outcomes): outcomes[i] is (k - j*d, (d,) * j)
+        for the i-th (j, d) pair, the size left after the draw and the sizes
+        of the j subtrees it attaches. A copy of the last outcome stands at
+        index len(cumulative), where ``bisect_left`` lands in the rounding
+        tail, so indexing clamps exactly as ``draw`` does.
+        """
+        tables = self._draw_tables
+        for k in range(len(tables), n + 1):
+            pairs, _, cumulative = self._row(k)
+            outcomes = [(k - j * d, (d,) * j) for j, d in pairs]
+            outcomes.append(outcomes[-1])
+            tables.append((cumulative, outcomes))
+        return tables
 
     def prob(self, k: int, j: int, d: int) -> float:
         """Probability of drawing (j, d) at size k; 0 for invalid pairs."""
@@ -200,47 +224,68 @@ def ranrut(
         raise ValueError("n must be >= 1")
     if variant not in RANRUT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    tables = None
     if n > 2:
         if dist is None:
             raise ValueError("a SubtreeDistribution is required for n > 2")
         if dist.n < n:
             raise ValueError(f"distribution covers sizes up to {dist.n} < {n}")
+        tables = dist._draw_tables_upto(n)
+    same_copy = variant == "same-copy"
+    random_ = rng.random
+    # A tree on k >= 3 vertices is j copies of a size-d subtree attached to
+    # a tree on k - j*d vertices, so the pairs form a chain down to a base
+    # of one or two vertices. A vertex draws its whole chain; its children
+    # are the base's leaf, then each pair's subtrees from the last drawn
+    # pair to the first. Every child's size, and so its preorder number,
+    # is known once its parent has drawn, so the loop visits the vertices
+    # in preorder, which is the order of the draws. Only vertices with at
+    # least three in their subtree draw at all; leaves take a short path.
+    size_of = [1] * n  # subtree size, set by the parent's draw
+    size_of[0] = n
+    parents = [-1] * n
     children: list[list[int]] = []
-
-    def grow(size: int) -> int:
-        """Append a random subtree on ``size`` vertices; return its root."""
-        v = len(children)
-        children.append([])
-        # A tree on k >= 3 vertices is j copies of a size-d subtree attached
-        # to a tree on k - j*d vertices, so the pairs form a chain down to a
-        # base of one or two vertices. The whole chain is drawn first; the
-        # subtrees then grow from the base outward, each in full before the
-        # next, which keeps both the draw order and the preorder numbering.
+    copies = {}  # same-copy: copy root -> offset from the drawn subtree
+    v = 0
+    while v < n:
+        size = size_of[v]
+        if size == 1:
+            children.append([])
+            v += 1
+            continue
+        if same_copy and v in copies:
+            # the drawn subtree is complete: copy it, shifted by the offset
+            offset = copies[v]
+            src = v - offset
+            for u in range(src, src + size):
+                children.append([c + offset for c in children[u]])
+                if u != src:
+                    parents[u + offset] = parents[u] + offset
+            v += size
+            continue
+        c = v + 1
         chain = []
         while size > 2:
-            j, d = dist.draw(size, rng)
-            chain.append((j, d))
-            size -= j * d
-        kids = children[v]
+            cumulative, outcomes = tables[size]
+            size, sub_sizes = outcomes[bisect_left(cumulative, random_())]
+            chain.append(sub_sizes)
+        kids = []
         if size == 2:
-            kids.append(grow(1))
-        for j, d in reversed(chain):
-            if variant == "same-copy":
-                first = grow(d)
-                kids.append(first)
-                # the copy's vertices follow in preorder, shifted by offset
-                for _ in range(j - 1):
-                    offset = len(children) - first
-                    kids.append(first + offset)
-                    for u in range(first, first + d):
-                        children.append([c + offset for c in children[u]])
-            else:
-                for _ in range(j):
-                    kids.append(grow(d))
-        return v
-
-    grow(n)
-    return RootedTree(children=children, root=0)
+            kids.append(c)
+            parents[c] = v
+            c += 1
+        for sub_sizes in reversed(chain):
+            first = c
+            for d in sub_sizes:
+                kids.append(c)
+                parents[c] = v
+                size_of[c] = d
+                if same_copy and c != first:
+                    copies[c] = c - first
+                c += d
+        children.append(kids)
+        v += 1
+    return RootedTree(children=children, root=0, preorder_parents=parents)
 
 
 def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
@@ -261,26 +306,42 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
         )
     if delta < 1:
         raise InfeasibleDegreeBound("delta must be >= 1")
-    children = [list(kids) for kids in tree.children]
-    changed = False
-    stack = [tree.root]
+    root = tree.root
+    full = delta - 1  # a non-root vertex with this many children has no room
+    room = [full - len(kids) for kids in tree.children]
+    room[root] += 1
+    if min(room) >= 0:
+        return tree
+    children = [kids[:] for kids in tree.children]
+    # Re-attaching only ever moves a subtree below a descendant of the
+    # visited vertex, so each child list is final once its vertex is
+    # visited: the visit order is the pruned tree's preorder.
+    parents = []
+    stack = [root]
+    above = [-1]  # preorder index of each stacked vertex's parent
     while stack:
         v = stack.pop()
+        label = len(parents)
+        parents.append(above.pop())
         kids = children[v]
-        limit = delta if v == tree.root else delta - 1
+        if not kids:
+            continue
+        limit = delta if v == root else full
         while len(kids) > limit:
             sub = kids.pop()  # rightmost subtree
             # v is still full: descend through uniform children until one
-            # has room (a non-root vertex keeps at most delta - 1 children)
+            # has room
             w = kids[rng.randrange(len(kids))]
-            while len(children[w]) >= delta - 1:
+            while len(children[w]) >= full:
                 w = children[w][rng.randrange(len(children[w]))]
             children[w].append(sub)
-            changed = True
-        stack.extend(reversed(kids))
-    if not changed:
-        return tree
-    return RootedTree(children=children, root=tree.root)
+        if len(kids) == 1:
+            stack.append(kids[0])
+            above.append(label)
+        else:
+            stack.extend(reversed(kids))
+            above.extend([label] * len(kids))
+    return RootedTree(children=children, root=root, preorder_parents=parents)
 
 
 def canonical_form(tree: RootedTree) -> tuple:

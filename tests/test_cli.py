@@ -234,6 +234,14 @@ def test_sweep_spec_not_an_object_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_sweep_spec_with_full_exits_2(tmp_path, capsys):
+    # --full sizes the standard grids; a spec file carries its own grid
+    code, out, err = run_cli(capsys, "sweep", "--spec", write_spec(tmp_path), "--full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--full" in err
+
+
 def test_sweep_missing_spec_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.json"))
     assert code == 2

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from adncount import (
@@ -17,6 +18,8 @@ from adncount import (
     tree_to_topology,
 )
 from adncount.dynamics import _permuted_path
+from adncount.protocol import collection_round
+from adncount.trees import RANRUT_VARIANTS
 
 
 def test_star_shape():
@@ -120,20 +123,37 @@ def test_constructor_validation():
 
 
 def test_generators_match_validating_constructor():
-    # the generators skip Topology's validation, so their edges must already
-    # be normalised, sorted and distinct
+    # The generators skip Topology's validation, and tree snapshots build
+    # their kernel arrays from parent labels rather than from the edges. So
+    # the edges must already be normalised, sorted and distinct, and every
+    # array a round kernel reads must equal, element for element and in the
+    # same order, the one the validating constructor derives from the edges:
+    # the order of each node's inflows fixes the float sums.
     rng = random.Random(5)
-    dist = SubtreeDistribution(sizes_table(12), 12)
+    dist = SubtreeDistribution(sizes_table(40), 40)
     snapshots = [star(7), path(7), gnp(9, 0.5, rng), gnp(4, 0.0, rng), gnp(5, 1.0, rng)]
     snapshots += [_permuted_path(n, rng) for n in (2, 3, 9)]
-    snapshots += [tree_to_topology(prune(ranrut(n, dist, rng, "paper-literal"), 3, rng))
-                  for n in range(1, 13)]
-    for topo in snapshots:
+    cases = [(topo, max(topo.max_degree, 2)) for topo in snapshots]
+    for variant in RANRUT_VARIANTS:
+        for delta in (2, 3, 4):
+            for n in range(1, 41):
+                tree = prune(ranrut(n, dist, rng, variant), delta, rng)
+                cases.append((tree_to_topology(tree), delta))
+    energies = np.random.default_rng(5)
+    for topo, delta in cases:
         checked = Topology(topo.n, topo.edges)
         assert topo.edges == checked.edges
         assert topo.degrees.tolist() == checked.degrees.tolist()
         assert topo.max_degree == checked.max_degree
         assert topo.neighbor_lists == checked.neighbor_lists
+        for got, want in zip(topo.symmetric_arrays() + topo.collection_arrays(),
+                             checked.symmetric_arrays() + checked.collection_arrays()):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert topo.retention(delta).tobytes() == checked.retention(delta).tobytes()
+        energy = energies.random(topo.n)
+        assert (collection_round(energy, topo, delta).tobytes()
+                == collection_round(energy, checked, delta).tobytes())
 
 
 def test_collection_arrays_exclude_leader_sender():

@@ -1,5 +1,7 @@
 """Tree pipeline: counting recurrence, subtree tables, sampler, pruning."""
 
+import bisect
+import dataclasses
 import random
 
 import pytest
@@ -13,8 +15,10 @@ from adncount import (
     prune,
     ranrut,
     sizes_table,
+    tree_to_topology,
 )
 from adncount.errors import InfeasibleDegreeBound
+from adncount.trees import RANRUT_VARIANTS
 
 from helpers import is_path_graph
 
@@ -53,6 +57,32 @@ def test_distribution_rows_sum_to_one():
     for k in range(3, 41):
         total = sum(p for _, _, p in dist.row_pairs(k))
         assert abs(total - 1.0) <= 1e-12
+
+
+class _FixedUniforms:
+    """Stands in for random.Random: ``random()`` returns the given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_draw_tables_match_draw():
+    # ranrut looks its draws up in per-size tables instead of calling draw;
+    # both must map every uniform, the rounding tail included, to one pair
+    dist = SubtreeDistribution(sizes_table(40), 40)
+    tables = dist._draw_tables_upto(40)
+    for k in range(3, 41):
+        cumulative, outcomes = tables[k]
+        uniforms = [0.0, 1.0 - 2.0**-53]
+        for c in cumulative:
+            uniforms += [c, min(c + 2.0**-53, 1.0 - 2.0**-53)]
+        for u in uniforms:
+            j, d = dist.draw(k, _FixedUniforms([u]))
+            rest, sub_sizes = outcomes[bisect.bisect_left(cumulative, u)]
+            assert (rest, sub_sizes) == (k - j * d, (d,) * j)
 
 
 def test_distribution_requires_coverage():
@@ -165,6 +195,21 @@ def test_prune_properties_random_trees():
         assert pruned.nodes == n
         assert pruned.max_graph_degree() <= delta
         assert pruned.depth() >= before_depth
+
+
+def test_preorder_parents_match_a_walk():
+    # ranrut and prune hand on the preorder parent labels that
+    # tree_to_topology would otherwise find by walking the tree
+    dist = SubtreeDistribution(sizes_table(40), 40)
+    rng = random.Random(17)
+    for variant in RANRUT_VARIANTS:
+        for delta in range(2, 7):
+            for n in range(1, 41):
+                tree = ranrut(n, dist, rng, variant)
+                for t in (tree, prune(tree, delta, rng)):
+                    walked = dataclasses.replace(t, preorder_parents=None)
+                    assert t.preorder_parents[0] == -1
+                    assert tree_to_topology(t) == tree_to_topology(walked)
 
 
 def test_canonical_form_separates_shapes():
