@@ -4,9 +4,9 @@ Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
 
     python3 bench/snapshot_stages.py --tag before
-    python3 bench/snapshot_stages.py --tag after --snapshots 1000 --repeats 5
+    python3 bench/snapshot_stages.py --tag after --out results
 
-For n = 30 and each degree bound it builds ``--snapshots`` snapshots the
+For n = 30 and each degree bound it builds ``SNAPSHOTS`` snapshots the
 way ``DynamicsSchedule`` does, in five stages:
 
 1. ``seed``: ``random.Random(derive_seed(seed, epoch))``;
@@ -18,11 +18,12 @@ way ``DynamicsSchedule`` does, in five stages:
 
 Snapshots are built one at a time and each stage is timed around its
 call (two ``perf_counter`` reads, a fraction of a microsecond, included);
-the batch is rebuilt ``--repeats`` times and the fastest and median batch
-are reported, in microseconds per snapshot. ``count_T1_delta4`` times
-whole ``count`` runs of a random-tree stream at delta = 4 and T = 1 (a
-fresh snapshot every round), one per seed from 0, and reports total wall
-time over total rounds.
+the batch (epochs from master seed ``SEED``) is rebuilt ``REPEATS`` times
+and the fastest and median batch are reported, in microseconds per
+snapshot. ``count_T1_delta4`` times ``COUNT_RUNS`` whole ``count`` runs of
+a random-tree stream at delta = 4 and T = 1 (a fresh snapshot every
+round), one per seed from 0, and reports total wall time over total
+rounds.
 
 It writes ``BENCH_<tag>.json`` (next to ``bench/`` unless ``--out`` says
 otherwise) with the machine's core count and the Python and numpy
@@ -43,6 +44,10 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 30
 DELTAS = (2, 4, 8)
+SNAPSHOTS = 2000  # per batch
+REPEATS = 7  # batches per degree bound
+COUNT_RUNS = 5
+SEED = 7
 STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
 
 
@@ -123,14 +128,8 @@ def count_cost(adn, seeds):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
-    parser.add_argument("--snapshots", type=int, default=2000, help="snapshots per batch")
-    parser.add_argument("--repeats", type=int, default=7, help="batches per degree bound")
-    parser.add_argument("--count-runs", type=int, default=5, help="T = 1 count runs")
-    parser.add_argument("--seed", type=int, default=7, help="master seed of the batches")
     parser.add_argument("--out", default=ROOT, help="directory for BENCH_<tag>.json")
     args = parser.parse_args(argv)
-    if min(args.snapshots, args.repeats, args.count_runs) < 1:
-        parser.error("--snapshots, --repeats and --count-runs must be >= 1")
     adn = load_library()
     import numpy as np
 
@@ -141,10 +140,10 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "snapshots": args.snapshots,
-        "repeats": args.repeats,
-        "stages_us_per_snapshot": stage_costs(adn, args.snapshots, args.repeats, args.seed),
-        "count_T1_delta4": count_cost(adn, range(args.count_runs)),
+        "snapshots": SNAPSHOTS,
+        "repeats": REPEATS,
+        "stages_us_per_snapshot": stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
+        "count_T1_delta4": count_cost(adn, range(COUNT_RUNS)),
     }
     text = json.dumps(report, indent=2) + "\n"
     with open(os.path.join(args.out, f"BENCH_{args.tag}.json"), "w") as fh:

@@ -38,14 +38,14 @@ class Topology:
             seen.add(key)
             normalized.append(key)
         normalized.sort()
-        self._set(n, tuple(normalized))
+        self._build(n, normalized)
 
     @classmethod
     def _from_sorted(cls, n: int, edges) -> "Topology":
         """Snapshot from edges that are already normalised (u < v), sorted
         and distinct, as the generators below emit them; no validation."""
         topology = cls.__new__(cls)
-        topology._set(n, tuple(edges))
+        topology._build(n, edges)
         return topology
 
     @classmethod
@@ -55,8 +55,8 @@ class Topology:
         ``parents[c]`` is the parent of node c for c >= 1; ``parents[0]``
         belongs to the root and is ignored. A stable sort by parent puts
         the edges (parents[c], c) in sorted order, since in a preorder every
-        parent is below its child; ``edges`` is built from them on first
-        use.
+        parent is below its child. The symmetric edge arrays come straight
+        from that sort; ``edges`` is built from them on first use.
         """
         n = len(parents)
         par = np.array(parents[1:], dtype=np.intp)
@@ -64,26 +64,27 @@ class Topology:
         pairs = np.empty((n - 1, 2), dtype=np.intp)
         pairs[:, 0] = par[child]
         pairs[:, 1] = child + 1
+        ends = pairs.ravel()
         topology = cls.__new__(cls)
-        topology._set(n, None, pairs)
+        topology._build(n, None, (ends, pairs[:, ::-1].ravel()))
         return topology
 
-    def _set(self, n: int, edges, pairs=None) -> None:
-        """Fill the slots from the sorted edges: a tuple of pairs, or an
-        (m, 2) array of them, in which case the tuple waits for ``edges``."""
-        if pairs is None:
-            # fromiter on the flattened pairs is about twice as fast as
-            # np.array on the tuple of edge tuples
-            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
-                                count=2 * len(edges)).reshape(-1, 2)
-        ends = pairs.ravel()
+    def _build(self, n: int, edges, sym_arrays=None) -> None:
+        """Fill the slots from the sorted edges, or, when ``edges`` is None,
+        from a tree's symmetric edge arrays, which then give ``edges``."""
+        if edges is None:
+            ends = sym_arrays[0]
+        else:
+            edges = tuple(edges)
+            ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
+                               count=2 * len(edges))
         self.n = n
         self._edges = edges
         self.degrees = np.bincount(ends, minlength=n)
         self.max_degree = int(self.degrees.max())
         self._neighbor_lists = None
         self._coll_arrays = None
-        self._sym_arrays = (ends, pairs[:, ::-1].ravel())
+        self._sym_arrays = sym_arrays
         self._retention = {}
 
     @property
@@ -148,8 +149,14 @@ class Topology:
 
         Each edge (u, v) yields u -> v immediately followed by v -> u, in
         sorted edge order; the per-node float sums in the round kernels add
-        inflows in this order. Built with the snapshot.
+        inflows in this order. A tree snapshot is built with them.
         """
+        if self._sym_arrays is None:
+            # fromiter on the flattened pairs is about twice as fast as
+            # np.array on the tuple of edge tuples
+            pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                                count=2 * len(self.edges)).reshape(-1, 2)
+            self._sym_arrays = (pairs.ravel(), pairs[:, ::-1].ravel())
         return self._sym_arrays
 
     def retention(self, delta: int):

@@ -38,15 +38,18 @@ class RootedTree:
 
     ``children[v]`` lists v's children in insertion order, so "rightmost
     subtree" is well defined. ``ranrut`` and ``prune`` also set
-    ``preorder_parents``: entry i is the preorder index of the parent of
-    the i-th vertex in preorder (-1 for the root), which is all that
-    ``tree_to_topology`` needs; it walks trees that leave it None. Code
-    that edits ``children`` in place must reset it to None.
+    ``preorder_parents`` on the trees they build: entry i is the preorder
+    index of the parent of the i-th vertex in preorder (-1 for the root),
+    which is all that ``tree_to_topology`` needs; it walks trees that leave
+    it None. It is not an init field, so the constructor and
+    ``dataclasses.replace`` always start from None. Code that edits
+    ``children`` in place must reset it to None.
     """
 
     children: list[list[int]]
     root: int = 0
-    preorder_parents: list[int] | None = field(default=None, compare=False, repr=False)
+    preorder_parents: list[int] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def nodes(self) -> int:
@@ -285,7 +288,9 @@ def ranrut(
                 c += d
         children.append(kids)
         v += 1
-    return RootedTree(children=children, root=0, preorder_parents=parents)
+    tree = RootedTree(children=children, root=0)
+    tree.preorder_parents = parents
+    return tree
 
 
 def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
@@ -336,12 +341,16 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
                 w = children[w][rng.randrange(len(children[w]))]
             children[w].append(sub)
         if len(kids) == 1:
+            # the common case at small delta (every non-root vertex at
+            # delta 2); a plain push is cheaper than the two extends
             stack.append(kids[0])
             above.append(label)
         else:
             stack.extend(reversed(kids))
             above.extend([label] * len(kids))
-    return RootedTree(children=children, root=root, preorder_parents=parents)
+    pruned = RootedTree(children=children, root=root)
+    pruned.preorder_parents = parents
+    return pruned
 
 
 def canonical_form(tree: RootedTree) -> tuple:

@@ -207,7 +207,9 @@ def test_preorder_parents_match_a_walk():
             for n in range(1, 41):
                 tree = ranrut(n, dist, rng, variant)
                 for t in (tree, prune(tree, delta, rng)):
-                    walked = dataclasses.replace(t, preorder_parents=None)
+                    # replace() starts from None, so tree_to_topology walks
+                    walked = dataclasses.replace(t)
+                    assert walked.preorder_parents is None
                     assert t.preorder_parents[0] == -1
                     assert tree_to_topology(t) == tree_to_topology(walked)
 
