@@ -3,8 +3,9 @@
 The sweep and tree digests were recorded from the implementation before
 the snapshot pipeline was refactored, the path, theoretical and round-cap
 record digests before the collection diagnostics were reduced in blocks,
-and the random-tree record digests before each tree snapshot was built in
-one draw pass and one walk. A refactor or speed-up must leave them
+the random-tree record digests before each tree snapshot was built in
+one draw pass and one walk, and the gnp, star and T = 1 path digests
+before each G(n, p) snapshot was drawn in one bulk read. A refactor or speed-up must leave them
 unchanged; a deliberate behaviour change must update them and say so in
 CHANGES.md.
 """
@@ -24,6 +25,7 @@ from adncount import (
     count,
     export_csv,
     export_json,
+    gnp,
     new_schedule,
     prune,
     ranrut,
@@ -70,6 +72,16 @@ TREE_RECORDS_SHA256 = {
     (2, "paper-literal"): "5331d48b18f059cdd28ce2159dde29ab05aeb46d10668ea7eaace8a505b361c7",
 }
 
+# Records at n = 30 with a fresh snapshot every epoch: gnp at p = 0.3 and
+# T = 10 in the disconnection-tolerant engine, and star and path at T = 1.
+GNP_TOLERANT_RECORD_SHA256 = "bbd317d08e022331f4558960ca8cf7df06de121772d62df39d850782d4365b7c"
+STAR_T1_RECORD_SHA256 = "f91b0bca1e31c9d8cfc9b853840ff71ecf5f2c46fe1061a8a719dcee7cebd72d"
+PATH_T1_RECORD_SHA256 = "f99947b5167db7624bfba56d303d66a9f8daf9a79ea35d0333272efc227d394f"
+
+# 400 gnp(30, 0.3) snapshots drawn from one shared generator, so each
+# draw's consumption of the stream is pinned as well as its edges.
+GNP_SNAPSHOTS_SHA256 = "c0d421e0e1791a390cb7dae53878f73426329525f71109f9397046b2d1eb9584"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -108,6 +120,23 @@ def test_pinned_random_tree_record(delta, variant):
     assert record_sha256(rec) == TREE_RECORDS_SHA256[delta, variant]
 
 
+def test_pinned_gnp_tolerant_record():
+    cfg = ProtocolConfig(disconnection_tolerant=True)
+    rec = count(new_schedule("gnp", 30, 29, 10, 0, p=0.3), cfg)
+    assert rec.estimate == 30
+    assert record_sha256(rec) == GNP_TOLERANT_RECORD_SHA256
+
+
+@pytest.mark.parametrize("family,delta,digest", [
+    ("star", 29, STAR_T1_RECORD_SHA256),
+    ("path", 2, PATH_T1_RECORD_SHA256),
+])
+def test_pinned_T1_record(family, delta, digest):
+    rec = count(new_schedule(family, 30, delta, 1, 0))
+    assert rec.estimate == 30
+    assert record_sha256(rec) == digest
+
+
 def test_pinned_sweep_csv_and_json(tmp_path):
     result = run_sweep(PINNED_SPEC)
     export_csv(result, tmp_path / "runs.csv")
@@ -126,3 +155,9 @@ def test_pinned_tree_snapshots():
                 tree = prune(ranrut(n, dist, rng, variant), delta, rng)
                 lines.append(json.dumps(tree_to_topology(tree).to_json_dict()))
     assert sha256("\n".join(lines).encode()) == TREE_SNAPSHOTS_SHA256
+
+
+def test_pinned_gnp_snapshots():
+    rng = random.Random(31)
+    lines = [json.dumps(gnp(30, 0.3, rng).to_json_dict()) for _ in range(400)]
+    assert sha256("\n".join(lines).encode()) == GNP_SNAPSHOTS_SHA256
