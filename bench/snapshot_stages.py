@@ -1,4 +1,5 @@
-"""Per-stage cost of a random-tree snapshot, and of a T = 1 tree ``count``.
+"""Per-stage cost of a random-tree and a G(n, p) snapshot, and of a T = 1
+tree ``count``.
 
 Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
@@ -15,6 +16,10 @@ way ``DynamicsSchedule`` does, in five stages:
 4. ``tree_to_topology``;
 5. ``arrays``: the first ``collection_arrays()`` and ``retention(delta)``,
    which the first collection round of a snapshot builds.
+
+For G(n, p) at n = 30 and p = ``GNP_P`` it times three stages the same
+way: ``seed``, ``gnp`` and ``arrays`` (with delta = n - 1, the only
+degree bound a gnp schedule takes).
 
 Snapshots are built one at a time and each stage is timed around its
 call (two ``perf_counter`` reads, a fraction of a microsecond, included);
@@ -49,6 +54,8 @@ REPEATS = 7  # batches per degree bound
 COUNT_RUNS = 5
 SEED = 7
 STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
+GNP_P = 0.3
+GNP_STAGES = ("seed", "gnp", "arrays")
 
 
 def load_library():
@@ -90,22 +97,51 @@ def time_batch(adn, dist, delta, epochs, master):
     return dict(zip(STAGES, totals))
 
 
+def time_gnp_batch(adn, epochs, master):
+    """Seconds spent in each G(n, p) stage over one batch, as ``time_batch``."""
+    derive_seed, gnp = adn.derive_seed, adn.gnp
+    totals = [0.0] * len(GNP_STAGES)
+    for epoch in epochs:
+        t0 = perf_counter()
+        rng = random.Random(derive_seed(master, epoch))
+        t1 = perf_counter()
+        topology = gnp(N, GNP_P, rng)
+        t2 = perf_counter()
+        topology.collection_arrays()
+        topology.retention(N - 1)
+        t3 = perf_counter()
+        for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t2, t3))):
+            totals[i] += end - start
+    return dict(zip(GNP_STAGES, totals))
+
+
+def summarise(batches, snapshots):
+    """Fastest and median batch per stage and in total, in µs per snapshot."""
+    per_stage = {}
+    for stage in batches[0]:
+        us = [b[stage] / snapshots * 1e6 for b in batches]
+        per_stage[stage] = {"min_us": round(min(us), 2),
+                            "median_us": round(statistics.median(us), 2)}
+    totals = [sum(b.values()) / snapshots * 1e6 for b in batches]
+    per_stage["total"] = {"min_us": round(min(totals), 2),
+                          "median_us": round(statistics.median(totals), 2)}
+    return per_stage
+
+
 def stage_costs(adn, snapshots, repeats, master):
     dist = adn.SubtreeDistribution(adn.sizes_table(N), N)
     result = {}
     for delta in DELTAS:
         batches = [time_batch(adn, dist, delta, range(i * snapshots, (i + 1) * snapshots),
                               master) for i in range(repeats)]
-        per_stage = {}
-        for stage in STAGES:
-            us = [b[stage] / snapshots * 1e6 for b in batches]
-            per_stage[stage] = {"min_us": round(min(us), 2),
-                                "median_us": round(statistics.median(us), 2)}
-        totals = [sum(b.values()) / snapshots * 1e6 for b in batches]
-        per_stage["total"] = {"min_us": round(min(totals), 2),
-                              "median_us": round(statistics.median(totals), 2)}
-        result[f"delta={delta}"] = per_stage
+        result[f"delta={delta}"] = summarise(batches, snapshots)
     return result
+
+
+def gnp_stage_costs(adn, snapshots, repeats, master):
+    batches = [time_gnp_batch(adn, range(i * snapshots, (i + 1) * snapshots), master)
+               for i in range(repeats)]
+    return {f"p={GNP_P}": summarise(batches, snapshots)}
 
 
 def count_cost(adn, seeds):
@@ -143,6 +179,7 @@ def main(argv=None) -> int:
         "snapshots": SNAPSHOTS,
         "repeats": REPEATS,
         "stages_us_per_snapshot": stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
+        "gnp_stages_us_per_snapshot": gnp_stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "count_T1_delta4": count_cost(adn, range(COUNT_RUNS)),
     }
     text = json.dumps(report, indent=2) + "\n"

@@ -131,10 +131,11 @@ class DynamicsSchedule:
 
     def _generate(self, epoch: int) -> Topology:
         p = self.params
-        rng = random.Random(derive_seed(p.seed, epoch))
         if p.family == "star":
-            # relabeling the leaves of a star is the identity on adjacency
-            return star(p.n)
+            # relabeling the leaves of a star is the identity on adjacency,
+            # so every epoch serves the first snapshot and its cached arrays
+            return star(p.n) if self._topology is None else self._topology
+        rng = random.Random(derive_seed(p.seed, epoch))
         if p.family == "path":
             if epoch == 0:
                 return path(p.n)

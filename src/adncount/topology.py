@@ -8,7 +8,9 @@ converted with ``tree_to_topology``.
 
 from __future__ import annotations
 
+import math
 import random
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -43,7 +45,8 @@ class Topology:
     @classmethod
     def _from_sorted(cls, n: int, edges) -> "Topology":
         """Snapshot from edges that are already normalised (u < v), sorted
-        and distinct, as the generators below emit them; no validation."""
+        and distinct, as the star and path generators emit them; no
+        validation."""
         topology = cls.__new__(cls)
         topology._build(n, edges)
         return topology
@@ -64,14 +67,20 @@ class Topology:
         pairs = np.empty((n - 1, 2), dtype=np.intp)
         pairs[:, 0] = par[child]
         pairs[:, 1] = child + 1
-        ends = pairs.ravel()
+        return cls._from_pairs(n, pairs)
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs) -> "Topology":
+        """Snapshot from a C-contiguous (m, 2) intp array of normalised,
+        sorted, distinct edges; no validation. The symmetric edge arrays
+        come straight from it; ``edges`` is built from them on first use."""
         topology = cls.__new__(cls)
-        topology._build(n, None, (ends, pairs[:, ::-1].ravel()))
+        topology._build(n, None, (pairs.ravel(), pairs[:, ::-1].ravel()))
         return topology
 
     def _build(self, n: int, edges, sym_arrays=None) -> None:
         """Fill the slots from the sorted edges, or, when ``edges`` is None,
-        from a tree's symmetric edge arrays, which then give ``edges``."""
+        from the symmetric edge arrays, which then give ``edges``."""
         if edges is None:
             ends = sym_arrays[0]
         else:
@@ -89,8 +98,8 @@ class Topology:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Normalised (u < v), sorted, distinct edges; a tree snapshot
-        builds them from its edge arrays on first use."""
+        """Normalised (u < v), sorted, distinct edges; a tree or G(n, p)
+        snapshot builds them from its edge arrays on first use."""
         if self._edges is None:
             ends = self._sym_arrays[0]
             self._edges = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
@@ -149,7 +158,8 @@ class Topology:
 
         Each edge (u, v) yields u -> v immediately followed by v -> u, in
         sorted edge order; the per-node float sums in the round kernels add
-        inflows in this order. A tree snapshot is built with them.
+        inflows in this order. Tree and G(n, p) snapshots are built with
+        them.
         """
         if self._sym_arrays is None:
             # fromiter on the flattened pairs is about twice as fast as
@@ -193,18 +203,39 @@ def path(n: int) -> Topology:
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Topology:
-    """Erdos-Renyi G(n, p); may be disconnected."""
+    """Erdos-Renyi G(n, p); may be disconnected.
+
+    Pair (u, v), u < v, in row-major order is an edge exactly when the
+    ``rng.random()`` call of its turn would return less than p, but all
+    m = n(n-1)/2 draws are taken in one ``getrandbits(64*m)`` read:
+
+    * ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
+      consecutive 32-bit outputs a, b, and ``getrandbits`` packs its
+      outputs low word first, so the little-endian 64-bit word i holds
+      draw i as ``k = (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38``;
+    * ``k / 2**53 < p`` holds exactly when ``k < ceil(p * 2**53)``: the
+      scaling by a power of two is exact, so the test is the same for
+      every p in [0, 1], the ends included;
+    * the read consumes exactly the 2m outputs that m ``random()`` calls
+      consume, so the generator's state afterwards is the same as well.
+    """
     if n < 2:
         raise ValueError("gnp requires n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Topology._from_sorted(n, edges)
+    m = n * (n - 1) // 2
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+    draws = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+    keep = draws < math.ceil(p * 2.0 ** 53)
+    return Topology._from_pairs(n, _upper_pairs(n).compress(keep, axis=0))
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int):
+    """Every pair (u, v), u < v, in row-major (sorted) order, read-only."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1).astype(np.intp)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def tree_to_topology(tree: RootedTree) -> Topology:

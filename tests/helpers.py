@@ -2,6 +2,19 @@
 
 import numpy as np
 
+from adncount import Topology
+
+
+def gnp_oracle(n, p, rng):
+    """G(n, p) by one ``rng.random()`` call per pair (u, v), u < v, in
+    row-major order, through the validating constructor."""
+    return Topology(n, [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ])
+
 
 def dense_share_matrix(topology, delta):
     """Share-fraction matrix built entry by entry from its definition.

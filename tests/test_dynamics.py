@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from adncount import DynamicsSchedule, ScheduleParams, new_schedule
+from adncount import DynamicsSchedule, ScheduleParams, dynamics, new_schedule
 from adncount.errors import InvalidParameters, NonMonotoneAccess
 
 
@@ -60,6 +60,25 @@ def test_star_leader_degree_every_round():
     sch = new_schedule("star", 7, 6, 3, 2)
     for r in range(1, 20):
         assert sch.topology_at(r).degrees[0] == 6
+
+
+def test_star_serves_one_snapshot_and_traces_every_epoch(monkeypatch):
+    # a star looks the same under every relabeling of its leaves, so no
+    # epoch draws anything
+    def no_draws(*args):
+        raise AssertionError("a star epoch derived a seed")
+
+    monkeypatch.setattr(dynamics, "derive_seed", no_draws)
+    buf = io.StringIO()
+    T = 3
+    sch = DynamicsSchedule(ScheduleParams(family="star", n=7, delta=6, T=T, seed=2),
+                           trace=buf)
+    first = sch.topology_at(1)
+    assert sch.topology_at(T + 1) is first
+    assert sch.topology_at(2 * T + 1) is first
+    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert [line["round"] for line in lines] == [1, T + 1, 2 * T + 1]
+    assert all(line["topology"] == first.to_json_dict() for line in lines)
 
 
 def test_tree_snapshots_respect_bound():

@@ -1,5 +1,6 @@
 """Topology snapshots: generators, conversion, serialization, validation."""
 
+import math
 import random
 
 import numpy as np
@@ -20,6 +21,7 @@ from adncount import (
 from adncount.dynamics import _permuted_path
 from adncount.protocol import collection_round
 from adncount.trees import RANRUT_VARIANTS
+from helpers import gnp_oracle
 
 
 def test_star_shape():
@@ -141,19 +143,49 @@ def test_generators_match_validating_constructor():
                 cases.append((tree_to_topology(tree), delta))
     energies = np.random.default_rng(5)
     for topo, delta in cases:
-        checked = Topology(topo.n, topo.edges)
-        assert topo.edges == checked.edges
-        assert topo.degrees.tolist() == checked.degrees.tolist()
-        assert topo.max_degree == checked.max_degree
-        assert topo.neighbor_lists == checked.neighbor_lists
-        for got, want in zip(topo.symmetric_arrays() + topo.collection_arrays(),
-                             checked.symmetric_arrays() + checked.collection_arrays()):
-            assert got.dtype == want.dtype
-            assert got.tolist() == want.tolist()
-        assert topo.retention(delta).tobytes() == checked.retention(delta).tobytes()
-        energy = energies.random(topo.n)
-        assert (collection_round(energy, topo, delta).tobytes()
-                == collection_round(energy, checked, delta).tobytes())
+        assert_same_snapshot(topo, Topology(topo.n, topo.edges), delta, energies)
+
+
+def assert_same_snapshot(topo, checked, delta, energies):
+    """Every field and kernel array of ``topo`` equals that of ``checked``,
+    element for element and in the same order; one collection round on a
+    random energy vector gives the same bits."""
+    assert topo.edges == checked.edges
+    assert topo.degrees.tolist() == checked.degrees.tolist()
+    assert topo.max_degree == checked.max_degree
+    assert topo.neighbor_lists == checked.neighbor_lists
+    for got, want in zip(topo.symmetric_arrays() + topo.collection_arrays(),
+                         checked.symmetric_arrays() + checked.collection_arrays()):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+    assert topo.retention(delta).tobytes() == checked.retention(delta).tobytes()
+    energy = energies.random(topo.n)
+    assert (collection_round(energy, topo, delta).tobytes()
+            == collection_round(energy, checked, delta).tobytes())
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 30, 70, 75])
+def test_gnp_matches_per_pair_draws(n):
+    # gnp reads all its draws as raw generator words in one call; the
+    # oracle calls rng.random() once per pair. Edges, kernel arrays and
+    # the generator's state afterwards must all agree.
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    middle = len(pairs) // 2
+    # p equal to the middle pair's draw under seed n, and the next float
+    # above it: the strict comparison must drop that pair, then keep it
+    probe = random.Random(n)
+    at = [probe.random() for _ in pairs][middle]
+    above = math.nextafter(at, 1.0)
+    assert pairs[middle] not in gnp(n, at, random.Random(n)).edges
+    assert pairs[middle] in gnp(n, above, random.Random(n)).edges
+    energies = np.random.default_rng(n)
+    for p in (0.0, 1e-9, 0.3, 0.5, 0.999, 1.0 - 2.0 ** -53, 1.0, at, above):
+        for seed in range(150):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            topo = gnp(n, p, rng)
+            checked = gnp_oracle(n, p, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+            assert_same_snapshot(topo, checked, n - 1, energies)
 
 
 def test_collection_arrays_exclude_leader_sender():
