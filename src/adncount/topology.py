@@ -213,9 +213,9 @@ def gnp(n: int, p: float, rng: random.Random) -> Topology:
       consecutive 32-bit outputs a, b, and ``getrandbits`` packs its
       outputs low word first, so the little-endian 64-bit word i holds
       draw i as ``k = (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38``;
-    * ``k / 2**53 < p`` holds exactly when ``k < ceil(p * 2**53)``: the
-      scaling by a power of two is exact, so the test is the same for
-      every p in [0, 1], the ends included;
+    * ``k / 2**53 < p`` holds exactly when ``k < ceil(p * 2**53)``: k is
+      an integer below 2**53 and the scaling by a power of two is exact,
+      so the test is the same for every p in [0, 1], the ends included;
     * the read consumes exactly the 2m outputs that m ``random()`` calls
       consume, so the generator's state afterwards is the same as well.
     """
@@ -233,7 +233,7 @@ def gnp(n: int, p: float, rng: random.Random) -> Topology:
 @lru_cache(maxsize=None)
 def _upper_pairs(n: int):
     """Every pair (u, v), u < v, in row-major (sorted) order, read-only."""
-    pairs = np.stack(np.triu_indices(n, 1), axis=1).astype(np.intp)
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
     pairs.flags.writeable = False
     return pairs
 
