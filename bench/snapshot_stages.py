@@ -1,5 +1,5 @@
-"""Per-stage cost of a random-tree and a G(n, p) snapshot, and of a T = 1
-tree ``count``.
+"""Per-stage cost of a random-tree and a G(n, p) snapshot, of a T = 1 tree
+``count``, and of one pass over each acceptance grid.
 
 Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
@@ -29,6 +29,12 @@ snapshot. ``count_T1_delta4`` times ``COUNT_RUNS`` whole ``count`` runs of
 a random-tree stream at delta = 4 and T = 1 (a fresh snapshot every
 round), one per seed from 0, and reports total wall time over total
 rounds.
+
+``acceptance_grids`` runs each grid of ``GRID_SPECS`` in
+``tests/test_acceptance.py`` once through ``run_sweep`` with one worker,
+and reports its rows, its ``count`` calls (a sweep runs each
+seed-invariant stream once and copies the record to the other rows) and
+its wall time in seconds.
 
 It writes ``BENCH_<tag>.json`` (next to ``bench/`` unless ``--out`` says
 otherwise) with the machine's core count and the Python and numpy
@@ -161,6 +167,35 @@ def count_cost(adn, seeds):
             "median_run_us_per_round": round(statistics.median(per_run), 2)}
 
 
+def acceptance_grid_passes(adn):
+    """One timed ``run_sweep`` pass per acceptance grid, counting ``count`` calls."""
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    from test_acceptance import GRID_SPECS
+
+    experiment = adn.experiment
+    real_count = experiment.count
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_count(*args, **kwargs)
+
+    result = {}
+    experiment.count = counted
+    try:
+        for name, spec in GRID_SPECS.items():
+            calls = 0
+            t0 = perf_counter()
+            sweep = adn.run_sweep(spec, workers=1)
+            elapsed = perf_counter() - t0
+            result[name] = {"rows": len(sweep.rows), "count_calls": calls,
+                            "seconds": round(elapsed, 2)}
+    finally:
+        experiment.count = real_count
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
@@ -181,6 +216,7 @@ def main(argv=None) -> int:
         "stages_us_per_snapshot": stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "gnp_stages_us_per_snapshot": gnp_stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "count_T1_delta4": count_cost(adn, range(COUNT_RUNS)),
+        "acceptance_grids": acceptance_grid_passes(adn),
     }
     text = json.dumps(report, indent=2) + "\n"
     with open(os.path.join(args.out, f"BENCH_{args.tag}.json"), "w") as fh:

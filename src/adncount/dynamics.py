@@ -130,21 +130,42 @@ class DynamicsSchedule:
             self._trace.write(json.dumps(line, separators=(",", ":")) + "\n")
 
     def _generate(self, epoch: int) -> Topology:
+        # seed_invariant_stream below depends on which branches draw nothing
         p = self.params
         if p.family == "star":
             # relabeling the leaves of a star is the identity on adjacency,
             # so every epoch serves the first snapshot and its cached arrays
             return star(p.n) if self._topology is None else self._topology
+        if p.family == "path" and epoch == 0:
+            return path(p.n)
         rng = random.Random(derive_seed(p.seed, epoch))
         if p.family == "path":
-            if epoch == 0:
-                return path(p.n)
             return _permuted_path(p.n, rng)
         if p.family == "gnp":
             return gnp(p.n, p.p, rng)
         tree = ranrut(p.n, self._dist, rng, self._variant)
         tree = prune(tree, p.delta, rng)
         return tree_to_topology(tree)
+
+
+def seed_invariant_stream(family: str, n: int, delta: int, T: float) -> tuple | None:
+    """A key shared by every schedule that serves the same snapshots at every
+    round whatever its seed, or None when the stream depends on the seed.
+
+    The rule follows ``DynamicsSchedule._generate``: a star draws nothing and
+    serves ``star(n)`` at every epoch, so its key leaves ``T`` out; a path
+    serves the unpermuted ``path(n)`` in epoch 0 and draws only from epoch 1
+    on, so at T = inf it draws nothing. Every other stream draws from
+    ``derive_seed(seed, epoch)``. Since the protocol is deterministic given
+    the stream, runs with one ``ProtocolConfig`` whose schedules share a key
+    give records that differ only in ``seed`` and ``T``. A generator change
+    that makes a keyed stream draw must change this rule too.
+    """
+    if family == "star":
+        return (family, n, delta)
+    if family == "path" and T == math.inf:
+        return (family, n, delta, T)
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,15 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dynamics import FAMILIES, DynamicsSchedule, ScheduleParams, canonical_family
+from .dynamics import (
+    FAMILIES,
+    DynamicsSchedule,
+    ScheduleParams,
+    canonical_family,
+    seed_invariant_stream,
+)
 from .errors import InvalidParameters, RoundLimitExceeded
 from .protocol import ProtocolConfig, RunRecord, count
 from .seeds import derive_seed
@@ -236,9 +242,6 @@ class SweepResult:
     spec: SweepSpec
     rows: tuple[RunRow, ...]
 
-    def rows_for(self, config_index: int) -> list[RunRow]:
-        return [row for row in self.rows if row.config_index == config_index]
-
     def aggregates(self) -> list[dict]:
         """Per-configuration summary of rounds_total over ok rows."""
         groups: dict[int, list[RunRow]] = {}
@@ -313,26 +316,38 @@ def run_one(setting: RunSetting, seed: int, mode: str, c: float,
         return exc.record
 
 
-def _run_job(job) -> RunRow:
-    setting_tuple, config_index, rep, seed, mode, c, max_rounds = job
-    setting = RunSetting(*setting_tuple)
-    record = run_one(setting, seed, mode, c, max_rounds)
-    return RunRow(config_index=config_index, rep=rep, record=record)
+def _run_job(job) -> RunRecord:
+    setting_tuple, seed, mode, c, max_rounds = job
+    return run_one(RunSetting(*setting_tuple), seed, mode, c, max_rounds)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run the whole grid; output is independent of the worker count."""
+    """Run the whole grid; output is independent of the worker count.
+
+    Runs of a seed-invariant stream (``seed_invariant_stream``) are run once
+    per stream key, at their lowest (config_index, rep); the other rows of
+    that key are copies of its record with ``seed`` and ``T`` replaced, the
+    only fields in which their own runs would differ. ``mode``, ``c`` and
+    ``max_rounds`` are the same for every run of a sweep.
+    """
     if workers < 1:
         raise InvalidParameters("workers must be >= 1")
     jobs = []
+    plan = []  # per row: config_index, rep, seed, T, index into jobs, is a copy
+    first_job = {}
     for ci, setting in enumerate(spec.settings()):
+        key = seed_invariant_stream(setting.family, setting.n, setting.delta, setting.T)
         for rep in range(spec.repetitions):
             seed = derive_seed(spec.master_seed, ci, rep)
+            if key in first_job:
+                plan.append((ci, rep, seed, setting.T, first_job[key], True))
+                continue
+            if key is not None:
+                first_job[key] = len(jobs)
+            plan.append((ci, rep, seed, setting.T, len(jobs), False))
             jobs.append(
                 (
                     (setting.family, setting.n, setting.delta, setting.T, setting.p),
-                    ci,
-                    rep,
                     seed,
                     spec.mode,
                     spec.c,
@@ -340,12 +355,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 )
             )
     if workers == 1:
-        rows = [_run_job(job) for job in jobs]
+        records = [_run_job(job) for job in jobs]
     else:
         chunk = max(1, len(jobs) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_job, jobs, chunksize=chunk))
-    return SweepResult(spec=spec, rows=tuple(rows))
+            records = list(pool.map(_run_job, jobs, chunksize=chunk))
+    rows = tuple(
+        RunRow(ci, rep, replace(records[i], seed=seed, T=T) if copy else records[i])
+        for ci, rep, seed, T, i, copy in plan
+    )
+    return SweepResult(spec=spec, rows=rows)
 
 
 def check_bound(result: SweepResult) -> list[dict]:

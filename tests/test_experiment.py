@@ -1,5 +1,6 @@
 """Sweep harness: grid enumeration, determinism, aggregation, export."""
 
+import json
 import math
 
 import pytest
@@ -17,7 +18,8 @@ from adncount import (
     load_json,
     run_sweep,
 )
-from adncount.experiment import CSV_HEADER
+from adncount import experiment
+from adncount.experiment import CSV_HEADER, run_one
 from adncount.errors import InvalidParameters
 from adncount.protocol import RunDiagnostics, RunRecord
 
@@ -164,6 +166,74 @@ def test_error_rows_are_kept():
     assert bound_rows[0]["rounds_mean"] is None
 
 
+# Grids that mix seed-invariant streams (star at every T, path at T = inf)
+# with streams that draw: a round cap that the larger stars and static paths
+# hit, so round_limit records are copied too; gnp; and theoretical mode.
+DEDUP_SPECS = {
+    "mixed-round-cap": SweepSpec(
+        families=("star", "path", "random-tree"), n_range=(3, 6),
+        T_set=(1, 10, math.inf), repetitions=3, master_seed=9, delta_cap=4,
+        max_rounds=100,
+    ),
+    "gnp": SweepSpec(
+        families=("star", "path", "gnp"), n_range=(3, 5), T_set=(1, 10),
+        repetitions=3, master_seed=10, p_set=(0.3,),
+    ),
+    "theoretical": SweepSpec(
+        families=("star", "path", "random-tree"), n_range=(3, 4),
+        T_set=(1, math.inf), repetitions=2, master_seed=11, mode="theoretical",
+        c=2.4,
+    ),
+}
+
+
+def run_row_by_row(spec):
+    rows = tuple(
+        RunRow(ci, rep, run_one(setting, derive_seed(spec.master_seed, ci, rep),
+                                spec.mode, spec.c, spec.max_rounds))
+        for ci, setting in enumerate(spec.settings())
+        for rep in range(spec.repetitions)
+    )
+    return SweepResult(spec=spec, rows=rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(DEDUP_SPECS))
+def test_sweep_equals_row_by_row_runs(name, workers):
+    spec = DEDUP_SPECS[name]
+    expected = run_row_by_row(spec)
+    result = run_sweep(spec, workers=workers)
+    assert csv_text(result) == csv_text(expected)
+    assert json.dumps(result.to_json_dict()) == json.dumps(expected.to_json_dict())
+    if name == "mixed-round-cap":
+        statuses = {(row.record.family, row.record.status) for row in result.rows}
+        assert {("star", "round_limit"), ("path", "round_limit"), ("star", "ok")} <= statuses
+
+
+@pytest.mark.parametrize("family, T_set", [("path", (math.inf,)), ("star", (1, 10, math.inf))])
+def test_seed_invariant_grid_counts_once_per_stream(monkeypatch, family, T_set):
+    # a static path runs once per (n, delta), a star once per n whatever T
+    calls = []
+    real_count = experiment.count
+
+    def counting(schedule, config):
+        calls.append(schedule.params)
+        return real_count(schedule, config)
+
+    monkeypatch.setattr(experiment, "count", counting)
+    spec = tiny_spec(families=(family,), n_range=(3, 6), T_set=T_set,
+                     repetitions=10, delta_rule="powers-of-two")
+    result = run_sweep(spec)
+    streams = list(dict.fromkeys((s.n, s.delta) for s in spec.settings()))
+    assert len(streams) == (6 if family == "path" else 4)
+    assert [(p.n, p.delta) for p in calls] == streams
+    assert len(result.rows) == 10 * len(spec.settings())
+    assert [row.record.seed for row in result.rows] == [
+        derive_seed(42, ci, rep)
+        for ci in range(len(spec.settings())) for rep in range(10)
+    ]
+
+
 def fake_record(rounds_total, n=3, delta=2):
     return RunRecord(
         family="path", n=n, delta=delta, T=math.inf, p=None, mode="experimental",
@@ -230,7 +300,7 @@ def test_csv_and_json_files_round_trip(tmp_path):
 def test_aggregates_consistent_with_rows():
     result = run_sweep(tiny_spec(n_range=(3, 4), repetitions=3))
     for agg in result.aggregates():
-        rows = result.rows_for(agg["config_index"])
+        rows = [row for row in result.rows if row.config_index == agg["config_index"]]
         totals = [r.record.rounds_total for r in rows]
         assert agg["runs"] == 3
         assert agg["errors"] == 0
