@@ -16,11 +16,12 @@ independent of anything else that consumes randomness.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvalidParameters, NonMonotoneAccess
 from .seeds import derive_seed
@@ -87,19 +88,17 @@ class DynamicsSchedule:
     beyond every previously served round.
     """
 
-    def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal",
-                 trace=None):
+    def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal"):
         validate_params(params)
         self.params = params
         self._variant = ranrut_variant
-        self._trace = trace
         self._dist = None
         if params.family == "random-tree":
             self._dist = _subtree_tables(params.n)
-        self._epoch = -1
-        self._topology = None
+        self._topology = None  # read by _generate: a star serves its first snapshot again
+        self._topology = self._generate(0)
+        self._epoch = 0
         self._served = 1
-        self._set_epoch(0)
 
     def topology_at(self, r: int) -> Topology:
         """Snapshot in force at round r (r >= 1, monotone)."""
@@ -111,23 +110,9 @@ class DynamicsSchedule:
         T = self.params.T
         epoch = 0 if T == math.inf else (r - 1) // int(T)
         if epoch != self._epoch:
-            self._set_epoch(epoch)
+            self._epoch = epoch
+            self._topology = self._generate(epoch)
         return self._topology
-
-    @property
-    def current_since(self) -> int:
-        """First round at which the current snapshot is in force."""
-        if self._epoch == 0:
-            return 1
-        return self._epoch * int(self.params.T) + 1
-
-    def _set_epoch(self, epoch: int) -> None:
-        self._epoch = epoch
-        self._topology = self._generate(epoch)
-        if self._trace is not None:
-            line = {"round": self.current_since,
-                    "topology": self._topology.to_json_dict()}
-            self._trace.write(json.dumps(line, separators=(",", ":")) + "\n")
 
     def _generate(self, epoch: int) -> Topology:
         # seed_invariant_stream below depends on which branches draw nothing
@@ -178,10 +163,10 @@ def _permuted_path(n: int, rng: random.Random) -> Topology:
     """Path with the leader at one end and the rest uniformly relabeled."""
     labels = list(range(1, n))
     rng.shuffle(labels)
-    order = [0] + labels
-    return Topology._from_sorted(n, sorted(
-        (u, v) if u < v else (v, u) for u, v in zip(order, order[1:])
-    ))
+    order = np.array([0] + labels, dtype=np.intp)
+    pairs = np.sort(np.stack((order[:-1], order[1:]), axis=1), axis=1)  # u < v
+    # lexsort's last key is the primary one: edges sorted by u, then v
+    return Topology._from_pairs(n, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
 
 
 def new_schedule(family: str, n: int, delta: int, T: float, seed: int,

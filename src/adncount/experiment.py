@@ -22,7 +22,7 @@ from .dynamics import (
     seed_invariant_stream,
 )
 from .errors import InvalidParameters, RoundLimitExceeded
-from .protocol import ProtocolConfig, RunRecord, count
+from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count
 from .seeds import derive_seed
 
 DELTA_RULES = ("powers-of-two", "fixed-n-minus-1", "largest-power-of-two")
@@ -119,6 +119,10 @@ class SweepSpec:
                 f"no power-of-two degree bound fits n_range and delta_cap for "
                 f"{', '.join(unfit)}"
             )
+        if self.mode == "theoretical":
+            # refuse the whole grid before any run starts
+            for setting in self.settings():
+                check_theoretical_gate(setting.n, setting.delta)
 
     def _deltas(self, family: str, n: int) -> list[int]:
         if family in ("star", "gnp"):
@@ -280,17 +284,25 @@ class SweepResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepResult":
-        return cls(
-            spec=SweepSpec.from_json_dict(data["spec"]),
-            rows=tuple(
-                RunRow(
-                    config_index=row["config_index"],
-                    rep=row["rep"],
-                    record=RunRecord.from_json_dict(row["record"]),
-                )
-                for row in data["rows"]
-            ),
-        )
+        """Parse an exported sweep; a malformed structure or a row outside
+        the spec's grid raises InvalidParameters, a missing key KeyError."""
+        if not isinstance(data, dict):
+            raise InvalidParameters("a sweep result must be a JSON object")
+        spec = SweepSpec.from_json_dict(data["spec"])
+        if not isinstance(data["rows"], list):
+            raise InvalidParameters("rows must be a JSON list")
+        configs = len(spec.settings())
+        rows = []
+        for row in data["rows"]:
+            if not isinstance(row, dict) or not isinstance(row["record"], dict):
+                raise InvalidParameters(f"each row must be an object with a record, got {row!r}")
+            ci = row["config_index"]
+            if not (_is_int(ci) and 0 <= ci < configs):
+                raise InvalidParameters(
+                    f"config_index {ci!r} is outside the spec's {configs} configurations")
+            rows.append(RunRow(config_index=ci, rep=row["rep"],
+                               record=RunRecord.from_json_dict(row["record"])))
+        return cls(spec=spec, rows=tuple(rows))
 
 
 def run_one(setting: RunSetting, seed: int, mode: str, c: float,

@@ -55,7 +55,6 @@ class ProtocolConfig:
     mode: str = "experimental"
     max_rounds: int | None = None  # None -> 10 * delta * n**4
     disconnection_tolerant: bool = False
-    allow_large_theoretical: bool = False
 
     def __post_init__(self):
         if self.mode not in ("experimental", "theoretical"):
@@ -206,6 +205,16 @@ def collection_budget(k: int, delta: int) -> int:
     return tau
 
 
+def check_theoretical_gate(n: int, delta: int) -> None:
+    """Reject a theoretical-mode run beyond n <= 8, delta <= 4, where the
+    budgets tau(k) grow as (2*delta)^k and no run would finish."""
+    if n > _THEORETICAL_N_GATE or delta > _THEORETICAL_DELTA_GATE:
+        raise InvalidParameters(
+            f"theoretical mode is gated to n <= {_THEORETICAL_N_GATE} and "
+            f"delta <= {_THEORETICAL_DELTA_GATE}, got n={n}, delta={delta}"
+        )
+
+
 def collection_round(energy: np.ndarray, topology: Topology, delta: int) -> np.ndarray:
     """One energy-exchange round as a sparse per-edge update.
 
@@ -313,13 +322,8 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     params = schedule.params
     n, delta, c = params.n, params.delta, config.c
     theoretical = config.mode == "theoretical"
-    if theoretical and not config.allow_large_theoretical:
-        if n > _THEORETICAL_N_GATE or delta > _THEORETICAL_DELTA_GATE:
-            raise InvalidParameters(
-                f"theoretical mode is gated to n <= {_THEORETICAL_N_GATE} and "
-                f"delta <= {_THEORETICAL_DELTA_GATE}; set allow_large_theoretical "
-                "to override"
-            )
+    if theoretical:
+        check_theoretical_gate(n, delta)
     tolerant = config.disconnection_tolerant
     limit = config.effective_max_rounds(n, delta)
     # Both rejection tests have zero real-arithmetic margin at k = n (the

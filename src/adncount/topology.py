@@ -11,18 +11,27 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .trees import RootedTree
 
 
-class Topology:
-    """Immutable snapshot; caches the flat edge arrays used per round."""
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    __slots__ = ("n", "_edges", "degrees", "max_degree", "_neighbor_lists",
-                 "_coll_arrays", "_sym_arrays", "_retention")
+
+class Topology:
+    """Immutable snapshot; caches the flat edge arrays used per round.
+
+    Every snapshot is filled by ``_fill`` from a C-contiguous (m, 2) intp
+    array of normalised (u < v), sorted, distinct edges. ``__init__``
+    validates arbitrary edges and builds that array; the generators build
+    it directly and enter through ``_from_pairs``.
+    """
+
+    __slots__ = ("n", "_edges", "degrees", "max_degree", "_coll_arrays",
+                 "_sym_arrays", "_retention")
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -30,6 +39,8 @@ class Topology:
         normalized = []
         seen = set()
         for u, v in edges:
+            if not (_is_index(u) and _is_index(v)):
+                raise ValueError(f"edge ({u},{v}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -40,81 +51,35 @@ class Topology:
             seen.add(key)
             normalized.append(key)
         normalized.sort()
-        self._build(n, normalized)
-
-    @classmethod
-    def _from_sorted(cls, n: int, edges) -> "Topology":
-        """Snapshot from edges that are already normalised (u < v), sorted
-        and distinct, as the star and path generators emit them; no
-        validation."""
-        topology = cls.__new__(cls)
-        topology._build(n, edges)
-        return topology
-
-    @classmethod
-    def _from_parents(cls, parents) -> "Topology":
-        """Tree snapshot from preorder parent labels, no validation.
-
-        ``parents[c]`` is the parent of node c for c >= 1; ``parents[0]``
-        belongs to the root and is ignored. A stable sort by parent puts
-        the edges (parents[c], c) in sorted order, since in a preorder every
-        parent is below its child. The symmetric edge arrays come straight
-        from that sort; ``edges`` is built from them on first use.
-        """
-        n = len(parents)
-        par = np.array(parents[1:], dtype=np.intp)
-        child = np.argsort(par, kind="stable")
-        pairs = np.empty((n - 1, 2), dtype=np.intp)
-        pairs[:, 0] = par[child]
-        pairs[:, 1] = child + 1
-        return cls._from_pairs(n, pairs)
+        self._fill(n, np.array(normalized, dtype=np.intp).reshape(-1, 2))
 
     @classmethod
     def _from_pairs(cls, n: int, pairs) -> "Topology":
         """Snapshot from a C-contiguous (m, 2) intp array of normalised,
-        sorted, distinct edges; no validation. The symmetric edge arrays
-        come straight from it; ``edges`` is built from them on first use."""
+        sorted, distinct edges; no validation."""
         topology = cls.__new__(cls)
-        topology._build(n, None, (pairs.ravel(), pairs[:, ::-1].ravel()))
+        topology._fill(n, pairs)
         return topology
 
-    def _build(self, n: int, edges, sym_arrays=None) -> None:
-        """Fill the slots from the sorted edges, or, when ``edges`` is None,
-        from the symmetric edge arrays, which then give ``edges``."""
-        if edges is None:
-            ends = sym_arrays[0]
-        else:
-            edges = tuple(edges)
-            ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
-                               count=2 * len(edges))
+    def _fill(self, n: int, pairs) -> None:
+        """Set every slot from the pair array; ``edges`` follows on first use."""
+        ends = pairs.ravel()
         self.n = n
-        self._edges = edges
+        self._edges = None
         self.degrees = np.bincount(ends, minlength=n)
         self.max_degree = int(self.degrees.max())
-        self._neighbor_lists = None
         self._coll_arrays = None
-        self._sym_arrays = sym_arrays
+        self._sym_arrays = (ends, pairs[:, ::-1].ravel())
         self._retention = {}
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Normalised (u < v), sorted, distinct edges; a tree or G(n, p)
-        snapshot builds them from its edge arrays on first use."""
+        """Normalised (u < v), sorted, distinct edges, built from the edge
+        arrays on first use."""
         if self._edges is None:
             ends = self._sym_arrays[0]
             self._edges = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
         return self._edges
-
-    @property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's neighbours in sorted edge order, built on first use."""
-        if self._neighbor_lists is None:
-            lists = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            self._neighbor_lists = tuple(tuple(ns) for ns in lists)
-        return self._neighbor_lists
 
     def __eq__(self, other):
         return (
@@ -129,22 +94,6 @@ class Topology:
     def __repr__(self):
         return f"Topology(n={self.n}, edges={len(self.edges)})"
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.neighbor_lists[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
-
     def collection_arrays(self):
         """Directed (src, dst) pairs with non-leader senders only."""
         if self._coll_arrays is None:
@@ -158,15 +107,8 @@ class Topology:
 
         Each edge (u, v) yields u -> v immediately followed by v -> u, in
         sorted edge order; the per-node float sums in the round kernels add
-        inflows in this order. Tree and G(n, p) snapshots are built with
-        them.
+        inflows in this order.
         """
-        if self._sym_arrays is None:
-            # fromiter on the flattened pairs is about twice as fast as
-            # np.array on the tuple of edge tuples
-            pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
-                                count=2 * len(self.edges)).reshape(-1, 2)
-            self._sym_arrays = (pairs.ravel(), pairs[:, ::-1].ravel())
         return self._sym_arrays
 
     def retention(self, delta: int):
@@ -192,14 +134,17 @@ def star(n: int) -> Topology:
     """Leader adjacent to all n-1 others; no other edges."""
     if n < 2:
         raise ValueError("star requires n >= 2")
-    return Topology._from_sorted(n, [(0, i) for i in range(1, n)])
+    pairs = np.zeros((n - 1, 2), dtype=np.intp)
+    pairs[:, 1] = np.arange(1, n)
+    return Topology._from_pairs(n, pairs)
 
 
 def path(n: int) -> Topology:
     """Edges {i, i+1}; the leader sits at one endpoint."""
     if n < 2:
         raise ValueError("path requires n >= 2")
-    return Topology._from_sorted(n, [(i, i + 1) for i in range(n - 1)])
+    pairs = np.arange(n - 1, dtype=np.intp)[:, None] + np.arange(2, dtype=np.intp)
+    return Topology._from_pairs(n, pairs)
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Topology:
@@ -242,7 +187,9 @@ def tree_to_topology(tree: RootedTree) -> Topology:
     """Relabel a rooted tree in preorder (root -> leader index 0).
 
     Uses the preorder parent labels that ``ranrut`` and ``prune`` hand on;
-    any other tree is walked once, depth first and left to right.
+    any other tree is walked once, depth first and left to right. A stable
+    sort by parent label puts the edges (parent, child) in sorted order,
+    since in a preorder every parent is below its child.
     """
     parents = tree.preorder_parents
     if parents is None:
@@ -254,4 +201,10 @@ def tree_to_topology(tree: RootedTree) -> Topology:
             parents.append(parent)
             # reversed so the leftmost child gets the next preorder index
             stack.extend((c, label) for c in reversed(tree.children[v]))
-    return Topology._from_parents(parents)
+    n = len(parents)
+    par = np.array(parents[1:], dtype=np.intp)
+    child = np.argsort(par, kind="stable")
+    pairs = np.empty((n - 1, 2), dtype=np.intp)
+    pairs[:, 0] = par[child]
+    pairs[:, 1] = child + 1
+    return Topology._from_pairs(n, pairs)

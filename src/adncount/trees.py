@@ -55,54 +55,6 @@ class RootedTree:
     def nodes(self) -> int:
         return len(self.children)
 
-    def parent_array(self) -> list[int | None]:
-        parents: list[int | None] = [None] * self.nodes
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                if parents[c] is not None or c == self.root:
-                    raise ValueError(f"vertex {c} has more than one parent")
-                parents[c] = v
-        return parents
-
-    def validate(self) -> None:
-        """Check the tree invariants: n-1 edges, one parent each, connected."""
-        n = self.nodes
-        if not 0 <= self.root < n:
-            raise ValueError("root out of range")
-        parents = self.parent_array()
-        edge_count = sum(len(kids) for kids in self.children)
-        if edge_count != n - 1:
-            raise ValueError(f"expected {n - 1} edges, found {edge_count}")
-        # reachability from the root covers everything iff acyclic+connected
-        seen = 0
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            seen += 1
-            stack.extend(self.children[v])
-        if seen != n:
-            raise ValueError("tree is not connected")
-        for v in range(n):
-            if v != self.root and parents[v] is None:
-                raise ValueError(f"vertex {v} has no parent")
-
-    def depth(self) -> int:
-        """Longest root-to-leaf path, in edges."""
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            v, d = stack.pop()
-            if d > best:
-                best = d
-            stack.extend((c, d + 1) for c in self.children[v])
-        return best
-
-    def graph_degree(self, v: int) -> int:
-        return len(self.children[v]) + (0 if v == self.root else 1)
-
-    def max_graph_degree(self) -> int:
-        return max(self.graph_degree(v) for v in range(self.nodes))
-
 
 def sizes_table(n_max: int) -> list[int]:
     """Counts of unlabeled rooted trees on 1..n_max vertices.

@@ -39,6 +39,87 @@ def dense_share_matrix(topology, delta):
     return F
 
 
+def neighbor_lists(topology):
+    """Each node's neighbours in sorted edge order."""
+    lists = [[] for _ in range(topology.n)]
+    for u, v in topology.edges:
+        lists[u].append(v)
+        lists[v].append(u)
+    return tuple(tuple(ns) for ns in lists)
+
+
+def is_connected(topology):
+    if topology.n == 1:
+        return True
+    adjacent = neighbor_lists(topology)
+    seen = [False] * topology.n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for w in adjacent[v]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == topology.n
+
+
+def parent_array(tree):
+    """Each vertex's parent in a ``RootedTree`` (None for the root)."""
+    parents = [None] * tree.nodes
+    for v, kids in enumerate(tree.children):
+        for c in kids:
+            if parents[c] is not None or c == tree.root:
+                raise ValueError(f"vertex {c} has more than one parent")
+            parents[c] = v
+    return parents
+
+
+def validate_tree(tree):
+    """Check the tree invariants: n-1 edges, one parent each, connected."""
+    n = tree.nodes
+    if not 0 <= tree.root < n:
+        raise ValueError("root out of range")
+    parents = parent_array(tree)
+    edge_count = sum(len(kids) for kids in tree.children)
+    if edge_count != n - 1:
+        raise ValueError(f"expected {n - 1} edges, found {edge_count}")
+    # reachability from the root covers everything iff acyclic+connected
+    seen = 0
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        seen += 1
+        stack.extend(tree.children[v])
+    if seen != n:
+        raise ValueError("tree is not connected")
+    for v in range(n):
+        if v != tree.root and parents[v] is None:
+            raise ValueError(f"vertex {v} has no parent")
+
+
+def tree_depth(tree):
+    """Longest root-to-leaf path, in edges."""
+    best = 0
+    stack = [(tree.root, 0)]
+    while stack:
+        v, d = stack.pop()
+        if d > best:
+            best = d
+        stack.extend((c, d + 1) for c in tree.children[v])
+    return best
+
+
+def graph_degree(tree, v):
+    return len(tree.children[v]) + (0 if v == tree.root else 1)
+
+
+def max_graph_degree(tree):
+    return max(graph_degree(tree, v) for v in range(tree.nodes))
+
+
 def degree_sequence(topology):
     return sorted(int(d) for d in topology.degrees)
 
@@ -50,7 +131,7 @@ def is_path_graph(topology):
     if n == 2:
         return degree_sequence(topology) == [1, 1]
     return (
-        topology.is_connected()
+        is_connected(topology)
         and degree_sequence(topology) == [1, 1] + [2] * (n - 2)
     )
 

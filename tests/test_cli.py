@@ -273,6 +273,51 @@ def test_check_bound_reads_sweep_json(tmp_path, capsys):
     assert "bound=162" in out  # 2 * 3^4
 
 
+def test_sweep_theoretical_spec_beyond_gate_exits_2(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, mode="theoretical", c=2.4, n_range=[3, 9])
+    out_csv = tmp_path / "result.csv"
+    code, out, err = run_cli(capsys, "sweep", "--spec", spec_path, "--out-csv", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n=9" in err
+    assert not out_csv.exists()
+
+
+def test_run_theoretical_beyond_gate_names_no_setting(capsys):
+    code, out, err = run_cli(capsys, "run", "--family", "path", "--n", "10", "--delta", "2",
+                             "--mode", "theoretical", "--c", "2.4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: theoretical mode is gated")
+    assert "override" not in err
+
+
+def sweep_json(tmp_path, capsys):
+    """An exported sweep of ``write_spec``'s grid, as a JSON object."""
+    out_json = tmp_path / "result.json"
+    run_cli(capsys, "sweep", "--spec", write_spec(tmp_path), "--out-json", str(out_json))
+    return json.loads(out_json.read_text())
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: [data],  # top level is a list
+    lambda data: {**data, "rows": None},
+    lambda data: {**data, "rows": [7]},  # a row that is no object
+    lambda data: {**data, "rows": [{**data["rows"][0], "record": []}]},
+    lambda data: {**data, "rows": [{**data["rows"][0], "config_index": 1}]},  # one config
+    lambda data: {**data, "rows": [{**data["rows"][0], "config_index": -1}]},
+    lambda data: {**data, "rows": [{**data["rows"][0], "config_index": "0"}]},
+], ids=["list", "rows-null", "row-not-object", "record-not-object", "config-past-grid",
+        "config-negative", "config-string"])
+def test_check_bound_malformed_json_exits_2(tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(sweep_json(tmp_path, capsys))))
+    code, out, err = run_cli(capsys, "check-bound", "--in-json", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_sweep_spec_and_grid_are_exclusive(tmp_path, capsys):
     spec_path = write_spec(tmp_path)
     with pytest.raises(SystemExit) as info:

@@ -101,6 +101,17 @@ def test_spec_validation():
         tiny_spec(families=("random-tree", "star", "path"), n_range=(2, 2), T_set=(1,))
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(n_range=(3, 9)),  # n = 9 is past the gate; n = 3..8 are not
+    dict(families=("star",), n_range=(3, 6)),  # star at n = 6 has delta 5
+])
+def test_theoretical_spec_beyond_gate_is_refused(overrides):
+    # the spec is refused as a whole, so no run of its grid starts
+    with pytest.raises(InvalidParameters, match="theoretical mode is gated"):
+        tiny_spec(mode="theoretical", c=2.4, **overrides)
+    tiny_spec(mode="theoretical", c=2.4, n_range=(3, 8))  # within the gate
+
+
 def test_spec_json_round_trip():
     spec = SweepSpec(
         families=("random-tree", "gnp"),

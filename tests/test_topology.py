@@ -21,7 +21,7 @@ from adncount import (
 from adncount.dynamics import _permuted_path
 from adncount.protocol import collection_round
 from adncount.trees import RANRUT_VARIANTS
-from helpers import gnp_oracle
+from helpers import gnp_oracle, is_connected, neighbor_lists
 
 
 def test_star_shape():
@@ -56,10 +56,11 @@ def test_gnp_probability_extremes():
 def test_gnp_symmetric_no_self_loops():
     for seed in range(20):
         topo = gnp(12, 0.4, random.Random(seed))
+        adjacent = neighbor_lists(topo)
         for u, v in topo.edges:
             assert u < v
-            assert v in topo.neighbor_lists[u]
-            assert u in topo.neighbor_lists[v]
+            assert v in adjacent[u]
+            assert u in adjacent[v]
 
 
 def test_gnp_deterministic_per_seed():
@@ -98,7 +99,7 @@ def test_tree_to_topology_edge_count():
     for n in (2, 5, 17, 30):
         topo = tree_to_topology(ranrut(n, dist, rng))
         assert len(topo.edges) == n - 1
-        assert topo.is_connected()
+        assert is_connected(topo)
 
 
 def test_json_golden_star4():
@@ -124,16 +125,31 @@ def test_constructor_validation():
         Topology(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, 1.0), (0.0, 2), (0, True), (False, 2)])
+def test_constructor_rejects_non_integer_endpoints(edge):
+    # the kernel arrays hold intp endpoints, so a float or bool would be
+    # truncated or reinterpreted silently
+    with pytest.raises(ValueError):
+        Topology(3, [edge])
+
+
+def test_constructor_accepts_numpy_integer_endpoints():
+    topo = Topology(3, [(np.int64(2), np.intp(0))])
+    assert topo.edges == ((0, 2),)
+    assert all(type(x) is int for x in topo.edges[0])
+
+
 def test_generators_match_validating_constructor():
-    # The generators skip Topology's validation, and tree snapshots build
-    # their kernel arrays from parent labels rather than from the edges. So
-    # the edges must already be normalised, sorted and distinct, and every
-    # array a round kernel reads must equal, element for element and in the
-    # same order, the one the validating constructor derives from the edges:
-    # the order of each node's inflows fixes the float sums.
+    # The generators skip Topology's validation and build their pair arrays
+    # directly (tree snapshots from parent labels). So those pairs must
+    # already be normalised, sorted and distinct, and every array a round
+    # kernel reads must equal, element for element and in the same order,
+    # the one the validating constructor derives from the edges: the order
+    # of each node's inflows fixes the float sums.
     rng = random.Random(5)
     dist = SubtreeDistribution(sizes_table(40), 40)
-    snapshots = [star(7), path(7), gnp(9, 0.5, rng), gnp(4, 0.0, rng), gnp(5, 1.0, rng)]
+    snapshots = [star(2), star(7), path(2), path(7),
+                 gnp(9, 0.5, rng), gnp(4, 0.0, rng), gnp(5, 1.0, rng)]
     snapshots += [_permuted_path(n, rng) for n in (2, 3, 9)]
     cases = [(topo, max(topo.max_degree, 2)) for topo in snapshots]
     for variant in RANRUT_VARIANTS:
@@ -153,7 +169,7 @@ def assert_same_snapshot(topo, checked, delta, energies):
     assert topo.edges == checked.edges
     assert topo.degrees.tolist() == checked.degrees.tolist()
     assert topo.max_degree == checked.max_degree
-    assert topo.neighbor_lists == checked.neighbor_lists
+    assert neighbor_lists(topo) == neighbor_lists(checked)
     for got, want in zip(topo.symmetric_arrays() + topo.collection_arrays(),
                          checked.symmetric_arrays() + checked.collection_arrays()):
         assert got.dtype == want.dtype
@@ -198,5 +214,5 @@ def test_collection_arrays_exclude_leader_sender():
 
 
 def test_is_connected():
-    assert path(5).is_connected()
-    assert not Topology(4, [(0, 1), (2, 3)]).is_connected()
+    assert is_connected(path(5))
+    assert not is_connected(Topology(4, [(0, 1), (2, 3)]))

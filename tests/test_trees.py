@@ -20,7 +20,7 @@ from adncount import (
 from adncount.errors import InfeasibleDegreeBound
 from adncount.trees import RANRUT_VARIANTS
 
-from helpers import is_path_graph
+from helpers import is_path_graph, max_graph_degree, tree_depth, validate_tree
 
 
 def test_sizes_table_small():
@@ -105,7 +105,7 @@ def test_ranrut_vertex_and_edge_counts(variant):
     for n in range(1, 26):
         for _ in range(5):
             tree = ranrut(n, dist, rng, variant)
-            tree.validate()
+            validate_tree(tree)
             assert tree.nodes == n
             assert sum(len(kids) for kids in tree.children) == n - 1
 
@@ -145,16 +145,16 @@ def test_ranrut_same_copy_uniformity_smoke():
 def test_prune_star5_delta2_yields_path():
     star5 = RootedTree(children=[[1, 2, 3, 4], [], [], [], []])
     pruned = prune(star5, 2, random.Random(0))
-    pruned.validate()
+    validate_tree(pruned)
     assert pruned.nodes == 5
-    assert pruned.max_graph_degree() <= 2
+    assert max_graph_degree(pruned) <= 2
     # the only degree-<=2 tree on 5 vertices is the path; the root keeps
     # exactly delta children, so it sits in the interior of that path
     from adncount import tree_to_topology
 
     assert is_path_graph(tree_to_topology(pruned))
     assert len(pruned.children[pruned.root]) == 2
-    assert pruned.depth() >= star5.depth()
+    assert tree_depth(pruned) >= tree_depth(star5)
 
 
 def test_prune_noop_returns_input_unchanged():
@@ -185,16 +185,16 @@ def test_prune_properties_random_trees():
         n = rng.randint(2, 40)
         tree = ranrut(n, dist, rng, "paper-literal")
         delta = rng.randint(2, 6)
-        before_depth = tree.depth()
+        before_depth = tree_depth(tree)
         before_children = [list(kids) for kids in tree.children]
-        within_bound = tree.max_graph_degree() <= delta
+        within_bound = max_graph_degree(tree) <= delta
         pruned = prune(tree, delta, rng)
         assert tree.children == before_children
         assert (pruned is tree) == within_bound
-        pruned.validate()
+        validate_tree(pruned)
         assert pruned.nodes == n
-        assert pruned.max_graph_degree() <= delta
-        assert pruned.depth() >= before_depth
+        assert max_graph_degree(pruned) <= delta
+        assert tree_depth(pruned) >= before_depth
 
 
 def test_preorder_parents_match_a_walk():
