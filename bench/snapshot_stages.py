@@ -1,5 +1,6 @@
 """Per-stage cost of a random-tree and a G(n, p) snapshot, of a T = 1 tree
-``count``, and of one pass over each acceptance grid.
+``count``, of a served epoch per family, and of one pass over each
+acceptance grid.
 
 Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
@@ -7,8 +8,8 @@ checkout's ``src/``:
     python3 bench/snapshot_stages.py --tag before
     python3 bench/snapshot_stages.py --tag after --out results
 
-For n = 30 and each degree bound it builds ``SNAPSHOTS`` snapshots the
-way ``DynamicsSchedule`` does, in five stages:
+For n = 30 and each degree bound it builds ``SNAPSHOTS`` snapshots one
+at a time through the single-snapshot generators, in five stages:
 
 1. ``seed``: ``random.Random(derive_seed(seed, epoch))``;
 2. ``ranrut``: the paper-literal draw;
@@ -29,6 +30,15 @@ snapshot. ``count_T1_delta4`` times ``COUNT_RUNS`` whole ``count`` runs of
 a random-tree stream at delta = 4 and T = 1 (a fresh snapshot every
 round), one per seed from 0, and reports total wall time over total
 rounds.
+
+``schedule_epochs`` times ``topology_at`` over ``EPOCHS`` consecutive
+rounds of a T = 1 schedule of each family at n = 30 (random-tree and path
+at delta = 4 and 2, gnp at p = ``GNP_P``), with the first
+``collection_arrays()`` and ``retention(delta)`` of every snapshot, and
+reports the fastest and median of ``REPEATS`` schedules (seeds from
+``SEED``) in microseconds per served epoch. The schedule is built outside
+the timed loop. This is the per-epoch snapshot cost of a run, look-ahead
+included.
 
 ``acceptance_grids`` runs each grid of ``GRID_SPECS`` in
 ``tests/test_acceptance.py`` once through ``run_sweep`` with one worker,
@@ -62,6 +72,9 @@ SEED = 7
 STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
 GNP_P = 0.3
 GNP_STAGES = ("seed", "gnp", "arrays")
+EPOCHS = 2000  # served epochs per schedule
+SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
+             ("gnp", N - 1, GNP_P))
 
 
 def load_library():
@@ -78,9 +91,8 @@ def load_library():
 def time_batch(adn, dist, delta, epochs, master):
     """Seconds spent in each stage over one batch of snapshots.
 
-    Snapshots are built one at a time, as a schedule builds them, so only
-    one is alive at once and garbage collection sees the same small heap
-    as in a run.
+    Snapshots are built one at a time, so only one is alive at once and
+    garbage collection sees the same small heap as in a run.
     """
     derive_seed, ranrut, prune = adn.derive_seed, adn.ranrut, adn.prune
     tree_to_topology = adn.tree_to_topology
@@ -167,6 +179,24 @@ def count_cost(adn, seeds):
             "median_run_us_per_round": round(statistics.median(per_run), 2)}
 
 
+def schedule_epoch_costs(adn, epochs, repeats, master):
+    """µs per served epoch of ``topology_at`` at T = 1, per family."""
+    result = {}
+    for family, delta, p in SCHEDULES:
+        us = []
+        for i in range(repeats):
+            schedule = adn.new_schedule(family, N, delta, 1, master + i, p=p)
+            t0 = perf_counter()
+            for r in range(1, epochs + 1):
+                topology = schedule.topology_at(r)
+                topology.collection_arrays()
+                topology.retention(delta)
+            us.append((perf_counter() - t0) / epochs * 1e6)
+        result[family] = {"delta": delta, "min_us": round(min(us), 2),
+                          "median_us": round(statistics.median(us), 2)}
+    return result
+
+
 def acceptance_grid_passes(adn):
     """One timed ``run_sweep`` pass per acceptance grid, counting ``count`` calls."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
@@ -216,6 +246,8 @@ def main(argv=None) -> int:
         "stages_us_per_snapshot": stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "gnp_stages_us_per_snapshot": gnp_stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "count_T1_delta4": count_cost(adn, range(COUNT_RUNS)),
+        "epochs": EPOCHS,
+        "schedule_epochs_us_T1": schedule_epoch_costs(adn, EPOCHS, REPEATS, SEED),
         "acceptance_grids": acceptance_grid_passes(adn),
     }
     text = json.dumps(report, indent=2) + "\n"

@@ -11,7 +11,9 @@ degree bound) or a fresh G(n, p) draw, or, for star and path, a uniform
 relabeling of the non-leader positions with the leader pinned to the
 star center / path endpoint. Every snapshot of epoch e is generated from
 the sub-seed derive_seed(seed, e), so sequences are reproducible and
-independent of anything else that consumes randomness.
+independent of anything else that consumes randomness. Since a snapshot
+depends on nothing else, a schedule builds the epochs it serves ahead, in
+batches.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidParameters, NonMonotoneAccess
 from .seeds import derive_seed
-from .topology import Topology, gnp, path, star, tree_to_topology
+# gnp and tree_to_topology, the batches of one, stay names of this module
+# for perfbench/spans.py, which wraps them here
+from .topology import (Topology, gnp, gnp_topologies, path, path_topologies, star,  # noqa: F401
+                       tree_to_topology, tree_topologies)
 from .trees import SubtreeDistribution, prune, ranrut, sizes_table
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
+_LOOKAHEAD = 64  # the most epochs a schedule builds in one batch
 _FAMILY_ALIASES = {"tree": "random-tree"}
 
 
@@ -86,6 +90,13 @@ class DynamicsSchedule:
 
     Access is monotone: ``topology_at(r)`` may only be called with r at or
     beyond every previously served round.
+
+    Snapshots are built ahead in batches of consecutive epochs: a batch
+    starts at the requested epoch whenever that epoch lies outside the
+    current batch, and batch sizes double from 1 up to ``_LOOKAHEAD``. So
+    a run that asks for every round builds at most ``_LOOKAHEAD - 1``
+    epochs it never serves. Each epoch's draws are its own, so the
+    snapshots are those of building the epochs one at a time.
     """
 
     def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal"):
@@ -95,9 +106,15 @@ class DynamicsSchedule:
         self._dist = None
         if params.family == "random-tree":
             self._dist = _subtree_tables(params.n)
-        self._topology = None  # read by _generate: a star serves its first snapshot again
-        self._topology = self._generate(0)
+        # relabeling the leaves of a star is the identity on adjacency, so
+        # a star stream is static: it serves its first snapshot throughout
+        static = params.T == math.inf or params.family == "star"
+        self._period = None if static else int(params.T)
+        self._size = 1
+        self._first = 0  # the epoch of self._batch[0]
+        self._batch = self._build(0)
         self._epoch = 0
+        self._topology = self._batch[0]
         self._served = 1
 
     def topology_at(self, r: int) -> Topology:
@@ -107,37 +124,41 @@ class DynamicsSchedule:
                 f"round {r} precedes already-served round {self._served}"
             )
         self._served = r
-        T = self.params.T
-        epoch = 0 if T == math.inf else (r - 1) // int(T)
+        epoch = 0 if self._period is None else (r - 1) // self._period
         if epoch != self._epoch:
             self._epoch = epoch
-            self._topology = self._generate(epoch)
+            i = epoch - self._first
+            if i >= len(self._batch):
+                self._first, i = epoch, 0
+                self._batch = self._build(epoch)
+            self._topology = self._batch[i]
         return self._topology
 
-    def _generate(self, epoch: int) -> Topology:
+    def _build(self, first: int) -> list[Topology]:
+        """Snapshots of the next batch: epochs first, first + 1, ..."""
         # seed_invariant_stream below depends on which branches draw nothing
         p = self.params
-        if p.family == "star":
-            # relabeling the leaves of a star is the identity on adjacency,
-            # so every epoch serves the first snapshot and its cached arrays
-            return star(p.n) if self._topology is None else self._topology
-        if p.family == "path" and epoch == 0:
-            return path(p.n)
-        rng = random.Random(derive_seed(p.seed, epoch))
+        epochs = range(first, first + self._size)
+        self._size = min(2 * self._size, _LOOKAHEAD)
+        if first == 0 and p.family in ("star", "path"):
+            # the first batch holds epoch 0 alone, which these serve
+            # unpermuted
+            return [star(p.n) if p.family == "star" else path(p.n)]
+        rngs = (random.Random(derive_seed(p.seed, epoch)) for epoch in epochs)
         if p.family == "path":
-            return _permuted_path(p.n, rng)
+            return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
         if p.family == "gnp":
-            return gnp(p.n, p.p, rng)
-        tree = ranrut(p.n, self._dist, rng, self._variant)
-        tree = prune(tree, p.delta, rng)
-        return tree_to_topology(tree)
+            return gnp_topologies(p.n, p.p, rngs, p.delta)
+        trees = [prune(ranrut(p.n, self._dist, rng, self._variant), p.delta, rng)
+                 for rng in rngs]
+        return tree_topologies(trees, p.delta)
 
 
 def seed_invariant_stream(family: str, n: int, delta: int, T: float) -> tuple | None:
     """A key shared by every schedule that serves the same snapshots at every
     round whatever its seed, or None when the stream depends on the seed.
 
-    The rule follows ``DynamicsSchedule._generate``: a star draws nothing and
+    The rule follows ``DynamicsSchedule._build``: a star draws nothing and
     serves ``star(n)`` at every epoch, so its key leaves ``T`` out; a path
     serves the unpermuted ``path(n)`` in epoch 0 and draws only from epoch 1
     on, so at T = inf it draws nothing. Every other stream draws from
@@ -159,14 +180,12 @@ def _subtree_tables(n: int) -> SubtreeDistribution:
     return SubtreeDistribution(sizes_table(n), n)
 
 
-def _permuted_path(n: int, rng: random.Random) -> Topology:
-    """Path with the leader at one end and the rest uniformly relabeled."""
+def _path_order(n: int, rng: random.Random) -> list[int]:
+    """Path node order with the leader at one end and the rest uniformly
+    relabeled."""
     labels = list(range(1, n))
     rng.shuffle(labels)
-    order = np.array([0] + labels, dtype=np.intp)
-    pairs = np.sort(np.stack((order[:-1], order[1:]), axis=1), axis=1)  # u < v
-    # lexsort's last key is the primary one: edges sorted by u, then v
-    return Topology._from_pairs(n, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+    return [0] + labels
 
 
 def new_schedule(family: str, n: int, delta: int, T: float, seed: int,

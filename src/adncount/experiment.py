@@ -22,7 +22,8 @@ from .dynamics import (
     seed_invariant_stream,
 )
 from .errors import InvalidParameters, RoundLimitExceeded
-from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count
+from .protocol import (ProtocolConfig, RunRecord, _is_int, _is_real, check_theoretical_gate,
+                       count)
 from .seeds import derive_seed
 
 DELTA_RULES = ("powers-of-two", "fixed-n-minus-1", "largest-power-of-two")
@@ -31,14 +32,6 @@ CSV_HEADER = (
     "family,n,delta,T,p,mode,c,seed,rep,estimate,rounds_total,"
     "rounds_collection,rounds_verification,rounds_notification,status"
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -284,8 +277,9 @@ class SweepResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepResult":
-        """Parse an exported sweep; a malformed structure or a row outside
-        the spec's grid raises InvalidParameters, a missing key KeyError."""
+        """Parse an exported sweep; a malformed structure, a row outside
+        the spec's grid or a second row for one (config_index, rep) raises
+        InvalidParameters, a missing key KeyError."""
         if not isinstance(data, dict):
             raise InvalidParameters("a sweep result must be a JSON object")
         spec = SweepSpec.from_json_dict(data["spec"])
@@ -293,14 +287,21 @@ class SweepResult:
             raise InvalidParameters("rows must be a JSON list")
         configs = len(spec.settings())
         rows = []
+        seen = set()
         for row in data["rows"]:
             if not isinstance(row, dict) or not isinstance(row["record"], dict):
                 raise InvalidParameters(f"each row must be an object with a record, got {row!r}")
-            ci = row["config_index"]
+            ci, rep = row["config_index"], row["rep"]
             if not (_is_int(ci) and 0 <= ci < configs):
                 raise InvalidParameters(
                     f"config_index {ci!r} is outside the spec's {configs} configurations")
-            rows.append(RunRow(config_index=ci, rep=row["rep"],
+            if not (_is_int(rep) and 0 <= rep < spec.repetitions):
+                raise InvalidParameters(
+                    f"rep {rep!r} is outside the spec's {spec.repetitions} repetitions")
+            if (ci, rep) in seen:
+                raise InvalidParameters(f"duplicate row for config_index {ci}, rep {rep}")
+            seen.add((ci, rep))
+            rows.append(RunRow(config_index=ci, rep=rep,
                                record=RunRecord.from_json_dict(row["record"])))
         return cls(spec=spec, rows=tuple(rows))
 

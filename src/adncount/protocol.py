@@ -28,7 +28,7 @@ halting is monotone even when a halted node is momentarily isolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,14 @@ LOG2_5 = math.log2(5.0)
 
 _THEORETICAL_N_GATE = 8
 _THEORETICAL_DELTA_GATE = 4
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -157,28 +165,51 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunRecord":
+        """Parse an exported record; a field of the wrong type raises
+        InvalidParameters, a missing key KeyError."""
+
+        def get(obj, key, ok, what):
+            value = obj[key]
+            if not ok(value):
+                raise InvalidParameters(f"record field {key} must be {what}, got {value!r}")
+            return value
+
+        def integer(key, obj=data):
+            return get(obj, key, _is_int, "an integer")
+
+        trace = get(data, "per_k_trace", lambda v: isinstance(v, list)
+                    and all(isinstance(t, dict) for t in v), "a list of objects")
+        diagnostic_keys = [f.name for f in fields(RunDiagnostics)]
+        diagnostics = get(data, "diagnostics", lambda v: isinstance(v, dict)
+                          and sorted(v) == sorted(diagnostic_keys),
+                          "an object of " + ", ".join(diagnostic_keys))
+        T = get(data, "T", lambda v: v == "inf" or _is_int(v), "an integer or \"inf\"")
         return cls(
-            family=data["family"],
-            n=data["n"],
-            delta=data["delta"],
-            T=math.inf if data["T"] == "inf" else data["T"],
-            p=data["p"],
-            mode=data["mode"],
-            c=data["c"],
-            seed=data["seed"],
-            max_rounds=data["max_rounds"],
-            disconnection_tolerant=data["disconnection_tolerant"],
-            estimate=data["estimate"],
-            rounds_total=data["rounds_total"],
-            rounds_collection=data["rounds_collection"],
-            rounds_verification=data["rounds_verification"],
-            rounds_notification=data["rounds_notification"],
-            status=data["status"],
+            family=get(data, "family", lambda v: isinstance(v, str), "a string"),
+            n=integer("n"),
+            delta=integer("delta"),
+            T=math.inf if T == "inf" else T,
+            p=get(data, "p", lambda v: v is None or _is_real(v), "a number or null"),
+            mode=get(data, "mode", lambda v: isinstance(v, str), "a string"),
+            c=get(data, "c", _is_real, "a number"),
+            seed=integer("seed"),
+            max_rounds=integer("max_rounds"),
+            disconnection_tolerant=get(data, "disconnection_tolerant",
+                                       lambda v: isinstance(v, bool), "true or false"),
+            estimate=get(data, "estimate", lambda v: v is None or _is_int(v),
+                         "an integer or null"),
+            rounds_total=integer("rounds_total"),
+            rounds_collection=integer("rounds_collection"),
+            rounds_verification=integer("rounds_verification"),
+            rounds_notification=integer("rounds_notification"),
+            status=get(data, "status", lambda v: v in ("ok", "round_limit"),
+                       '"ok" or "round_limit"'),
             per_k_trace=tuple(
-                PhaseTrace(t["k"], t["collection"], t["verification"], t["notification"])
-                for t in data["per_k_trace"]
+                PhaseTrace(*(integer(f.name, t) for f in fields(PhaseTrace))) for t in trace
             ),
-            diagnostics=RunDiagnostics(**data["diagnostics"]),
+            diagnostics=RunDiagnostics(**{
+                key: get(diagnostics, key, _is_real, "a number") for key in diagnostic_keys
+            }),
         )
 
 

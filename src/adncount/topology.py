@@ -3,7 +3,10 @@
 A ``Topology`` is one round's undirected simple graph over node indices
 0..n-1 with node 0 as the leader. The star, path and G(n, p) families are
 generated here; random trees come from the ``trees`` pipeline and are
-converted with ``tree_to_topology``.
+converted with ``tree_to_topology``. Paths, G(n, p) graphs and trees are
+also built in batches (``path_topologies``, ``gnp_topologies``,
+``tree_topologies``), with one array operation per field for the whole
+batch; the single-snapshot generators are batches of one.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ def _is_index(value) -> bool:
 
 
 class Topology:
-    """Immutable snapshot; caches the flat edge arrays used per round.
+    """Immutable snapshot; holds the flat edge arrays used per round.
 
-    Every snapshot is filled by ``_fill`` from a C-contiguous (m, 2) intp
-    array of normalised (u < v), sorted, distinct edges. ``__init__``
-    validates arbitrary edges and builds that array; the generators build
-    it directly and enter through ``_from_pairs``.
+    Snapshots are built in batches by ``_fill``, from the concatenation of
+    their C-contiguous (m, 2) intp arrays of normalised (u < v), sorted,
+    distinct edges; every array a snapshot holds is a slice of an array
+    shared by its batch. ``__init__`` validates arbitrary edges and fills a
+    batch of one; the generators build the pair arrays directly and enter
+    through ``_batch``.
     """
 
     __slots__ = ("n", "_edges", "degrees", "max_degree", "_coll_arrays",
@@ -51,26 +56,16 @@ class Topology:
             seen.add(key)
             normalized.append(key)
         normalized.sort()
-        self._fill(n, np.array(normalized, dtype=np.intp).reshape(-1, 2))
+        pairs = np.array(normalized, dtype=np.intp).reshape(-1, 2)
+        _fill((self,), n, pairs, (len(normalized),))
 
     @classmethod
-    def _from_pairs(cls, n: int, pairs) -> "Topology":
-        """Snapshot from a C-contiguous (m, 2) intp array of normalised,
-        sorted, distinct edges; no validation."""
-        topology = cls.__new__(cls)
-        topology._fill(n, pairs)
-        return topology
-
-    def _fill(self, n: int, pairs) -> None:
-        """Set every slot from the pair array; ``edges`` follows on first use."""
-        ends = pairs.ravel()
-        self.n = n
-        self._edges = None
-        self.degrees = np.bincount(ends, minlength=n)
-        self.max_degree = int(self.degrees.max())
-        self._coll_arrays = None
-        self._sym_arrays = (ends, pairs[:, ::-1].ravel())
-        self._retention = {}
+    def _batch(cls, n: int, pairs, sizes, delta: int | None = None) -> list["Topology"]:
+        """Snapshots on n nodes, the i-th of them from the next ``sizes[i]``
+        rows of ``pairs``; no validation. See ``_fill``."""
+        snapshots = [cls.__new__(cls) for _ in range(len(sizes))]
+        _fill(snapshots, n, pairs, sizes, delta)
+        return snapshots
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -95,11 +90,8 @@ class Topology:
         return f"Topology(n={self.n}, edges={len(self.edges)})"
 
     def collection_arrays(self):
-        """Directed (src, dst) pairs with non-leader senders only."""
-        if self._coll_arrays is None:
-            src, dst = self.symmetric_arrays()
-            keep = src != 0
-            self._coll_arrays = (src[keep], dst[keep])
+        """Directed (src, dst) pairs with non-leader senders only: the
+        ``symmetric_arrays`` pairs whose source is not node 0."""
         return self._coll_arrays
 
     def symmetric_arrays(self):
@@ -115,9 +107,7 @@ class Topology:
         """Per-node kept fraction 1 - deg/(2*delta); the leader keeps 1."""
         retain = self._retention.get(delta)
         if retain is None:
-            retain = 1.0 - self.degrees / (2.0 * delta)
-            retain[0] = 1.0
-            self._retention[delta] = retain
+            retain = self._retention[delta] = _retain(self.degrees, delta)
         return retain
 
     def to_json_dict(self) -> dict:
@@ -136,23 +126,41 @@ def star(n: int) -> Topology:
         raise ValueError("star requires n >= 2")
     pairs = np.zeros((n - 1, 2), dtype=np.intp)
     pairs[:, 1] = np.arange(1, n)
-    return Topology._from_pairs(n, pairs)
+    return Topology._batch(n, pairs, (n - 1,))[0]
 
 
 def path(n: int) -> Topology:
     """Edges {i, i+1}; the leader sits at one endpoint."""
     if n < 2:
         raise ValueError("path requires n >= 2")
-    pairs = np.arange(n - 1, dtype=np.intp)[:, None] + np.arange(2, dtype=np.intp)
-    return Topology._from_pairs(n, pairs)
+    return path_topologies((range(n),))[0]
+
+
+def path_topologies(orders, delta: int | None = None) -> list[Topology]:
+    """One path per node order, all of one length n: edges join the nodes
+    that are adjacent in the order."""
+    order = np.array(orders, dtype=np.intp)
+    batch, n = order.shape
+    before, after = order[:, :-1], order[:, 1:]
+    # each edge (u, v), u < v, as the key u*n + v, so one sort per path
+    # orders its edges by u, then v
+    keys = np.sort(np.minimum(before, after) * n + np.maximum(before, after), axis=1)
+    pairs = np.stack(np.divmod(keys, n), axis=2).reshape(-1, 2)
+    return Topology._batch(n, pairs, (n - 1,) * batch, delta)
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Topology:
-    """Erdos-Renyi G(n, p); may be disconnected.
+    """Erdos-Renyi G(n, p); may be disconnected. See ``gnp_topologies``."""
+    return gnp_topologies(n, p, (rng,))[0]
+
+
+def gnp_topologies(n: int, p: float, rngs, delta: int | None = None) -> list[Topology]:
+    """One G(n, p) snapshot per generator.
 
     Pair (u, v), u < v, in row-major order is an edge exactly when the
-    ``rng.random()`` call of its turn would return less than p, but all
-    m = n(n-1)/2 draws are taken in one ``getrandbits(64*m)`` read:
+    ``rng.random()`` call of its turn would return less than p, but each
+    generator's m = n(n-1)/2 draws are taken in one ``getrandbits(64*m)``
+    read, and the reads of the batch are joined and viewed at once:
 
     * ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
       consecutive 32-bit outputs a, b, and ``getrandbits`` packs its
@@ -169,10 +177,13 @@ def gnp(n: int, p: float, rng: random.Random) -> Topology:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     m = n * (n - 1) // 2
-    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+    words = np.frombuffer(
+        b"".join([rng.getrandbits(64 * m).to_bytes(8 * m, "little") for rng in rngs]), "<u8")
     draws = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
-    keep = draws < math.ceil(p * 2.0 ** 53)
-    return Topology._from_pairs(n, _upper_pairs(n).compress(keep, axis=0))
+    keep = (draws < math.ceil(p * 2.0 ** 53)).reshape(-1, m)
+    snapshot, pair = keep.nonzero()
+    sizes = np.bincount(snapshot, minlength=len(keep))
+    return Topology._batch(n, _upper_pairs(n)[pair], sizes, delta)
 
 
 @lru_cache(maxsize=None)
@@ -184,27 +195,84 @@ def _upper_pairs(n: int):
 
 
 def tree_to_topology(tree: RootedTree) -> Topology:
-    """Relabel a rooted tree in preorder (root -> leader index 0).
+    """Relabel a rooted tree in preorder (root -> leader index 0)."""
+    return tree_topologies((tree,))[0]
+
+
+def tree_topologies(trees, delta: int | None = None) -> list[Topology]:
+    """Relabel rooted trees, all on n vertices, in preorder (root -> leader
+    index 0).
 
     Uses the preorder parent labels that ``ranrut`` and ``prune`` hand on;
     any other tree is walked once, depth first and left to right. A stable
-    sort by parent label puts the edges (parent, child) in sorted order,
-    since in a preorder every parent is below its child.
+    sort by parent label puts each tree's edges (parent, child) in sorted
+    order, since in a preorder every parent is below its child.
     """
-    parents = tree.preorder_parents
-    if parents is None:
-        parents = []
-        stack = [(tree.root, -1)]
-        while stack:
-            v, parent = stack.pop()
-            label = len(parents)
-            parents.append(parent)
-            # reversed so the leftmost child gets the next preorder index
-            stack.extend((c, label) for c in reversed(tree.children[v]))
-    n = len(parents)
-    par = np.array(parents[1:], dtype=np.intp)
-    child = np.argsort(par, kind="stable")
-    pairs = np.empty((n - 1, 2), dtype=np.intp)
-    pairs[:, 0] = par[child]
-    pairs[:, 1] = child + 1
-    return Topology._from_pairs(n, pairs)
+    labels = np.array([_preorder_parents(tree) for tree in trees], dtype=np.intp)
+    batch, n = labels.shape
+    parents = labels[:, 1:]
+    child = parents.argsort(axis=1, kind="stable")
+    pairs = np.empty((batch, n - 1, 2), dtype=np.intp)
+    pairs[..., 0] = np.sort(parents, axis=1)  # the labels in ``child`` order
+    pairs[..., 1] = child + 1
+    return Topology._batch(n, pairs.reshape(-1, 2), (n - 1,) * batch, delta)
+
+
+def _preorder_parents(tree: RootedTree) -> list[int]:
+    """Each vertex's parent as a preorder index, vertices in preorder."""
+    if tree.preorder_parents is not None:
+        return tree.preorder_parents
+    parents = []
+    stack = [(tree.root, -1)]
+    while stack:
+        v, parent = stack.pop()
+        label = len(parents)
+        parents.append(parent)
+        # reversed so the leftmost child gets the next preorder index
+        stack.extend((c, label) for c in reversed(tree.children[v]))
+    return parents
+
+
+def _retain(degrees, delta: int):
+    """Kept fraction 1 - deg/(2*delta) per node, per row of ``degrees``;
+    the leader (column 0) keeps 1."""
+    retain = 1.0 - degrees / (2.0 * delta)
+    retain[..., 0] = 1.0
+    return retain
+
+
+def _fill(snapshots, n: int, pairs, sizes, delta: int | None = None) -> None:
+    """Set every slot of each snapshot from one batch's pair array.
+
+    ``pairs`` is the C-contiguous intp concatenation of each snapshot's
+    (m, 2) array of normalised, sorted, distinct edges, ``sizes`` the m of
+    each. Each field is computed once for the whole batch, and every
+    snapshot gets its slice; with ``delta`` the retention row for it is
+    filled too. ``edges`` follows on first use.
+    """
+    batch = len(snapshots)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    src = pairs.ravel()
+    dst = pairs[:, ::-1].ravel()
+    # each node's count lands in its snapshot's row of a (batch, n) table
+    rows = np.repeat(np.arange(0, batch * n, n), 2 * sizes)
+    degrees = np.bincount(src + rows, minlength=batch * n).reshape(batch, n)
+    max_degrees = degrees.max(axis=1).tolist()
+    keep = src != 0
+    coll_src, coll_dst = src[keep], dst[keep]
+    # a snapshot holds 2m directed pairs, deg(0) of them sent by the leader
+    sym_ends = np.cumsum(2 * sizes)
+    coll_ends = (sym_ends - np.cumsum(degrees[:, 0])).tolist()
+    sym_ends = sym_ends.tolist()
+    retain = None if delta is None else _retain(degrees, delta)
+    sym_start = coll_start = 0
+    for i, snapshot in enumerate(snapshots):
+        sym_end, coll_end = sym_ends[i], coll_ends[i]
+        snapshot.n = n
+        snapshot._edges = None
+        snapshot.degrees = degrees[i]
+        snapshot.max_degree = max_degrees[i]
+        snapshot._sym_arrays = (src[sym_start:sym_end], dst[sym_start:sym_end])
+        snapshot._coll_arrays = (coll_src[coll_start:coll_end], coll_dst[coll_start:coll_end])
+        snapshot._retention = {} if retain is None else {delta: retain[i]}
+        sym_start, coll_start = sym_end, coll_end

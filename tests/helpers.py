@@ -3,6 +3,7 @@
 import numpy as np
 
 from adncount import Topology
+from adncount.protocol import collection_round
 
 
 def gnp_oracle(n, p, rng):
@@ -14,6 +15,24 @@ def gnp_oracle(n, p, rng):
         for v in range(u + 1, n)
         if rng.random() < p
     ])
+
+
+def assert_same_snapshot(topo, checked, delta, energies):
+    """Every field and kernel array of ``topo`` equals that of ``checked``,
+    element for element and in the same order; one collection round on a
+    random energy vector gives the same bits."""
+    assert topo.edges == checked.edges
+    assert topo.degrees.tolist() == checked.degrees.tolist()
+    assert topo.max_degree == checked.max_degree
+    assert neighbor_lists(topo) == neighbor_lists(checked)
+    for got, want in zip(topo.symmetric_arrays() + topo.collection_arrays(),
+                         checked.symmetric_arrays() + checked.collection_arrays()):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+    assert topo.retention(delta).tobytes() == checked.retention(delta).tobytes()
+    energy = energies.random(topo.n)
+    assert (collection_round(energy, topo, delta).tobytes()
+            == collection_round(energy, checked, delta).tobytes())
 
 
 def dense_share_matrix(topology, delta):

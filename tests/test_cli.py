@@ -299,6 +299,12 @@ def sweep_json(tmp_path, capsys):
     return json.loads(out_json.read_text())
 
 
+def edit_record(data, **fields):
+    """``data`` with the first row's record fields replaced."""
+    first = data["rows"][0]
+    return {**data, "rows": [{**first, "record": {**first["record"], **fields}}]}
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: [data],  # top level is a list
     lambda data: {**data, "rows": None},
@@ -307,8 +313,24 @@ def sweep_json(tmp_path, capsys):
     lambda data: {**data, "rows": [{**data["rows"][0], "config_index": 1}]},  # one config
     lambda data: {**data, "rows": [{**data["rows"][0], "config_index": -1}]},
     lambda data: {**data, "rows": [{**data["rows"][0], "config_index": "0"}]},
+    lambda data: {**data, "rows": data["rows"] * 2},  # every (config_index, rep) twice
+    lambda data: {**data, "rows": [data["rows"][0], {**data["rows"][1], "rep": 0}]},
+    lambda data: {**data, "rows": [{**data["rows"][0], "rep": "zero"}]},
+    lambda data: {**data, "rows": [{**data["rows"][0], "rep": 2}]},  # two repetitions
+    lambda data: {**data, "rows": [{**data["rows"][0], "rep": -1}]},
+    lambda data: edit_record(data, per_k_trace=None),
+    lambda data: edit_record(data, per_k_trace=[7]),
+    lambda data: edit_record(data, rounds_total="12"),
+    lambda data: edit_record(data, n=3.0),
+    lambda data: edit_record(data, T="never"),
+    lambda data: edit_record(data, status="done"),
+    lambda data: edit_record(data, diagnostics={"min_energy": 0.0}),
+    lambda data: edit_record(data, diagnostics=None),
 ], ids=["list", "rows-null", "row-not-object", "record-not-object", "config-past-grid",
-        "config-negative", "config-string"])
+        "config-negative", "config-string", "rows-doubled", "rep-repeated", "rep-string",
+        "rep-past-repetitions", "rep-negative", "trace-null", "trace-entry-not-object",
+        "rounds-string", "n-float", "T-string", "status-unknown", "diagnostics-partial",
+        "diagnostics-null"])
 def test_check_bound_malformed_json_exits_2(tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(sweep_json(tmp_path, capsys))))

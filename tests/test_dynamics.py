@@ -1,12 +1,17 @@
 """Schedules: T-stability, per-family change semantics, determinism."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from adncount import DynamicsSchedule, ScheduleParams, dynamics, new_schedule
+from adncount import (DynamicsSchedule, ScheduleParams, SubtreeDistribution, Topology, count,
+                      derive_seed, dynamics, gnp, new_schedule, path, prune, ranrut,
+                      sizes_table, star, tree_to_topology)
 from adncount.errors import InvalidParameters, NonMonotoneAccess
-from helpers import is_connected
+from adncount.trees import RANRUT_VARIANTS
+from helpers import assert_same_snapshot, is_connected
 
 
 def collect_snapshots(schedule, rounds):
@@ -132,3 +137,73 @@ def test_invalid_parameters(kwargs):
 def test_n2_path_with_delta1_is_valid():
     sch = new_schedule("path", 2, 1, math.inf, 0)
     assert sch.topology_at(1).edges == ((0, 1),)
+
+
+def epoch_snapshot(params, epoch, variant):
+    """Epoch ``epoch`` of a schedule's stream, built on its own from the
+    single-snapshot generators (permuted paths through the validating
+    constructor)."""
+    if params.family == "star":
+        return star(params.n)
+    if params.family == "path" and epoch == 0:
+        return path(params.n)
+    rng = random.Random(derive_seed(params.seed, epoch))
+    if params.family == "path":
+        labels = list(range(1, params.n))
+        rng.shuffle(labels)
+        order = [0] + labels
+        return Topology(params.n, zip(order, order[1:]))
+    if params.family == "gnp":
+        return gnp(params.n, params.p, rng)
+    dist = SubtreeDistribution(sizes_table(params.n), params.n)
+    tree = prune(ranrut(params.n, dist, rng, variant), params.delta, rng)
+    return tree_to_topology(tree)
+
+
+# consecutive rounds through several look-ahead batches (1 + 2 + ... + 64
+# epochs is 127), then rounds that skip epochs, inside a batch and past it
+CONSECUTIVE = list(range(1, 301))
+SKIPPING = [1, 2, 2, 4, 9, 10, 11, 40, 41, 90, 300, 301, 302, 1000, 1003, 1010, 1200]
+
+
+@pytest.mark.parametrize("rounds", [CONSECUTIVE, SKIPPING], ids=["consecutive", "skipping"])
+@pytest.mark.parametrize("params,variant", [
+    (ScheduleParams("random-tree", 20, delta, T, seed), variant)
+    for delta in (2, 4) for variant in RANRUT_VARIANTS for T, seed in ((1, 3), (3, 4))
+] + [
+    (ScheduleParams("gnp", n, n - 1, T, seed, p), "paper-literal")
+    for p in (0.0, 0.3, 1.0) for n, T, seed in ((3, 1, 5), (8, 3, 6))
+] + [
+    (ScheduleParams(family, 7, delta, T, 8), "paper-literal")
+    for family, delta in (("path", 2), ("star", 6)) for T in (1, 3, 10)
+])
+def test_lookahead_serves_per_epoch_snapshots(params, variant, rounds):
+    # batches build several epochs in one go; each served snapshot must
+    # equal, in every array and in a collection round's bits, the one
+    # built on its own for that epoch
+    schedule = DynamicsSchedule(params, ranrut_variant=variant)
+    energies = np.random.default_rng(params.seed)
+    for r in rounds:
+        epoch = (r - 1) // params.T
+        assert_same_snapshot(schedule.topology_at(r), epoch_snapshot(params, epoch, variant),
+                             params.delta, energies)
+
+
+@pytest.mark.parametrize("T,seeds", [(1, range(6)), (4, range(3))])
+def test_lookahead_builds_at_most_63_unserved_epochs(monkeypatch, T, seeds):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ranrut(*args)
+
+    monkeypatch.setattr(dynamics, "ranrut", counted)
+    unserved = []
+    for seed in seeds:
+        calls = 0
+        record = count(new_schedule("random-tree", 12, 4, T, seed))
+        epochs = (record.rounds_total - 1) // T + 1
+        assert epochs <= calls <= epochs + 63
+        unserved.append(calls - epochs)
+    assert max(unserved) > 0  # the schedule does build ahead

@@ -18,10 +18,10 @@ from adncount import (
     star,
     tree_to_topology,
 )
-from adncount.dynamics import _permuted_path
-from adncount.protocol import collection_round
+from adncount.dynamics import _path_order
+from adncount.topology import path_topologies
 from adncount.trees import RANRUT_VARIANTS
-from helpers import gnp_oracle, is_connected, neighbor_lists
+from helpers import assert_same_snapshot, gnp_oracle, is_connected, neighbor_lists
 
 
 def test_star_shape():
@@ -150,7 +150,7 @@ def test_generators_match_validating_constructor():
     dist = SubtreeDistribution(sizes_table(40), 40)
     snapshots = [star(2), star(7), path(2), path(7),
                  gnp(9, 0.5, rng), gnp(4, 0.0, rng), gnp(5, 1.0, rng)]
-    snapshots += [_permuted_path(n, rng) for n in (2, 3, 9)]
+    snapshots += [path_topologies([_path_order(n, rng)])[0] for n in (2, 3, 9)]
     cases = [(topo, max(topo.max_degree, 2)) for topo in snapshots]
     for variant in RANRUT_VARIANTS:
         for delta in (2, 3, 4):
@@ -160,24 +160,6 @@ def test_generators_match_validating_constructor():
     energies = np.random.default_rng(5)
     for topo, delta in cases:
         assert_same_snapshot(topo, Topology(topo.n, topo.edges), delta, energies)
-
-
-def assert_same_snapshot(topo, checked, delta, energies):
-    """Every field and kernel array of ``topo`` equals that of ``checked``,
-    element for element and in the same order; one collection round on a
-    random energy vector gives the same bits."""
-    assert topo.edges == checked.edges
-    assert topo.degrees.tolist() == checked.degrees.tolist()
-    assert topo.max_degree == checked.max_degree
-    assert neighbor_lists(topo) == neighbor_lists(checked)
-    for got, want in zip(topo.symmetric_arrays() + topo.collection_arrays(),
-                         checked.symmetric_arrays() + checked.collection_arrays()):
-        assert got.dtype == want.dtype
-        assert got.tolist() == want.tolist()
-    assert topo.retention(delta).tobytes() == checked.retention(delta).tobytes()
-    energy = energies.random(topo.n)
-    assert (collection_round(energy, topo, delta).tobytes()
-            == collection_round(energy, checked, delta).tobytes())
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 30, 70, 75])
