@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import experiment
-from .dynamics import DynamicsSchedule, ScheduleParams, canonical_family
+from .dynamics import FAMILY_NAMES, DynamicsSchedule, ScheduleParams, canonical_family
 from .errors import CountingError, InvalidParameters, RoundLimitExceeded
 from .protocol import ProtocolConfig, count
 from .trees import RANRUT_VARIANTS, check_tables
@@ -41,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit one topology snapshot as JSON")
-    g.add_argument("--family", required=True,
-                   choices=["tree", "random-tree", "star", "path", "gnp"])
+    g.add_argument("--family", required=True, choices=FAMILY_NAMES)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--delta", type=int, default=None)
     g.add_argument("--p", type=float, default=None)
@@ -52,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None, help="output file (default stdout)")
 
     r = sub.add_parser("run", help="run one counting execution")
-    r.add_argument("--family", required=True,
-                   choices=["tree", "random-tree", "star", "path", "gnp"])
+    r.add_argument("--family", required=True, choices=FAMILY_NAMES)
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--delta", type=int, default=None)
     r.add_argument("--T", type=_parse_T, default=math.inf)
@@ -68,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run a parameter sweep")
     source = s.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", help="SweepSpec JSON file")
-    source.add_argument("--grid", choices=["tree", "random-tree", "star", "path", "gnp"],
+    source.add_argument("--grid", choices=FAMILY_NAMES,
                         help="one family's standard study grid")
     s.add_argument("--full", action="store_true",
                    help="with --grid: n up to 75 and 100 repetitions instead "

@@ -34,6 +34,7 @@ from .trees import SubtreeDistribution, prune, ranrut, sizes_table
 FAMILIES = ("random-tree", "star", "path", "gnp")
 _LOOKAHEAD = 64  # the most epochs a schedule builds in one batch
 _FAMILY_ALIASES = {"tree": "random-tree"}
+FAMILY_NAMES = (*_FAMILY_ALIASES, *FAMILIES)  # every name accepted on input
 
 
 def canonical_family(name):

@@ -195,20 +195,19 @@ def _upper_pairs(n: int):
 
 
 def tree_to_topology(tree: RootedTree) -> Topology:
-    """Relabel a rooted tree in preorder (root -> leader index 0)."""
+    """The snapshot of a rooted tree: vertex v becomes node v, so the root
+    is the leader."""
     return tree_topologies((tree,))[0]
 
 
 def tree_topologies(trees, delta: int | None = None) -> list[Topology]:
-    """Relabel rooted trees, all on n vertices, in preorder (root -> leader
-    index 0).
+    """The snapshots of rooted trees, all on n vertices; see
+    ``tree_to_topology``.
 
-    Uses the preorder parent labels that ``ranrut`` and ``prune`` hand on;
-    any other tree is walked once, depth first and left to right. A stable
-    sort by parent label puts each tree's edges (parent, child) in sorted
-    order, since in a preorder every parent is below its child.
+    A stable sort by parent label puts each tree's edges (parent, child) in
+    sorted order, since in a preorder every parent is below its child.
     """
-    labels = np.array([_preorder_parents(tree) for tree in trees], dtype=np.intp)
+    labels = np.array([tree.parents for tree in trees], dtype=np.intp)
     batch, n = labels.shape
     parents = labels[:, 1:]
     child = parents.argsort(axis=1, kind="stable")
@@ -216,21 +215,6 @@ def tree_topologies(trees, delta: int | None = None) -> list[Topology]:
     pairs[..., 0] = np.sort(parents, axis=1)  # the labels in ``child`` order
     pairs[..., 1] = child + 1
     return Topology._batch(n, pairs.reshape(-1, 2), (n - 1,) * batch, delta)
-
-
-def _preorder_parents(tree: RootedTree) -> list[int]:
-    """Each vertex's parent as a preorder index, vertices in preorder."""
-    if tree.preorder_parents is not None:
-        return tree.preorder_parents
-    parents = []
-    stack = [(tree.root, -1)]
-    while stack:
-        v, parent = stack.pop()
-        label = len(parents)
-        parents.append(parent)
-        # reversed so the leftmost child gets the next preorder index
-        stack.extend((c, label) for c in reversed(tree.children[v]))
-    return parents
 
 
 def _retain(degrees, delta: int):

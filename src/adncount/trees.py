@@ -4,8 +4,8 @@ Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
 ``SubtreeDistribution`` turns the counts into per-size tables over
 (copies, subtree-size) pairs, ``ranrut`` samples a tree from those tables
 in one pass over its vertices, and ``prune`` pushes subtrees downward until
-every vertex respects the degree bound. Both hand on the tree's preorder
-parent labels, so ``topology.tree_to_topology`` needs no walk of its own.
+every vertex respects the degree bound. A tree is its preorder parent list,
+which is all that ``topology.tree_to_topology`` reads.
 
 ``ranrut`` has two variants. ``same-copy`` attaches j structurally
 identical copies of one recursive draw, which is the classic sampler whose
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,26 +34,18 @@ RANRUT_VARIANTS = ("paper-literal", "same-copy")
 
 @dataclass
 class RootedTree:
-    """Ordered rooted tree over vertex indices 0..nodes-1.
+    """Ordered rooted tree on vertices 0..nodes-1, numbered in preorder.
 
-    ``children[v]`` lists v's children in insertion order, so "rightmost
-    subtree" is well defined. ``ranrut`` and ``prune`` also set
-    ``preorder_parents`` on the trees they build: entry i is the preorder
-    index of the parent of the i-th vertex in preorder (-1 for the root),
-    which is all that ``tree_to_topology`` needs; it walks trees that leave
-    it None. It is not an init field, so the constructor and
-    ``dataclasses.replace`` always start from None. Code that edits
-    ``children`` in place must reset it to None.
+    ``parents[v]`` is the parent of vertex v; the root is vertex 0, with
+    parent -1. The children of a vertex, in order, are the vertices that
+    name it as parent, in increasing order.
     """
 
-    children: list[list[int]]
-    root: int = 0
-    preorder_parents: list[int] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    parents: list[int]
 
     @property
     def nodes(self) -> int:
-        return len(self.children)
+        return len(self.parents)
 
 
 def sizes_table(n_max: int) -> list[int]:
@@ -90,12 +82,9 @@ class SubtreeDistribution:
     """Per-size probability tables over (j, d) pairs with j*d < k.
 
     p[k][(j, d)] = d * t[k-j*d] * t[d] / ((k-1) * t[k]), stored as 64-bit
-    floats (each entry correctly rounded from the exact rational). Rows are
-    kept for k = 3..n; rows up to 100 are filled eagerly, larger ones on
-    demand to keep memory linear in practice.
+    floats (each entry correctly rounded from the exact rational). Rows
+    for k = 3..n are built on first use.
     """
-
-    _EAGER_LIMIT = 100
 
     def __init__(self, counts: list[int], n: int):
         if n < 1:
@@ -106,8 +95,6 @@ class SubtreeDistribution:
         self.n = n
         self._rows: dict[int, tuple] = {}
         self._draw_tables: list = [None, None, None]  # per size, for ranrut
-        for k in range(3, min(n, self._EAGER_LIMIT) + 1):
-            self._row(k)
 
     def _row(self, k: int) -> tuple:
         row = self._rows.get(k)
@@ -140,13 +127,6 @@ class SubtreeDistribution:
             outcomes.append(outcomes[-1])
             tables.append((cumulative, outcomes))
         return tables
-
-    def prob(self, k: int, j: int, d: int) -> float:
-        """Probability of drawing (j, d) at size k; 0 for invalid pairs."""
-        if k < 3 or j < 1 or d < 1 or j * d >= k:
-            return 0.0
-        pairs, probs, _ = self._row(k)
-        return probs[pairs.index((j, d))]
 
     def row_pairs(self, k: int) -> list[tuple[int, int, float]]:
         """(j, d, probability) triples for size k, in (j, d) order."""
@@ -199,23 +179,19 @@ def ranrut(
     size_of = [1] * n  # subtree size, set by the parent's draw
     size_of[0] = n
     parents = [-1] * n
-    children: list[list[int]] = []
     copies = {}  # same-copy: copy root -> offset from the drawn subtree
     v = 0
     while v < n:
         size = size_of[v]
         if size == 1:
-            children.append([])
             v += 1
             continue
         if same_copy and v in copies:
             # the drawn subtree is complete: copy it, shifted by the offset
             offset = copies[v]
             src = v - offset
-            for u in range(src, src + size):
-                children.append([c + offset for c in children[u]])
-                if u != src:
-                    parents[u + offset] = parents[u] + offset
+            for u in range(src + 1, src + size):
+                parents[u + offset] = parents[u] + offset
             v += size
             continue
         c = v + 1
@@ -224,25 +200,19 @@ def ranrut(
             cumulative, outcomes = tables[size]
             size, sub_sizes = outcomes[bisect_left(cumulative, random_())]
             chain.append(sub_sizes)
-        kids = []
         if size == 2:
-            kids.append(c)
             parents[c] = v
             c += 1
         for sub_sizes in reversed(chain):
             first = c
             for d in sub_sizes:
-                kids.append(c)
                 parents[c] = v
                 size_of[c] = d
                 if same_copy and c != first:
                     copies[c] = c - first
                 c += d
-        children.append(kids)
         v += 1
-    tree = RootedTree(children=children, root=0)
-    tree.preorder_parents = parents
-    return tree
+    return RootedTree(parents)
 
 
 def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
@@ -253,28 +223,30 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
     first, left to right; excess subtrees are detached rightmost-first and
     re-attached below a uniformly chosen child, descending until a vertex
     with room is found. Depth never decreases and the vertex count is
-    preserved. Returns the input unchanged when it already satisfies the
-    bound; otherwise a new tree with the same vertex indices and root, and
-    the input is left as it was.
+    preserved. Returns the input itself when it already satisfies the
+    bound; otherwise a new tree, numbered in its own preorder, and the
+    input is left as it was.
     """
-    if tree.nodes >= 3 and delta < 2:
+    n = tree.nodes
+    if n >= 3 and delta < 2:
         raise InfeasibleDegreeBound(
-            f"no tree on {tree.nodes} >= 3 vertices has max degree <= {delta}"
+            f"no tree on {n} >= 3 vertices has max degree <= {delta}"
         )
     if delta < 1:
         raise InfeasibleDegreeBound("delta must be >= 1")
-    root = tree.root
     full = delta - 1  # a non-root vertex with this many children has no room
-    room = [full - len(kids) for kids in tree.children]
-    room[root] += 1
-    if min(room) >= 0:
+    counts = [0] * n
+    for p in itertools.islice(tree.parents, 1, None):
+        counts[p] += 1
+    counts[0] -= 1  # the root has no parent edge
+    if max(counts) <= full:
         return tree
-    children = [kids[:] for kids in tree.children]
+    children = _children(tree.parents)
     # Re-attaching only ever moves a subtree below a descendant of the
     # visited vertex, so each child list is final once its vertex is
     # visited: the visit order is the pruned tree's preorder.
     parents = []
-    stack = [root]
+    stack = [0]
     above = [-1]  # preorder index of each stacked vertex's parent
     while stack:
         v = stack.pop()
@@ -283,7 +255,7 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
         kids = children[v]
         if not kids:
             continue
-        limit = delta if v == root else full
+        limit = delta if v == 0 else full
         while len(kids) > limit:
             sub = kids.pop()  # rightmost subtree
             # v is still full: descend through uniform children until one
@@ -300,18 +272,25 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
         else:
             stack.extend(reversed(kids))
             above.extend([label] * len(kids))
-    pruned = RootedTree(children=children, root=root)
-    pruned.preorder_parents = parents
-    return pruned
+    return RootedTree(parents)
+
+
+def _children(parents: list[int]) -> list[list[int]]:
+    """Each vertex's children, in order, from a preorder parent list."""
+    children = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        children[parents[v]].append(v)
+    return children
 
 
 def canonical_form(tree: RootedTree) -> tuple:
     """Nested-tuple canonical form; equal iff rooted-isomorphic."""
-
-    def canon(v):
-        return tuple(sorted(canon(c) for c in tree.children[v]))
-
-    return canon(tree.root)
+    children = _children(tree.parents)
+    forms = [()] * tree.nodes
+    # in a preorder every child comes after its parent
+    for v in reversed(range(tree.nodes)):
+        forms[v] = tuple(sorted([forms[c] for c in children[v]]))
+    return forms[0]
 
 
 @lru_cache(maxsize=None)

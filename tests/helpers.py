@@ -85,54 +85,34 @@ def is_connected(topology):
     return count == topology.n
 
 
-def parent_array(tree):
-    """Each vertex's parent in a ``RootedTree`` (None for the root)."""
-    parents = [None] * tree.nodes
-    for v, kids in enumerate(tree.children):
-        for c in kids:
-            if parents[c] is not None or c == tree.root:
-                raise ValueError(f"vertex {c} has more than one parent")
-            parents[c] = v
-    return parents
-
-
 def validate_tree(tree):
-    """Check the tree invariants: n-1 edges, one parent each, connected."""
-    n = tree.nodes
-    if not 0 <= tree.root < n:
-        raise ValueError("root out of range")
-    parents = parent_array(tree)
-    edge_count = sum(len(kids) for kids in tree.children)
-    if edge_count != n - 1:
-        raise ValueError(f"expected {n - 1} edges, found {edge_count}")
-    # reachability from the root covers everything iff acyclic+connected
-    seen = 0
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        seen += 1
-        stack.extend(tree.children[v])
-    if seen != n:
-        raise ValueError("tree is not connected")
-    for v in range(n):
-        if v != tree.root and parents[v] is None:
-            raise ValueError(f"vertex {v} has no parent")
+    """Check that ``tree.parents`` is a preorder parent list: vertex 0 is the
+    root, with parent -1, and the parent of every other vertex v is v - 1 or
+    an ancestor of v - 1."""
+    parents = tree.parents
+    if not parents or parents[0] != -1:
+        raise ValueError("vertex 0 must be the root, with parent -1")
+    for v in range(1, len(parents)):
+        p = parents[v]
+        if p < 0:
+            raise ValueError(f"vertex {v} has parent {p}")
+        a = v - 1
+        while a > p:
+            a = parents[a]
+        if a != p:
+            raise ValueError(f"vertex {v}: parent {p} is not v - 1 or an ancestor of it")
 
 
 def tree_depth(tree):
     """Longest root-to-leaf path, in edges."""
-    best = 0
-    stack = [(tree.root, 0)]
-    while stack:
-        v, d = stack.pop()
-        if d > best:
-            best = d
-        stack.extend((c, d + 1) for c in tree.children[v])
-    return best
+    depth = [0] * tree.nodes
+    for v in range(1, tree.nodes):
+        depth[v] = depth[tree.parents[v]] + 1
+    return max(depth)
 
 
 def graph_degree(tree, v):
-    return len(tree.children[v]) + (0 if v == tree.root else 1)
+    return tree.parents.count(v) + (0 if v == 0 else 1)
 
 
 def max_graph_degree(tree):

@@ -71,24 +71,22 @@ def test_gnp_deterministic_per_seed():
 
 
 def test_tree_to_topology_two_vertices():
-    topo = tree_to_topology(RootedTree(children=[[1], []]))
+    topo = tree_to_topology(RootedTree([-1, 0]))
     assert topo.n == 2
     assert topo.edges == ((0, 1),)
 
 
 def test_tree_to_topology_path_shape():
-    chain = RootedTree(children=[[1], [2], [3], []])
+    chain = RootedTree([-1, 0, 1, 2])
     topo = tree_to_topology(chain)
     assert topo.edges == ((0, 1), (1, 2), (2, 3))
     assert topo.degrees[0] == 1  # leader at the endpoint
 
 
-def test_tree_to_topology_nonzero_root():
-    # root 2 must map to leader index 0
-    tree = RootedTree(children=[[], [], [0, 1]], root=2)
-    topo = tree_to_topology(tree)
-    assert topo.n == 3
-    assert topo.degrees[0] == 2
+def test_tree_to_topology_star_shape():
+    topo = tree_to_topology(RootedTree([-1, 0, 0]))
+    assert topo.edges == ((0, 1), (0, 2))
+    assert topo.degrees[0] == 2  # leader at the center
 
 
 def test_tree_to_topology_edge_count():

@@ -1,14 +1,15 @@
 """Tree pipeline: counting recurrence, subtree tables, sampler, pruning."""
 
 import bisect
-import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from adncount import (
     RootedTree,
     SubtreeDistribution,
+    Topology,
     canonical_form,
     check_tables,
     enumerate_rooted_trees,
@@ -20,7 +21,8 @@ from adncount import (
 from adncount.errors import InfeasibleDegreeBound
 from adncount.trees import RANRUT_VARIANTS
 
-from helpers import is_path_graph, max_graph_degree, tree_depth, validate_tree
+from helpers import (assert_same_snapshot, is_path_graph, max_graph_degree, tree_depth,
+                     validate_tree)
 
 
 def test_sizes_table_small():
@@ -43,13 +45,8 @@ def test_sizes_table_rejects_bad_input():
 
 def test_distribution_k3_probabilities():
     dist = SubtreeDistribution(sizes_table(3), 3)
-    assert dist.prob(3, 1, 1) == pytest.approx(0.25, abs=0)
-    assert dist.prob(3, 2, 1) == pytest.approx(0.25, abs=0)
-    assert dist.prob(3, 1, 2) == pytest.approx(0.5, abs=0)
-    # j*d >= k pairs have probability zero
-    assert dist.prob(3, 3, 1) == 0.0
-    assert dist.prob(3, 1, 3) == 0.0
-    assert dist.prob(2, 1, 1) == 0.0
+    # exactly the pairs with j*d < 3, so no other pair can be drawn
+    assert sorted(dist.row_pairs(3)) == [(1, 1, 0.25), (1, 2, 0.5), (2, 1, 0.25)]
 
 
 def test_distribution_rows_sum_to_one():
@@ -93,9 +90,9 @@ def test_distribution_requires_coverage():
 def test_ranrut_tiny_sizes():
     rng = random.Random(0)
     one = ranrut(1, None, rng)
-    assert one.nodes == 1 and one.children == [[]]
+    assert one.parents == [-1]
     two = ranrut(2, None, rng)
-    assert two.nodes == 2 and two.children == [[1], []]
+    assert two.parents == [-1, 0]
 
 
 @pytest.mark.parametrize("variant", ["paper-literal", "same-copy"])
@@ -107,16 +104,15 @@ def test_ranrut_vertex_and_edge_counts(variant):
             tree = ranrut(n, dist, rng, variant)
             validate_tree(tree)
             assert tree.nodes == n
-            assert sum(len(kids) for kids in tree.children) == n - 1
 
 
 def test_ranrut_deterministic_per_seed():
     dist = SubtreeDistribution(sizes_table(20), 20)
     a = ranrut(20, dist, random.Random(5), "paper-literal")
     b = ranrut(20, dist, random.Random(5), "paper-literal")
-    assert a.children == b.children
+    assert a.parents == b.parents
     c = ranrut(20, dist, random.Random(6), "paper-literal")
-    assert a.children != c.children
+    assert a.parents != c.parents
 
 
 def test_ranrut_validation():
@@ -143,53 +139,52 @@ def test_ranrut_same_copy_uniformity_smoke():
 
 
 def test_prune_star5_delta2_yields_path():
-    star5 = RootedTree(children=[[1, 2, 3, 4], [], [], [], []])
+    star5 = RootedTree([-1, 0, 0, 0, 0])
     pruned = prune(star5, 2, random.Random(0))
     validate_tree(pruned)
     assert pruned.nodes == 5
     assert max_graph_degree(pruned) <= 2
     # the only degree-<=2 tree on 5 vertices is the path; the root keeps
     # exactly delta children, so it sits in the interior of that path
-    from adncount import tree_to_topology
-
     assert is_path_graph(tree_to_topology(pruned))
-    assert len(pruned.children[pruned.root]) == 2
+    assert pruned.parents.count(0) == 2
     assert tree_depth(pruned) >= tree_depth(star5)
 
 
 def test_prune_noop_returns_input_unchanged():
-    tree = RootedTree(children=[[1, 2], [3], [], []])
+    tree = RootedTree([-1, 0, 1, 0])
     assert prune(tree, 3, random.Random(0)) is tree
     assert prune(tree, 10, random.Random(0)) is tree
 
 
 def test_prune_rejects_infeasible_bound():
-    star4 = RootedTree(children=[[1, 2, 3], [], [], []])
+    star4 = RootedTree([-1, 0, 0, 0])
     with pytest.raises(InfeasibleDegreeBound):
         prune(star4, 1, random.Random(0))
 
 
 def test_prune_small_trees_with_delta1():
-    pair = RootedTree(children=[[1], []])
+    pair = RootedTree([-1, 0])
     assert prune(pair, 1, random.Random(0)) is pair
-    single = RootedTree(children=[[]])
+    single = RootedTree([-1])
     assert prune(single, 1, random.Random(0)) is single
 
 
 def test_prune_properties_random_trees():
-    # depth never decreases, degrees bounded, vertex count preserved, and
-    # the input tree is never modified
+    # depth never decreases, degrees bounded, vertex count preserved, the
+    # output is in preorder, and the input tree is never modified
     dist = SubtreeDistribution(sizes_table(40), 40)
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(2, 40)
         tree = ranrut(n, dist, rng, "paper-literal")
         delta = rng.randint(2, 6)
+        validate_tree(tree)
         before_depth = tree_depth(tree)
-        before_children = [list(kids) for kids in tree.children]
+        before_parents = list(tree.parents)
         within_bound = max_graph_degree(tree) <= delta
         pruned = prune(tree, delta, rng)
-        assert tree.children == before_children
+        assert tree.parents == before_parents
         assert (pruned is tree) == within_bound
         validate_tree(pruned)
         assert pruned.nodes == n
@@ -197,29 +192,34 @@ def test_prune_properties_random_trees():
         assert tree_depth(pruned) >= before_depth
 
 
-def test_preorder_parents_match_a_walk():
-    # ranrut and prune hand on the preorder parent labels that
-    # tree_to_topology would otherwise find by walking the tree
+def test_validate_tree_requires_preorder():
+    validate_tree(RootedTree([-1, 0, 1, 0]))
+    for parents in ([], [0], [-1, -1], [-1, 1], [-1, 0, 0, 1], [-1, 0, 3, 0]):
+        with pytest.raises(ValueError):
+            validate_tree(RootedTree(parents))
+
+
+def test_tree_to_topology_matches_validating_constructor():
+    # the snapshot of a tree is its parent edges, through the checked path
     dist = SubtreeDistribution(sizes_table(40), 40)
     rng = random.Random(17)
+    energies = np.random.default_rng(17)
     for variant in RANRUT_VARIANTS:
         for delta in range(2, 7):
             for n in range(1, 41):
                 tree = ranrut(n, dist, rng, variant)
-                for t in (tree, prune(tree, delta, rng)):
-                    # replace() starts from None, so tree_to_topology walks
-                    walked = dataclasses.replace(t)
-                    assert walked.preorder_parents is None
-                    assert t.preorder_parents[0] == -1
-                    assert tree_to_topology(t) == tree_to_topology(walked)
+                # the unpruned tree's bound is its largest possible degree
+                for t, bound in ((tree, max(n - 1, 1)), (prune(tree, delta, rng), delta)):
+                    checked = Topology(n, [(p, v) for v, p in enumerate(t.parents) if v])
+                    assert_same_snapshot(tree_to_topology(t), checked, bound, energies)
 
 
 def test_canonical_form_separates_shapes():
-    path3 = RootedTree(children=[[1], [2], []])
-    star3 = RootedTree(children=[[1, 2], [], []])
+    path3 = RootedTree([-1, 0, 1])
+    star3 = RootedTree([-1, 0, 0])
     assert canonical_form(path3) != canonical_form(star3)
-    relabeled = RootedTree(children=[[2, 1], [], []])
-    assert canonical_form(star3) == canonical_form(relabeled)
+    # the same shape with the root's two children in the other order
+    assert canonical_form(RootedTree([-1, 0, 1, 0])) == canonical_form(RootedTree([-1, 0, 0, 2]))
 
 
 def test_enumeration_counts():
