@@ -1,6 +1,6 @@
-"""Per-stage cost of a random-tree and a G(n, p) snapshot, of a T = 1 tree
-``count``, of a served epoch per family, and of one pass over each
-acceptance grid.
+"""Per-stage cost of a random-tree and a G(n, p) snapshot, of each round
+kernel, of a T = 1 tree and a static path ``count``, of a served epoch per
+family, and of one pass over each acceptance grid.
 
 Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
@@ -31,6 +31,16 @@ a random-tree stream at delta = 4 and T = 1 (a fresh snapshot every
 round), one per seed from 0, and reports total wall time over total
 rounds.
 
+``kernels_us_per_call`` times each round kernel at n = 30 on ``path(30)``
+(delta = 2) and on one G(n, p) snapshot at p = ``GNP_P`` (delta = n - 1):
+``collection_round`` writing into a preallocated row, as ``count`` calls
+it, ``verification_round``, ``notification_round`` and ``heard_round``.
+Each batch is ``KERNEL_CALLS`` calls on one input; the fastest and median
+of ``REPEATS`` batches are reported. ``count_static_path`` times
+``COUNT_RUNS`` static path runs at n = 30 and delta = 2 (every run has the
+same 40 769 rounds) and reports µs per round, and the engine's overhead per
+round: that figure minus the median path kernel time of each round's phase.
+
 ``schedule_epochs`` times ``topology_at`` over ``EPOCHS`` consecutive
 rounds of a T = 1 schedule of each family at n = 30 (random-tree and path
 at delta = 4 and 2, gnp at p = ``GNP_P``), with the first
@@ -46,6 +56,13 @@ and reports its rows, its ``count`` calls (a sweep runs each
 seed-invariant stream once and copies the record to the other rows) and
 its wall time in seconds.
 
+Every timed sample (a batch, a run, a schedule or a grid pass) is
+scaled, as in ``perfbench/run.py``, by ``CAL_REF_S`` over the mean of the
+calibration slices just before and just after it (``calibrate``, a copy of
+the benchmark's), so the figures read in µs or seconds of a machine on
+which the slice takes 10 ms. A grid pass lasts far longer than the machine
+holds one speed, so its scaling is coarser.
+
 It writes ``BENCH_<tag>.json`` (next to ``bench/`` unless ``--out`` says
 otherwise) with the machine's core count and the Python and numpy
 versions, and prints the same object.
@@ -55,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import random
@@ -73,6 +91,9 @@ STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
 GNP_P = 0.3
 GNP_STAGES = ("seed", "gnp", "arrays")
 EPOCHS = 2000  # served epochs per schedule
+KERNEL_CALLS = 5000  # per batch
+CAL_LOOPS = 1800  # size of one calibration slice, about 10 ms
+CAL_REF_S = 0.010  # calibration time at which scaled timings are expressed
 SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
              ("gnp", N - 1, GNP_P))
 
@@ -86,6 +107,30 @@ def load_library():
     if not os.path.abspath(adncount.__file__).startswith(os.path.join(src, "")):
         sys.exit(f"snapshot_stages: imported adncount from {adncount.__file__}, not {src}")
     return adncount
+
+
+def calibrate() -> float:
+    """Wall time of a fixed slice of interpreter and small-array work; a
+    copy of ``calibrate`` in ``perfbench/run.py``."""
+    import numpy as np
+
+    values = np.arange(N, dtype=float)
+    idx = np.arange(2 * N) % N
+    acc = 0
+    t0 = perf_counter()
+    for i in range(CAL_LOOPS):
+        row = {j: (j, i) for j in range(16)}
+        acc += len(sorted(row, reverse=True))
+        acc += np.bincount(idx, weights=values[idx], minlength=N).size
+    return perf_counter() - t0
+
+
+def scaled(sample):
+    """``sample()`` between two calibration slices: its result and the
+    factor that scales its timings."""
+    before = calibrate()
+    result = sample()
+    return result, 2 * CAL_REF_S / (before + calibrate())
 
 
 def time_batch(adn, dist, delta, epochs, master):
@@ -146,37 +191,107 @@ def summarise(batches, snapshots):
     return per_stage
 
 
+def scaled_batch(time_one):
+    """A batch's per-stage seconds, scaled."""
+    totals, scale = scaled(time_one)
+    return {stage: t * scale for stage, t in totals.items()}
+
+
 def stage_costs(adn, snapshots, repeats, master):
     dist = adn.SubtreeDistribution(adn.sizes_table(N), N)
     result = {}
     for delta in DELTAS:
-        batches = [time_batch(adn, dist, delta, range(i * snapshots, (i + 1) * snapshots),
-                              master) for i in range(repeats)]
+        batches = [scaled_batch(lambda: time_batch(
+            adn, dist, delta, range(i * snapshots, (i + 1) * snapshots), master))
+            for i in range(repeats)]
         result[f"delta={delta}"] = summarise(batches, snapshots)
     return result
 
 
 def gnp_stage_costs(adn, snapshots, repeats, master):
-    batches = [time_gnp_batch(adn, range(i * snapshots, (i + 1) * snapshots), master)
-               for i in range(repeats)]
+    batches = [scaled_batch(lambda: time_gnp_batch(
+        adn, range(i * snapshots, (i + 1) * snapshots), master)) for i in range(repeats)]
     return {f"p={GNP_P}": summarise(batches, snapshots)}
 
 
-def count_cost(adn, seeds):
+def per_call_us(call, args, calls, repeats):
+    """Scaled µs per ``call(*args)``, fastest and median of ``repeats``
+    batches of ``calls`` calls."""
+    def batch():
+        t0 = perf_counter()
+        for _ in range(calls):
+            call(*args)
+        return perf_counter() - t0
+
+    us = []
+    for _ in range(repeats):
+        seconds, scale = scaled(batch)
+        us.append(seconds * scale / calls * 1e6)
+    return {"min_us": round(min(us), 3), "median_us": round(statistics.median(us), 3)}
+
+
+def kernel_costs(adn, calls, repeats):
+    """Scaled µs per call of each round kernel, per snapshot."""
+    import numpy as np
+
+    protocol = adn.protocol
+    energy = np.random.default_rng(SEED).random(N)
+    halt = np.zeros(N, dtype=bool)
+    halt[0] = True
+    heard = [1 << i for i in range(N)]
+    result = {}
+    for name, topology, delta in (("path", adn.path(N), 2),
+                                  (f"gnp p={GNP_P}", adn.gnp(N, GNP_P, random.Random(SEED)), N - 1)):
+        collection = (energy, topology, delta, np.empty(N))
+        try:
+            protocol.collection_round(*collection)
+        except TypeError:  # a kernel without ``out``, as in older checkouts
+            collection = collection[:3]
+        result[name] = {"edges": len(topology.edges)}
+        for kernel, args in (("collection_round", collection),
+                             ("verification_round", (energy, topology)),
+                             ("notification_round", (halt, topology)),
+                             ("heard_round", (heard, topology))):
+            result[name][kernel] = per_call_us(getattr(protocol, kernel), args, calls, repeats)
+    return result
+
+
+def count_cost(adn, schedules):
+    """Scaled µs per round of one ``count`` per schedule."""
     per_run = []
     rounds = seconds = 0
-    for seed in seeds:
-        schedule = adn.new_schedule("random-tree", N, 4, 1, seed)
-        t0 = perf_counter()
-        record = adn.count(schedule)
-        elapsed = perf_counter() - t0
-        per_run.append(elapsed / record.rounds_total * 1e6)
-        rounds += record.rounds_total
+    for schedule in schedules:
+        def run():
+            t0 = perf_counter()
+            record = adn.count(schedule)
+            return perf_counter() - t0, record.rounds_total
+
+        (elapsed, run_rounds), scale = scaled(run)
+        elapsed *= scale
+        per_run.append(elapsed / run_rounds * 1e6)
+        rounds += run_rounds
         seconds += elapsed
     return {"runs": len(per_run), "rounds": rounds,
             "us_per_round": round(seconds / rounds * 1e6, 2),
             "min_run_us_per_round": round(min(per_run), 2),
             "median_run_us_per_round": round(statistics.median(per_run), 2)}
+
+
+def static_path_cost(adn, kernels):
+    """``count_cost`` of static paths, plus the engine overhead per round:
+    the median µs per round less the median path kernel time of each
+    round's phase (every static path run has the same rounds)."""
+    def schedule(seed):
+        return adn.new_schedule("path", N, 2, math.inf, seed)
+
+    result = count_cost(adn, map(schedule, range(COUNT_RUNS)))
+    record = adn.count(schedule(0))
+    path_us = kernels["path"]
+    kernel_us = sum(getattr(record, f"rounds_{phase}") * path_us[f"{phase}_round"]["median_us"]
+                    for phase in ("collection", "verification", "notification"))
+    result["overhead_us_per_round"] = round(
+        result["median_run_us_per_round"] - kernel_us / record.rounds_total, 2)
+    return result
 
 
 def schedule_epoch_costs(adn, epochs, repeats, master):
@@ -186,12 +301,17 @@ def schedule_epoch_costs(adn, epochs, repeats, master):
         us = []
         for i in range(repeats):
             schedule = adn.new_schedule(family, N, delta, 1, master + i, p=p)
-            t0 = perf_counter()
-            for r in range(1, epochs + 1):
-                topology = schedule.topology_at(r)
-                topology.collection_arrays()
-                topology.retention(delta)
-            us.append((perf_counter() - t0) / epochs * 1e6)
+
+            def serve():
+                t0 = perf_counter()
+                for r in range(1, epochs + 1):
+                    topology = schedule.topology_at(r)
+                    topology.collection_arrays()
+                    topology.retention(delta)
+                return perf_counter() - t0
+
+            seconds, scale = scaled(serve)
+            us.append(seconds * scale / epochs * 1e6)
         result[family] = {"delta": delta, "min_us": round(min(us), 2),
                           "median_us": round(statistics.median(us), 2)}
     return result
@@ -216,11 +336,15 @@ def acceptance_grid_passes(adn):
     try:
         for name, spec in GRID_SPECS.items():
             calls = 0
-            t0 = perf_counter()
-            sweep = adn.run_sweep(spec, workers=1)
-            elapsed = perf_counter() - t0
-            result[name] = {"rows": len(sweep.rows), "count_calls": calls,
-                            "seconds": round(elapsed, 2)}
+
+            def sweep():
+                t0 = perf_counter()
+                rows = len(adn.run_sweep(spec, workers=1).rows)
+                return perf_counter() - t0, rows
+
+            (elapsed, rows), scale = scaled(sweep)
+            result[name] = {"rows": rows, "count_calls": calls,
+                            "seconds": round(elapsed * scale, 2)}
     finally:
         experiment.count = real_count
     return result
@@ -234,6 +358,7 @@ def main(argv=None) -> int:
     adn = load_library()
     import numpy as np
 
+    kernels = kernel_costs(adn, KERNEL_CALLS, REPEATS)
     report = {
         "tag": args.tag,
         "n": N,
@@ -241,11 +366,16 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "calibration_ref_s": CAL_REF_S,
         "snapshots": SNAPSHOTS,
         "repeats": REPEATS,
         "stages_us_per_snapshot": stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "gnp_stages_us_per_snapshot": gnp_stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
-        "count_T1_delta4": count_cost(adn, range(COUNT_RUNS)),
+        "kernel_calls": KERNEL_CALLS,
+        "kernels_us_per_call": kernels,
+        "count_T1_delta4": count_cost(
+            adn, (adn.new_schedule("random-tree", N, 4, 1, seed) for seed in range(COUNT_RUNS))),
+        "count_static_path": static_path_cost(adn, kernels),
         "epochs": EPOCHS,
         "schedule_epochs_us_T1": schedule_epoch_costs(adn, EPOCHS, REPEATS, SEED),
         "acceptance_grids": acceptance_grid_passes(adn),

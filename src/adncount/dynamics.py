@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidParameters, NonMonotoneAccess
+from .errors import InvalidParameters, NonMonotoneAccess, _is_int, _is_real
 from .seeds import derive_seed
 # gnp and tree_to_topology, the batches of one, stay names of this module
 # for perfbench/spans.py, which wraps them here
@@ -62,12 +62,14 @@ def validate_params(params: ScheduleParams) -> None:
     T = params.T
     if f not in FAMILIES:
         raise InvalidParameters(f"unknown family {f!r}")
-    if n < 2:
-        raise InvalidParameters("n must be >= 2")
-    if T != math.inf and (not isinstance(T, int) or T < 1):
-        raise InvalidParameters("T must be a positive integer or inf")
-    if not 1 <= delta <= n - 1:
-        raise InvalidParameters(f"delta must be in [1, n-1], got {delta}")
+    if not (_is_int(n) and n >= 2):
+        raise InvalidParameters(f"n must be an integer >= 2, got {n!r}")
+    if T != math.inf and not (_is_int(T) and T >= 1):
+        raise InvalidParameters(f"T must be a positive integer or inf, got {T!r}")
+    if not (_is_int(delta) and 1 <= delta <= n - 1):
+        raise InvalidParameters(f"delta must be an integer in [1, n-1], got {delta!r}")
+    if not _is_int(params.seed):
+        raise InvalidParameters(f"seed must be an integer, got {params.seed!r}")
     if f in ("star", "gnp"):
         if delta != n - 1:
             raise InvalidParameters(f"{f} requires delta = n-1")
@@ -75,7 +77,7 @@ def validate_params(params: ScheduleParams) -> None:
         if n >= 3 and delta < 2:
             raise InvalidParameters(f"{f} with n >= 3 requires delta >= 2")
     if f == "gnp":
-        if params.p is None or not 0.0 <= params.p <= 1.0:
+        if not (_is_real(params.p) and 0.0 <= params.p <= 1.0):
             raise InvalidParameters("gnp requires p in [0, 1]")
         if T == math.inf:
             raise InvalidParameters(
@@ -117,6 +119,13 @@ class DynamicsSchedule:
         self._epoch = 0
         self._topology = self._batch[0]
         self._served = 1
+
+    @property
+    def period(self) -> int | None:
+        """Rounds per epoch: the snapshot can change only at rounds
+        m * period + 1. None for a static stream (T = inf, or a star at any
+        T), which serves one snapshot throughout."""
+        return self._period
 
     def topology_at(self, r: int) -> Topology:
         """Snapshot in force at round r (r >= 1, monotone)."""

@@ -1,4 +1,13 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the type tests that
+decide when an input raises ``InvalidParameters``."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class CountingError(Exception):

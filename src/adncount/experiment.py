@@ -21,9 +21,8 @@ from .dynamics import (
     canonical_family,
     seed_invariant_stream,
 )
-from .errors import InvalidParameters, RoundLimitExceeded
-from .protocol import (ProtocolConfig, RunRecord, _is_int, _is_real, check_theoretical_gate,
-                       count)
+from .errors import InvalidParameters, RoundLimitExceeded, _is_int, _is_real
+from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count
 from .seeds import derive_seed
 
 DELTA_RULES = ("powers-of-two", "fixed-n-minus-1", "largest-power-of-two")
@@ -99,11 +98,7 @@ class SweepSpec:
             for p in self.p_set:
                 if not (_is_real(p) and 0.0 <= p <= 1.0):
                     raise InvalidParameters(f"bad p value {p!r}")
-        if not _is_real(self.c):
-            raise InvalidParameters(f"bad c value {self.c!r}")
-        if self.max_rounds is not None and not _is_int(self.max_rounds):
-            raise InvalidParameters("max_rounds must be an integer or null")
-        # c and mode are validated by ProtocolConfig
+        # c, mode and max_rounds are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
         unfit = [f for f in self.families
                  if not any(self._deltas(f, n) for n in range(lo, hi + 1))]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .errors import (
     DegreeBoundViolated,
     InvalidParameters,
     RoundLimitExceeded,
+    _is_int,
+    _is_real,
 )
 from .topology import Topology
 
@@ -45,14 +48,6 @@ LOG2_5 = math.log2(5.0)
 
 _THEORETICAL_N_GATE = 8
 _THEORETICAL_DELTA_GATE = 4
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,18 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.mode not in ("experimental", "theoretical"):
             raise InvalidParameters(f"unknown mode {self.mode!r}")
-        if not self.c > 1.0:
-            raise InvalidParameters("c must be > 1")
+        if not (_is_real(self.c) and self.c > 1.0):
+            raise InvalidParameters(f"c must be a number > 1, got {self.c!r}")
         if self.mode == "theoretical" and not self.c > LOG2_5:
             raise InvalidParameters(
                 f"theoretical mode requires c > log2(5) ~ {LOG2_5:.4f}"
             )
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise InvalidParameters("max_rounds must be >= 1")
+        if self.max_rounds is not None and not (_is_int(self.max_rounds)
+                                                and self.max_rounds >= 1):
+            raise InvalidParameters(
+                f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+        if not isinstance(self.disconnection_tolerant, bool):
+            raise InvalidParameters("disconnection_tolerant must be true or false")
 
     def effective_max_rounds(self, n: int, delta: int) -> int:
         if self.max_rounds is not None:
@@ -246,24 +245,37 @@ def check_theoretical_gate(n: int, delta: int) -> None:
         )
 
 
-def collection_round(energy: np.ndarray, topology: Topology, delta: int) -> np.ndarray:
+def collection_round(energy: np.ndarray, topology: Topology, delta: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """One energy-exchange round as a sparse per-edge update.
 
     Equivalent to multiplying by the share-fraction matrix: each non-leader
     j keeps energy[j] * (1 - deg(j)/(2*delta)) and sends energy[j]/(2*delta)
     to each neighbor; the leader retains everything and sends nothing.
+
+    The new energies go to ``out`` when given (it is returned), else to a
+    new array; ``out`` must not share memory with ``energy``.
     """
     if topology.max_degree > delta:
         raise DegreeBoundViolated(
             f"max degree {topology.max_degree} exceeds delta={delta}"
         )
-    new = topology.retention(delta) * energy
+    new = np.multiply(topology.retention(delta), energy, out=out)
     src, dst = topology.collection_arrays()
     if src.size:
-        new += np.bincount(dst, weights=energy[src], minlength=topology.n) / (
-            2.0 * delta
-        )
+        inflow = np.bincount(dst, energy[src], topology.n)
+        inflow /= _two_delta(delta)
+        new += inflow
     return new
+
+
+@lru_cache(maxsize=None)
+def _two_delta(delta: int) -> np.ndarray:
+    """2*delta as a read-only 0-d array: numpy divides by it faster than by
+    a Python float, with the same result."""
+    divisor = np.array(2.0 * delta)
+    divisor.flags.writeable = False
+    return divisor
 
 
 def verification_round(values: np.ndarray, topology: Topology) -> np.ndarray:
@@ -347,6 +359,13 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
 
     Raises RoundLimitExceeded with the partial record attached when the
     safety cap is hit (e.g. a G(n, p) stream that stays disconnected).
+
+    Each round is one kernel call plus a little bookkeeping. The schedule
+    is asked for a snapshot only at the first round of each epoch (every
+    ``schedule.period`` rounds; once when static), and the round cap is
+    tested only at those points and at the round past the cap. Each
+    collection round writes its energies straight into the next row of
+    the diagnostics block.
     """
     if config is None:
         config = ProtocolConfig()
@@ -364,21 +383,23 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     drift_tol = 1e-9 * n
     everyone = (1 << n) - 1
     topology_at = schedule.topology_at
+    period = schedule.period
     diagnostics = _Diagnostics()
     block = np.empty((_BLOCK, n))
+    block_rows = list(block)  # row views, made once
     traces: list[PhaseTrace] = []
-    r = 1
+    r = 1  # the next global round
+    stop = 1  # the next round that opens an epoch or passes the cap
+    topology = None  # the snapshot in force
     spent = [0, 0, 0]  # rounds of the current k, per phase
 
-    def next_topology(phase: int) -> Topology:
-        """Open global round r in ``phase``: the only place rounds advance."""
-        nonlocal r
+    def fetch(r: int, phase: int) -> tuple[Topology, int]:
+        """Open round r == stop in ``phase``: the snapshot in force from r
+        on, and the next stop."""
         if r > limit:
             raise RoundLimitExceeded(f"round limit {limit} exceeded during {_PHASES[phase]}")
-        topology = topology_at(r)
-        r += 1
-        spent[phase] += 1
-        return topology
+        next_epoch = math.inf if period is None else r - (r - 1) % period + period
+        return topology_at(r), min(next_epoch, limit + 1)
 
     k = 1
     try:
@@ -392,13 +413,16 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             energy[1:] = 1.0
             budget = collection_budget(k, delta) if theoretical else 0
             threshold = k - 1 - k ** (-c)
+            first = r
             rows = 0
             prev_leader = 0.0
             try:
-                while (spent[0] < budget) if theoretical else (energy[0] < threshold):
-                    topology = next_topology(0)
-                    energy = collection_round(energy, topology, delta)
-                    block[rows] = energy
+                while (r - first < budget) if theoretical else (energy[0] < threshold):
+                    if r == stop:
+                        topology, stop = fetch(r, 0)
+                    # out is the next block row, never the previous one
+                    energy = collection_round(energy, topology, delta, block_rows[rows])
+                    r += 1
                     rows += 1
                     if rows == _BLOCK:
                         diagnostics.fold(block, prev_leader, n)
@@ -406,6 +430,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
                         rows = 0
             finally:
                 # also on a round cap, before the partial record is built
+                spent[0] = r - first
                 diagnostics.fold(block[:rows], prev_leader, n)
 
             # verification: leader level, then max-gossip of the residuals
@@ -417,7 +442,10 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
                 heard = [1 << i for i in range(n)]
             fixed = verification_rounds(k, c)
             while spent[1] < fixed or (tolerant and heard[0] != everyone):
-                topology = next_topology(1)
+                if r == stop:
+                    topology, stop = fetch(r, 1)
+                r += 1
+                spent[1] += 1
                 max_heard = verification_round(max_heard, topology)
                 if tolerant:
                     heard = heard_round(heard, topology)
@@ -429,7 +457,11 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             halt[0] = is_correct
             fixed = notification_rounds(k)
             while spent[2] < fixed or (tolerant and halt[0] and not halt.all()):
-                halt = notification_round(halt, next_topology(2))
+                if r == stop:
+                    topology, stop = fetch(r, 2)
+                r += 1
+                spent[2] += 1
+                halt = notification_round(halt, topology)
 
             traces.append(PhaseTrace(k, *spent))
             if is_correct:

@@ -127,11 +127,30 @@ def test_monotone_access():
         dict(family="path", n=1, delta=1, T=10, seed=0),
         dict(family="path", n=5, delta=2, T=10, seed=0, p=0.5),  # stray p
         dict(family="ring", n=5, delta=2, T=10, seed=0),
+        # a bool or a float where the record holds an integer (and p a
+        # number): RunRecord.from_json_dict would refuse the record
+        dict(family="path", n=5, delta=2, T=True, seed=0),
+        dict(family="path", n=5, delta=2.0, T=10, seed=0),
+        dict(family="path", n=5, delta=2, T=10, seed=1.5),
+        dict(family="path", n=5, delta=2, T=10, seed=True),
+        dict(family="path", n=6.0, delta=2, T=10, seed=0),
+        dict(family="gnp", n=5, delta=4, T=10, seed=0, p=True),
+        dict(family="gnp", n=5, delta=4, T=10, seed=0, p="0.5"),
     ],
 )
 def test_invalid_parameters(kwargs):
     with pytest.raises(InvalidParameters):
         new_schedule(**kwargs)
+
+
+@pytest.mark.parametrize("family, delta, T, period", [
+    ("path", 2, 3, 3),
+    ("random-tree", 3, 1, 1),
+    ("path", 2, math.inf, None),
+    ("star", 5, 7, None),  # a star serves one snapshot at any T
+])
+def test_period(family, delta, T, period):
+    assert new_schedule(family, 6, delta, T, 0).period == period
 
 
 def test_n2_path_with_delta1_is_valid():

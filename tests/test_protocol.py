@@ -82,6 +82,24 @@ def test_collection_round_rejects_degree_violation():
         collection_round(np.zeros(4), star(4), 2)
 
 
+@pytest.mark.parametrize("topo, delta", [
+    (path(9), 2),
+    (star(9), 8),
+    (new_schedule("random-tree", 9, 3, 1, 4).topology_at(1), 3),
+    (gnp(9, 0.4, random.Random(2)), 8),
+    (Topology(9, []), 2),
+], ids=["path", "star", "tree", "gnp", "no-edges"])
+def test_collection_round_out_row(topo, delta):
+    energy = np.random.default_rng(5).random(9)
+    before = energy.tobytes()
+    block = np.full((2, 9), np.nan)
+    row = block[1]
+    assert collection_round(energy, topo, delta, row) is row
+    assert row.tobytes() == collection_round(energy, topo, delta).tobytes()
+    assert energy.tobytes() == before
+    assert np.isnan(block[0]).all()
+
+
 def test_verification_round_max_with_self():
     topo = path(3)
     values = np.array([0.0, 5.0, 1.0])
@@ -329,6 +347,72 @@ def test_kernel_calls_match_phase_rounds(monkeypatch):
     assert calls["heard_round"] == 0
 
 
+def record_snapshots(monkeypatch):
+    """Wrap the three round kernels where ``count`` looks them up; the list
+    returned gets the snapshot of every global round, in round order."""
+    from adncount import protocol
+
+    seen = []
+    for name in ("collection_round", "verification_round", "notification_round"):
+        def recorded(*args, _kernel=getattr(protocol, name)):
+            seen.append(args[1])
+            return _kernel(*args)
+        monkeypatch.setattr(protocol, name, recorded)
+    return seen
+
+
+def assert_in_force(seen, stream):
+    """Round r ran on ``topology_at(r)`` of a fresh schedule of ``stream``."""
+    family, delta, T, p = stream
+    fresh = new_schedule(family, 6, delta, T, 3, p=p)
+    for r, topology in enumerate(seen, start=1):
+        assert topology == fresh.topology_at(r), f"round {r}"
+
+
+STREAMS = [(family, delta, T, p)
+           for family, delta, p in (("path", 2, None), ("star", 5, None),
+                                    ("random-tree", 3, None), ("gnp", 5, 0.4))
+           for T in (1, 2, 3, 7, math.inf) if not (family == "gnp" and T == math.inf)]
+
+
+@pytest.mark.parametrize("stream", STREAMS, ids=lambda s: f"{s[0]}-T{s[2]}")
+def test_snapshot_in_force_each_round(monkeypatch, stream):
+    seen = record_snapshots(monkeypatch)
+    family, delta, T, p = stream
+    cfg = ProtocolConfig(disconnection_tolerant=(family == "gnp"))
+    rec = count(new_schedule(family, 6, delta, T, 3, p=p), cfg)
+    assert len(seen) == rec.rounds_total
+    assert_in_force(seen, stream)
+
+
+@pytest.mark.parametrize("phase", [0, 1, 2], ids=["collection", "verification", "notification"])
+@pytest.mark.parametrize("stream", [("path", 2, 7, None), ("random-tree", 3, 3, None),
+                                    ("gnp", 5, 7, 0.4), ("path", 2, math.inf, None)],
+                         ids=lambda s: f"{s[0]}-T{s[2]}")
+def test_snapshot_in_force_up_to_round_cap(monkeypatch, stream, phase):
+    # the cap lets the given phase of k = 3 run one or two rounds, and the
+    # first round past it is not the first of an epoch
+    family, delta, T, p = stream
+    tolerant = family == "gnp"
+    full = count(new_schedule(family, 6, delta, T, 3, p=p),
+                 ProtocolConfig(disconnection_tolerant=tolerant))
+    done, second = full.per_k_trace[:2]
+    lengths = (second.collection, second.verification, second.notification)
+    start = done.collection + done.verification + done.notification + sum(lengths[:phase]) + 1
+    cap = start if T == math.inf or start % T else start + 1
+    assert cap + 1 < start + lengths[phase]
+    seen = record_snapshots(monkeypatch)
+    name = ("collection", "verification", "notification")[phase]
+    with pytest.raises(RoundLimitExceeded, match=f"during {name}$") as info:
+        count(new_schedule(family, 6, delta, T, 3, p=p),
+              ProtocolConfig(max_rounds=cap, disconnection_tolerant=tolerant))
+    rec = info.value.record
+    assert rec.rounds_total == cap == len(seen)
+    assert rec.per_k_trace == (done, PhaseTrace(3, *lengths[:phase], cap + 1 - start,
+                                                *(0,) * (2 - phase)))
+    assert_in_force(seen, stream)
+
+
 def scalar_diagnostics(rec, energies):
     """The four collection extremes, reduced round by round from the
     post-round energies of every collection round of ``rec``."""
@@ -421,6 +505,11 @@ def test_config_validation():
         ProtocolConfig(mode="hybrid")
     with pytest.raises(InvalidParameters):
         ProtocolConfig(max_rounds=0)
+    # a record of these would not load back (RunRecord.from_json_dict)
+    for bad in ({"max_rounds": 2.5}, {"max_rounds": True}, {"c": "2"}, {"c": True},
+                {"disconnection_tolerant": 1}):
+        with pytest.raises(InvalidParameters):
+            ProtocolConfig(**bad)
     ProtocolConfig(c=2.4, mode="theoretical")  # fine
 
 
