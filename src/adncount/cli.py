@@ -16,10 +16,11 @@ import math
 import sys
 
 from . import experiment
-from .dynamics import FAMILY_NAMES, DynamicsSchedule, ScheduleParams, canonical_family
+from .dynamics import (FAMILY_NAMES, FULL_DEGREE_FAMILIES, UNDRAWN_FIRST, DynamicsSchedule,
+                       ScheduleParams, canonical_family)
 from .errors import CountingError, InvalidParameters, RoundLimitExceeded
 from .protocol import ProtocolConfig, count
-from .trees import RANRUT_VARIANTS, check_tables
+from .trees import CHECK_TABLES_N_MAX, RANRUT_VARIANTS, check_tables
 
 def _parse_T(value: str):
     if value == "inf":
@@ -76,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-json", default=None)
 
     t = sub.add_parser("check-tables", help="verify tree counts against enumeration")
-    t.add_argument("--n-max", type=int, default=8)
+    t.add_argument("--n-max", type=int, default=8,
+                   help=f"largest tree size to enumerate (at most {CHECK_TABLES_N_MAX})")
 
     b = sub.add_parser("check-bound", help="check mean rounds against delta * n^4")
     b.add_argument("--in-json", required=True, help="exported sweep JSON")
@@ -100,8 +102,9 @@ def _schedule_params(args, T, delta_defaults) -> ScheduleParams:
 
 def _cmd_generate(args) -> int:
     # The round-1 snapshot is epoch 0 for every T; T = 1 is merely a value
-    # that every family accepts.
-    params = _schedule_params(args, 1, ("star", "gnp", "path"))
+    # that every family accepts. An undrawn epoch 0 depends on no degree
+    # bound, so --delta may be omitted for those families too.
+    params = _schedule_params(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST))
     schedule = DynamicsSchedule(params, ranrut_variant=args.ranrut_variant)
     text = json.dumps(schedule.topology_at(1).to_json_dict()) + "\n"
     if args.out:
@@ -113,12 +116,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    params = _schedule_params(args, args.T, ("star", "gnp"))
+    params = _schedule_params(args, args.T, FULL_DEGREE_FAMILIES)
     config = ProtocolConfig(
         c=args.c,
         mode=args.mode,
         max_rounds=args.max_rounds,
-        disconnection_tolerant=(params.family == "gnp"),
+        disconnection_tolerant=params.may_disconnect,
     )
     schedule = DynamicsSchedule(params)
     status = 0

@@ -32,6 +32,11 @@ from .topology import (Topology, gnp, gnp_topologies, path, path_topologies, sta
 from .trees import SubtreeDistribution, prune, ranrut, sizes_table
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
+# families that take delta = n - 1: a star's leader, and any node of a
+# G(n, p) draw, may have n - 1 neighbours
+FULL_DEGREE_FAMILIES = ("star", "gnp")
+# the epoch-0 snapshot of each family whose epoch 0 draws nothing
+UNDRAWN_FIRST = {"star": star, "path": path}
 _LOOKAHEAD = 64  # the most epochs a schedule builds in one batch
 _FAMILY_ALIASES = {"tree": "random-tree"}
 FAMILY_NAMES = (*_FAMILY_ALIASES, *FAMILIES)  # every name accepted on input
@@ -45,7 +50,9 @@ def canonical_family(name):
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Inputs that define one dynamic-network instance."""
+    """Inputs that define one dynamic-network instance, and the facts about
+    its snapshot stream that follow from them. A parameter combination that
+    no schedule can serve raises InvalidParameters here."""
 
     family: str
     n: int
@@ -54,38 +61,63 @@ class ScheduleParams:
     seed: int
     p: float | None = None
 
-
-def validate_params(params: ScheduleParams) -> None:
-    f = params.family
-    n = params.n
-    delta = params.delta
-    T = params.T
-    if f not in FAMILIES:
-        raise InvalidParameters(f"unknown family {f!r}")
-    if not (_is_int(n) and n >= 2):
-        raise InvalidParameters(f"n must be an integer >= 2, got {n!r}")
-    if T != math.inf and not (_is_int(T) and T >= 1):
-        raise InvalidParameters(f"T must be a positive integer or inf, got {T!r}")
-    if not (_is_int(delta) and 1 <= delta <= n - 1):
-        raise InvalidParameters(f"delta must be an integer in [1, n-1], got {delta!r}")
-    if not _is_int(params.seed):
-        raise InvalidParameters(f"seed must be an integer, got {params.seed!r}")
-    if f in ("star", "gnp"):
-        if delta != n - 1:
-            raise InvalidParameters(f"{f} requires delta = n-1")
-    else:
-        if n >= 3 and delta < 2:
+    def __post_init__(self):
+        f, n, delta, T = self.family, self.n, self.delta, self.T
+        if f not in FAMILIES:
+            raise InvalidParameters(f"unknown family {f!r}")
+        if not (_is_int(n) and n >= 2):
+            raise InvalidParameters(f"n must be an integer >= 2, got {n!r}")
+        if T != math.inf and not (_is_int(T) and T >= 1):
+            raise InvalidParameters(f"T must be a positive integer or inf, got {T!r}")
+        if not (_is_int(delta) and 1 <= delta <= n - 1):
+            raise InvalidParameters(f"delta must be an integer in [1, n-1], got {delta!r}")
+        if not _is_int(self.seed):
+            raise InvalidParameters(f"seed must be an integer, got {self.seed!r}")
+        if f in FULL_DEGREE_FAMILIES:
+            if delta != n - 1:
+                raise InvalidParameters(f"{f} requires delta = n-1")
+        elif n >= 3 and delta < 2:
             raise InvalidParameters(f"{f} with n >= 3 requires delta >= 2")
-    if f == "gnp":
-        if not (_is_real(params.p) and 0.0 <= params.p <= 1.0):
-            raise InvalidParameters("gnp requires p in [0, 1]")
-        if T == math.inf:
-            raise InvalidParameters(
-                "gnp with T = inf is rejected: a statically disconnected "
-                "graph would never complete"
-            )
-    elif params.p is not None:
-        raise InvalidParameters(f"p is only meaningful for gnp, not {f}")
+        if f == "gnp":
+            if not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
+                raise InvalidParameters("gnp requires p in [0, 1]")
+            if T == math.inf:
+                raise InvalidParameters(
+                    "gnp with T = inf is rejected: a statically disconnected "
+                    "graph would never complete"
+                )
+        elif self.p is not None:
+            raise InvalidParameters(f"p is only meaningful for gnp, not {f}")
+
+    @property
+    def period(self) -> int | None:
+        """Rounds per epoch: the snapshot can change only at rounds
+        m * period + 1. None for a static stream, which serves one snapshot
+        throughout: T = inf, or a star at any T (relabeling the leaves of a
+        star is the identity on adjacency)."""
+        return None if self.T == math.inf or self.family == "star" else self.T
+
+    @property
+    def seed_invariant_key(self) -> tuple | None:
+        """A key shared by every stream that serves the same snapshots at
+        every round whatever its seed and T, or None when the stream draws
+        from its seed.
+
+        Such a stream is static and its one snapshot, epoch 0's, draws
+        nothing (``UNDRAWN_FIRST``, which ``DynamicsSchedule`` builds it
+        from). Since the protocol is deterministic given the stream, runs
+        with one ``ProtocolConfig`` whose streams share a key give records
+        that differ only in ``seed`` and ``T``.
+        """
+        if self.period is None and self.family in UNDRAWN_FIRST:
+            return (self.family, self.n, self.delta)
+        return None
+
+    @property
+    def may_disconnect(self) -> bool:
+        """Whether a snapshot may leave a node unreachable, so that a run
+        needs disconnection tolerance to finish (G(n, p) draws)."""
+        return self.family == "gnp"
 
 
 class DynamicsSchedule:
@@ -103,16 +135,12 @@ class DynamicsSchedule:
     """
 
     def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal"):
-        validate_params(params)
         self.params = params
         self._variant = ranrut_variant
         self._dist = None
         if params.family == "random-tree":
             self._dist = _subtree_tables(params.n)
-        # relabeling the leaves of a star is the identity on adjacency, so
-        # a star stream is static: it serves its first snapshot throughout
-        static = params.T == math.inf or params.family == "star"
-        self._period = None if static else int(params.T)
+        self._period = params.period
         self._size = 1
         self._first = 0  # the epoch of self._batch[0]
         self._batch = self._build(0)
@@ -122,9 +150,7 @@ class DynamicsSchedule:
 
     @property
     def period(self) -> int | None:
-        """Rounds per epoch: the snapshot can change only at rounds
-        m * period + 1. None for a static stream (T = inf, or a star at any
-        T), which serves one snapshot throughout."""
+        """``params.period``: the rounds per epoch, None when static."""
         return self._period
 
     def topology_at(self, r: int) -> Topology:
@@ -146,14 +172,12 @@ class DynamicsSchedule:
 
     def _build(self, first: int) -> list[Topology]:
         """Snapshots of the next batch: epochs first, first + 1, ..."""
-        # seed_invariant_stream below depends on which branches draw nothing
         p = self.params
         epochs = range(first, first + self._size)
         self._size = min(2 * self._size, _LOOKAHEAD)
-        if first == 0 and p.family in ("star", "path"):
-            # the first batch holds epoch 0 alone, which these serve
-            # unpermuted
-            return [star(p.n) if p.family == "star" else path(p.n)]
+        if first == 0 and p.family in UNDRAWN_FIRST:
+            # the first batch holds epoch 0 alone
+            return [UNDRAWN_FIRST[p.family](p.n)]
         rngs = (random.Random(derive_seed(p.seed, epoch)) for epoch in epochs)
         if p.family == "path":
             return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
@@ -162,26 +186,6 @@ class DynamicsSchedule:
         trees = [prune(ranrut(p.n, self._dist, rng, self._variant), p.delta, rng)
                  for rng in rngs]
         return tree_topologies(trees, p.delta)
-
-
-def seed_invariant_stream(family: str, n: int, delta: int, T: float) -> tuple | None:
-    """A key shared by every schedule that serves the same snapshots at every
-    round whatever its seed, or None when the stream depends on the seed.
-
-    The rule follows ``DynamicsSchedule._build``: a star draws nothing and
-    serves ``star(n)`` at every epoch, so its key leaves ``T`` out; a path
-    serves the unpermuted ``path(n)`` in epoch 0 and draws only from epoch 1
-    on, so at T = inf it draws nothing. Every other stream draws from
-    ``derive_seed(seed, epoch)``. Since the protocol is deterministic given
-    the stream, runs with one ``ProtocolConfig`` whose schedules share a key
-    give records that differ only in ``seed`` and ``T``. A generator change
-    that makes a keyed stream draw must change this rule too.
-    """
-    if family == "star":
-        return (family, n, delta)
-    if family == "path" and T == math.inf:
-        return (family, n, delta, T)
-    return None
 
 
 @lru_cache(maxsize=None)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 from .dynamics import (
     FAMILIES,
+    FULL_DEGREE_FAMILIES,
     DynamicsSchedule,
     ScheduleParams,
     canonical_family,
-    seed_invariant_stream,
 )
 from .errors import InvalidParameters, RoundLimitExceeded, _is_int, _is_real
 from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count
@@ -43,15 +43,19 @@ class RunSetting:
     T: float
     p: float | None = None
 
+    def schedule_params(self, seed: int) -> ScheduleParams:
+        return ScheduleParams(self.family, self.n, self.delta, self.T, seed, self.p)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A §-style parameter grid plus execution parameters.
 
-    ``delta_rule`` applies to the tree and path families (star and gnp
-    always use delta = n - 1): ``powers-of-two`` takes every 2^i <= n - 1,
-    ``largest-power-of-two`` only the largest such power, and
-    ``fixed-n-minus-1`` uses n - 1. ``delta_cap`` further caps the rule.
+    ``delta_rule`` applies to the tree and path families (the
+    ``FULL_DEGREE_FAMILIES``, star and gnp, always use delta = n - 1):
+    ``powers-of-two`` takes every 2^i <= n - 1, ``largest-power-of-two``
+    only the largest such power, and ``fixed-n-minus-1`` uses n - 1.
+    ``delta_cap`` further caps the rule.
     """
 
     families: tuple[str, ...]
@@ -90,14 +94,8 @@ class SweepSpec:
         for T in self.T_set:
             if T != math.inf and not (_is_real(T) and T >= 1 and int(T) == T):
                 raise InvalidParameters(f"bad T value {T!r}")
-        if "gnp" in self.families:
-            if not self.p_set:
-                raise InvalidParameters("gnp sweeps require a non-empty p_set")
-            if math.inf in self.T_set:
-                raise InvalidParameters("gnp cannot be swept with T = inf")
-            for p in self.p_set:
-                if not (_is_real(p) and 0.0 <= p <= 1.0):
-                    raise InvalidParameters(f"bad p value {p!r}")
+        if "gnp" in self.families and not self.p_set:
+            raise InvalidParameters("gnp sweeps require a non-empty p_set")
         # c, mode and max_rounds are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
         unfit = [f for f in self.families
@@ -107,15 +105,14 @@ class SweepSpec:
                 f"no power-of-two degree bound fits n_range and delta_cap for "
                 f"{', '.join(unfit)}"
             )
-        if self.mode == "theoretical":
-            # refuse the whole grid before any run starts
-            for setting in self.settings():
+        # refuse the whole grid before any run starts
+        for setting in self.settings():
+            setting.schedule_params(seed=0)
+            if self.mode == "theoretical":
                 check_theoretical_gate(setting.n, setting.delta)
 
     def _deltas(self, family: str, n: int) -> list[int]:
-        if family in ("star", "gnp"):
-            return [n - 1]
-        if self.delta_rule == "fixed-n-minus-1":
+        if family in FULL_DEGREE_FAMILIES or self.delta_rule == "fixed-n-minus-1":
             return [n - 1]
         cap = n - 1 if self.delta_cap is None else min(self.delta_cap, n - 1)
         powers = []
@@ -304,19 +301,12 @@ class SweepResult:
 def run_one(setting: RunSetting, seed: int, mode: str, c: float,
             max_rounds: int | None = None) -> RunRecord:
     """Execute a single run; round-limit failures become error records."""
-    params = ScheduleParams(
-        family=setting.family,
-        n=setting.n,
-        delta=setting.delta,
-        T=setting.T,
-        seed=seed,
-        p=setting.p,
-    )
+    params = setting.schedule_params(seed)
     config = ProtocolConfig(
         c=c,
         mode=mode,
         max_rounds=max_rounds,
-        disconnection_tolerant=(setting.family == "gnp"),
+        disconnection_tolerant=params.may_disconnect,
     )
     try:
         return count(DynamicsSchedule(params), config)
@@ -332,19 +322,21 @@ def _run_job(job) -> RunRecord:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the whole grid; output is independent of the worker count.
 
-    Runs of a seed-invariant stream (``seed_invariant_stream``) are run once
-    per stream key, at their lowest (config_index, rep); the other rows of
-    that key are copies of its record with ``seed`` and ``T`` replaced, the
-    only fields in which their own runs would differ. ``mode``, ``c`` and
-    ``max_rounds`` are the same for every run of a sweep.
+    Runs of a seed-invariant stream (``ScheduleParams.seed_invariant_key``)
+    are run once per stream key, at their lowest (config_index, rep); the
+    other rows of that key are copies of its record with ``seed`` and ``T``
+    replaced, the only fields in which their own runs would differ.
+    ``mode``, ``c`` and ``max_rounds`` are the same for every run of a
+    sweep. The pool has at most one worker per job, and a single job runs
+    in this process.
     """
-    if workers < 1:
-        raise InvalidParameters("workers must be >= 1")
+    if not (_is_int(workers) and workers >= 1):
+        raise InvalidParameters(f"workers must be an integer >= 1, got {workers!r}")
     jobs = []
     plan = []  # per row: config_index, rep, seed, T, index into jobs, is a copy
     first_job = {}
     for ci, setting in enumerate(spec.settings()):
-        key = seed_invariant_stream(setting.family, setting.n, setting.delta, setting.T)
+        key = setting.schedule_params(seed=0).seed_invariant_key
         for rep in range(spec.repetitions):
             seed = derive_seed(spec.master_seed, ci, rep)
             if key in first_job:
@@ -362,6 +354,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     spec.max_rounds,
                 )
             )
+    workers = min(workers, len(jobs))
     if workers == 1:
         records = [_run_job(job) for job in jobs]
     else:

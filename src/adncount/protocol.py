@@ -128,39 +128,13 @@ class RunRecord:
     diagnostics: RunDiagnostics
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "delta": self.delta,
-            "T": "inf" if self.T == math.inf else self.T,
-            "p": self.p,
-            "mode": self.mode,
-            "c": self.c,
-            "seed": self.seed,
-            "max_rounds": self.max_rounds,
-            "disconnection_tolerant": self.disconnection_tolerant,
-            "estimate": self.estimate,
-            "rounds_total": self.rounds_total,
-            "rounds_collection": self.rounds_collection,
-            "rounds_verification": self.rounds_verification,
-            "rounds_notification": self.rounds_notification,
-            "status": self.status,
-            "per_k_trace": [
-                {
-                    "k": t.k,
-                    "collection": t.collection,
-                    "verification": t.verification,
-                    "notification": t.notification,
-                }
-                for t in self.per_k_trace
-            ],
-            "diagnostics": {
-                "max_conservation_error": self.diagnostics.max_conservation_error,
-                "max_nonleader_energy": self.diagnostics.max_nonleader_energy,
-                "min_energy": self.diagnostics.min_energy,
-                "min_leader_gain": self.diagnostics.min_leader_gain,
-            },
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.T == math.inf:
+            out["T"] = "inf"
+        # a dataclass instance's __dict__ holds its fields in declaration order
+        out["per_k_trace"] = [vars(t).copy() for t in self.per_k_trace]
+        out["diagnostics"] = vars(self.diagnostics).copy()
+        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunRecord":

@@ -3,7 +3,7 @@
 import numpy as np
 
 from adncount import Topology
-from adncount.protocol import collection_round
+from adncount.protocol import collection_round, notification_rounds, verification_rounds
 
 
 def gnp_oracle(n, p, rng):
@@ -150,3 +150,80 @@ def collection_budget_oracle(k, delta):
 
     with mpmath.workdps(60):
         return k * int(mpmath.ceil(mpmath.mpf((2 * delta) ** k) * mpmath.log(k)))
+
+
+class ListSchedule:
+    """A snapshot stream for ``count`` made of given snapshots: each is in
+    force for ``params.T`` rounds (a finite T), in order, and the list
+    starts over when it runs out. ``params`` gives n, delta and the record
+    fields."""
+
+    def __init__(self, params, snapshots):
+        self.params = params
+        self.period = params.T
+        self._snapshots = list(snapshots)
+
+    def topology_at(self, r):
+        return self._snapshots[(r - 1) // self.period % len(self._snapshots)]
+
+
+def prufer_tree(n, sequence):
+    """The tree on 0..n-1 with the given Prüfer sequence (length n - 2);
+    vertex v has degree 1 + (appearances of v in the sequence)."""
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    edges = []
+    for v in sequence:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return Topology(n, edges)
+
+
+def dense_phase_lengths(schedule, c):
+    """Per-k (k, collection, verification, notification) rounds of the
+    protocol without disconnection tolerance, replayed densely on
+    ``schedule``: collection multiplies by ``dense_share_matrix``, and the
+    max- and OR-gossips go over the closed adjacency matrix."""
+    n, delta = schedule.params.n, schedule.params.delta
+    slack = 1e-9 * n  # the engine's documented conservation tolerance
+    dense = {}  # per snapshot: (share matrix, closed adjacency)
+    r = 0
+
+    def step():
+        nonlocal r
+        r += 1
+        topology = schedule.topology_at(r)
+        if topology not in dense:
+            closed = np.eye(n, dtype=bool)
+            for u, v in topology.edges:
+                closed[u, v] = closed[v, u] = True
+            dense[topology] = (dense_share_matrix(topology, delta), closed)
+        return dense[topology]
+
+    phases = []
+    k = 1
+    while True:
+        k += 1
+        energy = np.ones(n)
+        energy[0] = 0.0
+        collection = 0
+        while energy[0] < k - 1 - k ** (-c):
+            energy = step()[0] @ energy
+            collection += 1
+        correct = energy[0] <= k - 1 + slack
+        residual = energy.copy()
+        residual[0] = 0.0
+        for _ in range(verification_rounds(k, c)):
+            residual = np.where(step()[1], residual, -np.inf).max(axis=1)
+        correct = correct and residual[0] <= k ** (-c) + slack
+        halt = np.zeros(n, dtype=bool)
+        halt[0] = correct
+        for _ in range(notification_rounds(k)):
+            halt = (step()[1] & halt).any(axis=1)
+        phases.append((k, collection, verification_rounds(k, c), notification_rounds(k)))
+        if correct:
+            return phases

@@ -255,7 +255,7 @@ def test_check_tables(capsys):
     assert run_cli(capsys, "check-tables", "--n-max", "1")[0] == 0
 
 
-@pytest.mark.parametrize("n_max", ["0", "-3"])
+@pytest.mark.parametrize("n_max", ["0", "-3", "17"])  # 17: past CHECK_TABLES_N_MAX
 def test_check_tables_bad_n_max_exits_2(capsys, n_max):
     code, out, err = run_cli(capsys, "check-tables", "--n-max", n_max)
     assert code == 2

@@ -140,6 +140,8 @@ def test_monotone_access():
 )
 def test_invalid_parameters(kwargs):
     with pytest.raises(InvalidParameters):
+        ScheduleParams(**kwargs)
+    with pytest.raises(InvalidParameters):
         new_schedule(**kwargs)
 
 
@@ -151,6 +153,24 @@ def test_invalid_parameters(kwargs):
 ])
 def test_period(family, delta, T, period):
     assert new_schedule(family, 6, delta, T, 0).period == period
+    assert ScheduleParams(family, 6, delta, T, 0).period == period
+
+
+@pytest.mark.parametrize("family, delta, T, p, key", [
+    # a star serves star(n) at every epoch, so T is not part of its key
+    ("star", 5, 1, None, ("star", 6, 5)),
+    ("star", 5, math.inf, None, ("star", 6, 5)),
+    # a static path serves the unpermuted path(n) of epoch 0
+    ("path", 2, math.inf, None, ("path", 6, 2)),
+    ("path", 2, 7, None, None),
+    ("random-tree", 3, math.inf, None, None),  # epoch 0 draws its tree
+    ("gnp", 5, 1, 0.3, None),
+])
+def test_stream_facts(family, delta, T, p, key):
+    params = ScheduleParams(family, 6, delta, T, 0, p)
+    assert params.seed_invariant_key == key
+    assert ScheduleParams(family, 6, delta, T, 99, p).seed_invariant_key == key
+    assert params.may_disconnect == (family == "gnp")
 
 
 def test_n2_path_with_delta1_is_valid():

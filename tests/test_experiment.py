@@ -143,6 +143,43 @@ def test_sweep_worker_count_independence():
     assert csv_text(solo) == csv_text(pooled)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs the jobs in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("spec, workers, sizes", [
+    # a static path is one job after dedup, whatever its repetitions
+    (tiny_spec(repetitions=3), 3, []),
+    (tiny_spec(T_set=(1,), repetitions=2), 3, [2]),
+    (tiny_spec(T_set=(1,), repetitions=4), 2, [2]),
+])
+def test_sweep_pool_is_never_larger_than_the_work(monkeypatch, spec, workers, sizes):
+    seen = []
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(seen, max_workers))
+    assert run_sweep(spec, workers=workers) == run_sweep(spec, workers=1)
+    assert seen == sizes
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, 2.0, True, "2"])
+def test_sweep_rejects_bad_worker_counts(workers):
+    with pytest.raises(InvalidParameters, match="workers"):
+        run_sweep(tiny_spec(), workers=workers)
+
+
 def test_sweep_correctness_small_grid():
     spec = SweepSpec(
         families=("random-tree",),

@@ -18,6 +18,7 @@ from adncount import (
     sizes_table,
     tree_to_topology,
 )
+from adncount import trees
 from adncount.errors import InfeasibleDegreeBound
 from adncount.trees import RANRUT_VARIANTS
 
@@ -237,10 +238,11 @@ def test_check_tables_pass():
     assert ok1
 
 
-def test_check_tables_detects_corruption():
+def test_check_tables_detects_corruption(monkeypatch):
     bad = sizes_table(8)
     bad[5] = 999  # size 6 entry
-    ok, lines = check_tables(8, table=bad)
+    monkeypatch.setattr(trees, "sizes_table", lambda n_max: bad)
+    ok, lines = check_tables(8)
     assert not ok
     assert lines[-1] == "FAIL"
     assert any("sizes_table[6]" in line for line in lines)
