@@ -2,8 +2,6 @@
 ``period`` and ``topology_at``, so any stream of degree-bounded snapshots
 can drive it."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
