@@ -133,7 +133,7 @@ def scaled(sample):
     return result, 2 * CAL_REF_S / (before + calibrate())
 
 
-def time_batch(adn, dist, delta, epochs, master):
+def time_batch(adn, delta, epochs, master):
     """Seconds spent in each stage over one batch of snapshots.
 
     Snapshots are built one at a time, so only one is alive at once and
@@ -146,7 +146,7 @@ def time_batch(adn, dist, delta, epochs, master):
         t0 = perf_counter()
         rng = random.Random(derive_seed(master, epoch))
         t1 = perf_counter()
-        tree = ranrut(N, dist, rng, "paper-literal")
+        tree = ranrut(N, rng, "paper-literal")
         t2 = perf_counter()
         tree = prune(tree, delta, rng)
         t3 = perf_counter()
@@ -198,11 +198,10 @@ def scaled_batch(time_one):
 
 
 def stage_costs(adn, snapshots, repeats, master):
-    dist = adn.SubtreeDistribution(adn.sizes_table(N), N)
     result = {}
     for delta in DELTAS:
         batches = [scaled_batch(lambda: time_batch(
-            adn, dist, delta, range(i * snapshots, (i + 1) * snapshots), master))
+            adn, delta, range(i * snapshots, (i + 1) * snapshots), master))
             for i in range(repeats)]
         result[f"delta={delta}"] = summarise(batches, snapshots)
     return result

@@ -13,7 +13,6 @@ from .errors import (
     DegreeBoundViolated,
     InfeasibleDegreeBound,
     InvalidParameters,
-    NonMonotoneAccess,
     RoundLimitExceeded,
 )
 from .experiment import (
@@ -47,12 +46,12 @@ from .seeds import derive_seed
 from .topology import Topology, gnp, path, star, tree_to_topology
 from .trees import (
     RootedTree,
-    SubtreeDistribution,
     canonical_form,
     check_tables,
     enumerate_rooted_trees,
     prune,
     ranrut,
+    row_pairs,
     sizes_table,
 )
 

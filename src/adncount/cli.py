@@ -18,8 +18,7 @@ import sys
 from . import experiment
 from .dynamics import (FAMILY_NAMES, FULL_DEGREE_FAMILIES, UNDRAWN_FIRST, DynamicsSchedule,
                        ScheduleParams, canonical_family)
-from .errors import CountingError, InvalidParameters, RoundLimitExceeded
-from .protocol import ProtocolConfig, count
+from .errors import CountingError, InvalidParameters
 from .trees import CHECK_TABLES_N_MAX, RANRUT_VARIANTS, check_tables
 
 def _parse_T(value: str):
@@ -117,19 +116,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     params = _schedule_params(args, args.T, FULL_DEGREE_FAMILIES)
-    config = ProtocolConfig(
-        c=args.c,
-        mode=args.mode,
-        max_rounds=args.max_rounds,
-        disconnection_tolerant=params.may_disconnect,
-    )
-    schedule = DynamicsSchedule(params)
-    status = 0
-    try:
-        record = count(schedule, config)
-    except RoundLimitExceeded as exc:
-        record = exc.record
-        status = 3
+    setting = experiment.RunSetting(params.family, params.n, params.delta, params.T, params.p)
+    record = experiment.run_one(setting, params.seed, args.mode, args.c, args.max_rounds)
     if args.json:
         sys.stdout.write(json.dumps(record.to_json_dict()) + "\n")
     else:
@@ -141,7 +129,7 @@ def _cmd_run(args) -> int:
             f"verification {record.rounds_verification}, "
             f"notification {record.rounds_notification})\n"
         )
-    return status
+    return 3 if record.status == "round_limit" else 0
 
 
 def _cmd_sweep(args) -> int:

@@ -13,7 +13,7 @@ star center / path endpoint. Every snapshot of epoch e is generated from
 the sub-seed derive_seed(seed, e), so sequences are reproducible and
 independent of anything else that consumes randomness. Since a snapshot
 depends on nothing else, a schedule builds the epochs it serves ahead, in
-batches.
+batches, and serves rounds in any order.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import InvalidParameters, NonMonotoneAccess, _is_int, _is_real
+from .errors import InvalidParameters, _is_int, _is_real
 from .seeds import derive_seed
 # gnp and tree_to_topology, the batches of one, stay names of this module
 # for perfbench/spans.py, which wraps them here
 from .topology import (Topology, gnp, gnp_topologies, path, path_topologies, star,  # noqa: F401
                        tree_to_topology, tree_topologies)
-from .trees import SubtreeDistribution, prune, ranrut, sizes_table
+from .trees import prune, ranrut
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
 # families that take delta = n - 1: a star's leader, and any node of a
@@ -121,32 +120,23 @@ class ScheduleParams:
 
 
 class DynamicsSchedule:
-    """Stateful snapshot stream owned by exactly one protocol run.
+    """Snapshot stream of one set of ``ScheduleParams``.
 
-    Access is monotone: ``topology_at(r)`` may only be called with r at or
-    beyond every previously served round.
-
-    Snapshots are built ahead in batches of consecutive epochs: a batch
-    starts at the requested epoch whenever that epoch lies outside the
-    current batch, and batch sizes double from 1 up to ``_LOOKAHEAD``. So
-    a run that asks for every round builds at most ``_LOOKAHEAD - 1``
-    epochs it never serves. Each epoch's draws are its own, so the
-    snapshots are those of building the epochs one at a time.
+    A snapshot depends only on its epoch, so ``topology_at(r)`` serves any
+    round r >= 1, in any order. Snapshots are built ahead in batches of
+    consecutive epochs: a batch starts at the requested epoch whenever that
+    epoch lies outside the current batch, and batch sizes double from 1 up
+    to ``_LOOKAHEAD``. So a run that asks for its rounds in order builds at
+    most ``_LOOKAHEAD - 1`` epochs it never serves.
     """
 
     def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal"):
         self.params = params
         self._variant = ranrut_variant
-        self._dist = None
-        if params.family == "random-tree":
-            self._dist = _subtree_tables(params.n)
         self._period = params.period
         self._size = 1
         self._first = 0  # the epoch of self._batch[0]
         self._batch = self._build(0)
-        self._epoch = 0
-        self._topology = self._batch[0]
-        self._served = 1
 
     @property
     def period(self) -> int | None:
@@ -154,24 +144,18 @@ class DynamicsSchedule:
         return self._period
 
     def topology_at(self, r: int) -> Topology:
-        """Snapshot in force at round r (r >= 1, monotone)."""
-        if r < 1 or r < self._served:
-            raise NonMonotoneAccess(
-                f"round {r} precedes already-served round {self._served}"
-            )
-        self._served = r
+        """Snapshot in force at round r >= 1."""
+        if r < 1:
+            raise InvalidParameters(f"round must be >= 1, got {r}")
         epoch = 0 if self._period is None else (r - 1) // self._period
-        if epoch != self._epoch:
-            self._epoch = epoch
-            i = epoch - self._first
-            if i >= len(self._batch):
-                self._first, i = epoch, 0
-                self._batch = self._build(epoch)
-            self._topology = self._batch[i]
-        return self._topology
+        i = epoch - self._first
+        if not 0 <= i < len(self._batch):
+            self._first, i = epoch, 0
+            self._batch = self._build(epoch)
+        return self._batch[i]
 
     def _build(self, first: int) -> list[Topology]:
-        """Snapshots of the next batch: epochs first, first + 1, ..."""
+        """Snapshots of a batch: epochs first, first + 1, ..."""
         p = self.params
         epochs = range(first, first + self._size)
         self._size = min(2 * self._size, _LOOKAHEAD)
@@ -183,15 +167,9 @@ class DynamicsSchedule:
             return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
         if p.family == "gnp":
             return gnp_topologies(p.n, p.p, rngs, p.delta)
-        trees = [prune(ranrut(p.n, self._dist, rng, self._variant), p.delta, rng)
+        trees = [prune(ranrut(p.n, rng, self._variant), p.delta, rng)
                  for rng in rngs]
         return tree_topologies(trees, p.delta)
-
-
-@lru_cache(maxsize=None)
-def _subtree_tables(n: int) -> SubtreeDistribution:
-    """The (j, d) tables for trees on up to n vertices, built once per n."""
-    return SubtreeDistribution(sizes_table(n), n)
 
 
 def _path_order(n: int, rng: random.Random) -> list[int]:

@@ -22,10 +22,6 @@ class InfeasibleDegreeBound(InvalidParameters):
     """Degree bound too small for any tree on the requested vertex count."""
 
 
-class NonMonotoneAccess(CountingError):
-    """A schedule was queried for a round earlier than one already served."""
-
-
 class DegreeBoundViolated(CountingError):
     """A topology handed to the protocol exceeds the configured degree bound."""
 

@@ -270,14 +270,17 @@ class SweepResult:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepResult":
         """Parse an exported sweep; a malformed structure, a row outside
-        the spec's grid or a second row for one (config_index, rep) raises
+        the spec's grid, a record whose inputs are not those of its row's
+        run, or a second row for one (config_index, rep) raises
         InvalidParameters, a missing key KeyError."""
         if not isinstance(data, dict):
             raise InvalidParameters("a sweep result must be a JSON object")
         spec = SweepSpec.from_json_dict(data["spec"])
         if not isinstance(data["rows"], list):
             raise InvalidParameters("rows must be a JSON list")
-        configs = len(spec.settings())
+        settings = spec.settings()
+        configs = len(settings)
+        config = ProtocolConfig(c=spec.c, mode=spec.mode, max_rounds=spec.max_rounds)
         rows = []
         seen = set()
         for row in data["rows"]:
@@ -293,8 +296,20 @@ class SweepResult:
             if (ci, rep) in seen:
                 raise InvalidParameters(f"duplicate row for config_index {ci}, rep {rep}")
             seen.add((ci, rep))
-            rows.append(RunRow(config_index=ci, rep=rep,
-                               record=RunRecord.from_json_dict(row["record"])))
+            record = RunRecord.from_json_dict(row["record"])
+            params = settings[ci].schedule_params(derive_seed(spec.master_seed, ci, rep))
+            expected = dict(
+                family=params.family, n=params.n, delta=params.delta, T=params.T,
+                p=params.p, seed=params.seed, mode=spec.mode, c=spec.c,
+                max_rounds=config.effective_max_rounds(params.n, params.delta),
+                disconnection_tolerant=params.may_disconnect,
+            )
+            for key, value in expected.items():
+                if getattr(record, key) != value:
+                    raise InvalidParameters(
+                        f"the record of config_index {ci}, rep {rep} has {key} "
+                        f"{getattr(record, key)!r}, but its run has {value!r}")
+            rows.append(RunRow(config_index=ci, rep=rep, record=record))
         return cls(spec=spec, rows=tuple(rows))
 
 

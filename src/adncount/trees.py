@@ -1,11 +1,13 @@
 """Uniform random rooted trees with a degree bound.
 
 Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
-``SubtreeDistribution`` turns the counts into per-size tables over
-(copies, subtree-size) pairs, ``ranrut`` samples a tree from those tables
-in one pass over its vertices, and ``prune`` pushes subtrees downward until
-every vertex respects the degree bound. A tree is its preorder parent list,
-which is all that ``topology.tree_to_topology`` reads.
+``row_pairs`` turns the counts into one table per tree size over (copies,
+subtree-size) pairs, ``ranrut`` samples a tree from those tables in one
+pass over its vertices, and ``prune`` pushes subtrees downward until every
+vertex respects the degree bound. The table of size k reads only the
+counts of sizes up to k, so it is built once per process, on first use,
+and serves every n. A tree is its preorder parent list, which is all that
+``topology.tree_to_topology`` reads.
 
 ``ranrut`` has two variants. ``same-copy`` attaches j structurally
 identical copies of one recursive draw, which is the classic sampler whose
@@ -79,79 +81,50 @@ def _sizes_cached(n_max: int) -> tuple[int, ...]:
     return tuple(t[1:])
 
 
-class SubtreeDistribution:
-    """Per-size probability tables over (j, d) pairs with j*d < k.
+@lru_cache(maxsize=None)
+def _row(k: int) -> tuple:
+    """RANRUT's table for size k >= 3 over the (j, d) pairs with j*d < k.
 
-    p[k][(j, d)] = d * t[k-j*d] * t[d] / ((k-1) * t[k]), stored as 64-bit
-    floats (each entry correctly rounded from the exact rational). Rows
-    for k = 3..n are built on first use.
+    p[(j, d)] = d * t[k-j*d] * t[d] / ((k-1) * t[k]), stored as 64-bit
+    floats (each entry correctly rounded from the exact rational). Only the
+    counts of sizes up to k enter, so a row is the same for every n >= k.
+    Returns (pairs, probabilities, cumulative sums).
     """
-
-    def __init__(self, counts: list[int], n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if len(counts) < n:
-            raise ValueError(f"counts table covers {len(counts)} < n={n} sizes")
-        self._t = (0,) + tuple(counts)  # 1-indexed
-        self.n = n
-        self._rows: dict[int, tuple] = {}
-        self._draw_tables: list = [None, None, None]  # per size, for ranrut
-
-    def _row(self, k: int) -> tuple:
-        row = self._rows.get(k)
-        if row is None:
-            t = self._t
-            denom = (k - 1) * t[k]
-            pairs = []
-            probs = []
-            for j in range(1, k):
-                for d in range(1, (k - 1) // j + 1):
-                    pairs.append((j, d))
-                    probs.append(float(Fraction(d * t[k - j * d] * t[d], denom)))
-            row = (pairs, probs, list(itertools.accumulate(probs)))
-            self._rows[k] = row
-        return row
-
-    def _draw_tables_upto(self, n: int) -> list:
-        """``ranrut``'s tables for sizes 3..n, indexed by size.
-
-        Entry k is (cumulative, outcomes): outcomes[i] is (k - j*d, (d,) * j)
-        for the i-th (j, d) pair, the size left after the draw and the sizes
-        of the j subtrees it attaches. A copy of the last outcome stands at
-        index len(cumulative), where ``bisect_left`` lands in the rounding
-        tail, so indexing clamps exactly as ``draw`` does.
-        """
-        tables = self._draw_tables
-        for k in range(len(tables), n + 1):
-            pairs, _, cumulative = self._row(k)
-            outcomes = [(k - j * d, (d,) * j) for j, d in pairs]
-            outcomes.append(outcomes[-1])
-            tables.append((cumulative, outcomes))
-        return tables
-
-    def row_pairs(self, k: int) -> list[tuple[int, int, float]]:
-        """(j, d, probability) triples for size k, in (j, d) order."""
-        pairs, probs, _ = self._row(k)
-        return [(j, d, p) for (j, d), p in zip(pairs, probs)]
-
-    def draw(self, k: int, rng: random.Random) -> tuple[int, int]:
-        """Draw a (j, d) pair for size k using one uniform variate."""
-        if k < 3:
-            raise ValueError("draw is defined for k >= 3 only")
-        pairs, _, cumulative = self._row(k)
-        u = rng.random()
-        i = bisect_left(cumulative, u)
-        if i >= len(pairs):  # guard the ~1e-16 rounding tail
-            i = len(pairs) - 1
-        return pairs[i]
+    t = (0,) + _sizes_cached(k)  # 1-indexed
+    denom = (k - 1) * t[k]
+    pairs = []
+    probs = []
+    for j in range(1, k):
+        for d in range(1, (k - 1) // j + 1):
+            pairs.append((j, d))
+            probs.append(float(Fraction(d * t[k - j * d] * t[d], denom)))
+    return pairs, probs, list(itertools.accumulate(probs))
 
 
-def ranrut(
-    n: int,
-    dist: SubtreeDistribution | None,
-    rng: random.Random,
-    variant: str = "paper-literal",
-) -> RootedTree:
+def row_pairs(k: int) -> list[tuple[int, int, float]]:
+    """(j, d, probability) triples for size k >= 3, in (j, d) order."""
+    pairs, probs, _ = _row(k)
+    return [(j, d, p) for (j, d), p in zip(pairs, probs)]
+
+
+# ranrut's draw tables, indexed by size and grown on demand: entry k >= 3
+# is (cumulative, outcomes), where outcomes[i] is (k - j*d, (d,) * j) for
+# the i-th (j, d) pair of _row(k), the size left after the draw and the
+# sizes of the j subtrees it attaches. A copy of the last outcome stands at
+# index len(cumulative), where bisect_left lands in the ~1e-16 rounding
+# tail of the cumulative sums, so that tail draws the last pair.
+_DRAW_TABLES: list = [None, None, None]
+
+
+def _grow_draw_tables(n: int) -> None:
+    for k in range(len(_DRAW_TABLES), n + 1):
+        pairs, _, cumulative = _row(k)
+        outcomes = [(k - j * d, (d,) * j) for j, d in pairs]
+        outcomes.append(outcomes[-1])
+        _DRAW_TABLES.append((cumulative, outcomes))
+
+
+def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> RootedTree:
     """Sample a rooted tree on n vertices; see the module docstring for variants.
 
     Vertices are numbered in preorder with the root at 0.
@@ -160,13 +133,9 @@ def ranrut(
         raise ValueError("n must be >= 1")
     if variant not in RANRUT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    tables = None
-    if n > 2:
-        if dist is None:
-            raise ValueError("a SubtreeDistribution is required for n > 2")
-        if dist.n < n:
-            raise ValueError(f"distribution covers sizes up to {dist.n} < {n}")
-        tables = dist._draw_tables_upto(n)
+    tables = _DRAW_TABLES
+    if len(tables) <= n:
+        _grow_draw_tables(n)
     same_copy = variant == "same-copy"
     random_ = rng.random
     # A tree on k >= 3 vertices is j copies of a size-d subtree attached to
@@ -349,10 +318,9 @@ def check_tables(n_max: int) -> tuple[bool, list[str]]:
     else:
         lines.append(f"enumeration check passed for sizes 1..{n_max}")
     if ok and n_max >= 3:
-        dist = SubtreeDistribution(table, n_max)
         worst = 0.0
         for k in range(3, n_max + 1):
-            total = sum(p for _, _, p in dist.row_pairs(k))
+            total = sum(p for _, _, p in row_pairs(k))
             worst = max(worst, abs(total - 1.0))
         if worst > 1e-12:
             lines.append(f"FAIL: distribution row sum off by {worst:.3e}")

@@ -15,7 +15,6 @@ import pytest
 
 from adncount import (
     ProtocolConfig,
-    SubtreeDistribution,
     SweepSpec,
     canonical_form,
     check_bound,
@@ -142,11 +141,10 @@ def test_criterion_06_ranrut_uniformity():
     n = 5
     draws = 90000
     classes = enumerate_rooted_trees(n)
-    dist = SubtreeDistribution(sizes_table(n), n)
     rng = random.Random(2025)
     counts = dict.fromkeys(classes, 0)
     for _ in range(draws):
-        counts[canonical_form(ranrut(n, dist, rng, "same-copy"))] += 1
+        counts[canonical_form(ranrut(n, rng, "same-copy"))] += 1
     expected = draws / len(classes)
     statistic = sum((c - expected) ** 2 / expected for c in counts.values())
     critical = chi2.ppf(1.0 - 0.001, df=len(classes) - 1)

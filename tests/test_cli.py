@@ -326,11 +326,23 @@ def edit_record(data, **fields):
     lambda data: edit_record(data, status="done"),
     lambda data: edit_record(data, diagnostics={"min_energy": 0.0}),
     lambda data: edit_record(data, diagnostics=None),
+    # a well-formed record whose inputs are not those of its row's run
+    lambda data: edit_record(data, family="ring"),
+    lambda data: edit_record(data, n=4),
+    lambda data: edit_record(data, delta=1),
+    lambda data: edit_record(data, seed=data["rows"][1]["record"]["seed"]),
+    lambda data: edit_record(data, T=5),
+    lambda data: edit_record(data, p=0.5),
+    lambda data: edit_record(data, mode="theoretical"),
+    lambda data: edit_record(data, c=7.5),
+    lambda data: edit_record(data, max_rounds=10),
+    lambda data: edit_record(data, disconnection_tolerant=True),
 ], ids=["list", "rows-null", "row-not-object", "record-not-object", "config-past-grid",
         "config-negative", "config-string", "rows-doubled", "rep-repeated", "rep-string",
         "rep-past-repetitions", "rep-negative", "trace-null", "trace-entry-not-object",
         "rounds-string", "n-float", "T-string", "status-unknown", "diagnostics-partial",
-        "diagnostics-null"])
+        "diagnostics-null", "family-unknown", "n-other", "delta-other", "seed-other", "T-other",
+        "p-set", "mode-other", "c-other", "max-rounds-other", "tolerance-flipped"])
 def test_check_bound_malformed_json_exits_2(tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(sweep_json(tmp_path, capsys))))

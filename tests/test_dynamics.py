@@ -6,10 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from adncount import (DynamicsSchedule, ScheduleParams, SubtreeDistribution, Topology, count,
-                      derive_seed, dynamics, gnp, new_schedule, path, prune, ranrut,
-                      sizes_table, star, tree_to_topology)
-from adncount.errors import InvalidParameters, NonMonotoneAccess
+from adncount import (DynamicsSchedule, ScheduleParams, Topology, count, derive_seed, dynamics,
+                      gnp, new_schedule, path, prune, ranrut, star, tree_to_topology)
+from adncount.errors import InvalidParameters
 from adncount.trees import RANRUT_VARIANTS
 from helpers import assert_same_snapshot, is_connected
 
@@ -102,15 +101,11 @@ def test_different_seed_differs():
     assert any(a.topology_at(r) != b.topology_at(r) for r in range(1, 10))
 
 
-def test_monotone_access():
+def test_round_zero_is_rejected():
     sch = new_schedule("path", 4, 2, 10, 0)
-    sch.topology_at(5)
-    sch.topology_at(5)  # same round is fine
-    sch.topology_at(6)
-    with pytest.raises(NonMonotoneAccess):
-        sch.topology_at(4)
-    with pytest.raises(NonMonotoneAccess):
-        sch.topology_at(0)
+    for r in (0, -1):
+        with pytest.raises(InvalidParameters):
+            sch.topology_at(r)
 
 
 @pytest.mark.parametrize(
@@ -194,18 +189,21 @@ def epoch_snapshot(params, epoch, variant):
         return Topology(params.n, zip(order, order[1:]))
     if params.family == "gnp":
         return gnp(params.n, params.p, rng)
-    dist = SubtreeDistribution(sizes_table(params.n), params.n)
-    tree = prune(ranrut(params.n, dist, rng, variant), params.delta, rng)
+    tree = prune(ranrut(params.n, rng, variant), params.delta, rng)
     return tree_to_topology(tree)
 
 
 # consecutive rounds through several look-ahead batches (1 + 2 + ... + 64
-# epochs is 127), then rounds that skip epochs, inside a batch and past it
+# epochs is 127), rounds that skip epochs, inside a batch and past it, and
+# rounds out of order: backwards inside a batch, back before it, and back
+# to round 1
 CONSECUTIVE = list(range(1, 301))
 SKIPPING = [1, 2, 2, 4, 9, 10, 11, 40, 41, 90, 300, 301, 302, 1000, 1003, 1010, 1200]
+BACKWARDS = [300, 299, 5, 301, 1, 1000, 2, 64, 63, 1000, 1]
 
 
-@pytest.mark.parametrize("rounds", [CONSECUTIVE, SKIPPING], ids=["consecutive", "skipping"])
+@pytest.mark.parametrize("rounds", [CONSECUTIVE, SKIPPING, BACKWARDS],
+                         ids=["consecutive", "skipping", "backwards"])
 @pytest.mark.parametrize("params,variant", [
     (ScheduleParams("random-tree", 20, delta, T, seed), variant)
     for delta in (2, 4) for variant in RANRUT_VARIANTS for T, seed in ((1, 3), (3, 4))

@@ -20,7 +20,6 @@ import pytest
 from adncount import (
     PhaseTrace,
     ProtocolConfig,
-    SubtreeDistribution,
     SweepSpec,
     count,
     export_csv,
@@ -30,7 +29,6 @@ from adncount import (
     prune,
     ranrut,
     run_sweep,
-    sizes_table,
     tree_to_topology,
 )
 from adncount.errors import RoundLimitExceeded
@@ -146,13 +144,12 @@ def test_pinned_sweep_csv_and_json(tmp_path):
 
 
 def test_pinned_tree_snapshots():
-    dist = SubtreeDistribution(sizes_table(40), 40)
     lines = []
     for variant in ("paper-literal", "same-copy"):
         rng = random.Random(31)
         for n in range(1, 41):
             for delta in range(2, 7):
-                tree = prune(ranrut(n, dist, rng, variant), delta, rng)
+                tree = prune(ranrut(n, rng, variant), delta, rng)
                 lines.append(json.dumps(tree_to_topology(tree).to_json_dict()))
     assert sha256("\n".join(lines).encode()) == TREE_SNAPSHOTS_SHA256
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, count
+from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, Topology, count
 from helpers import ListSchedule, dense_phase_lengths, prufer_tree
 
 
@@ -23,23 +23,52 @@ def test_list_of_served_snapshots_gives_the_same_record(params):
     assert count(ListSchedule(params, served), config) == record
 
 
-@st.composite
-def tree_streams(draw):
-    """A ListSchedule of trees on n nodes with degrees at most delta: each
-    tree from a Prüfer sequence in which every label appears at most
-    delta - 1 times."""
+def degree_bounded_trees(draw):
+    """ScheduleParams and one to four trees on n nodes with degrees at most
+    delta: each tree from a Prüfer sequence in which every label appears at
+    most delta - 1 times."""
     n = draw(st.integers(3, 14))
     delta = draw(st.integers(2, min(4, n - 1)))
     T = draw(st.integers(1, 5))
     labels = [v for v in range(n) for _ in range(delta - 1)]
     sequences = draw(st.lists(st.permutations(labels), min_size=1, max_size=4))
     trees = [prufer_tree(n, sequence[:n - 2]) for sequence in sequences]
-    return ListSchedule(ScheduleParams("random-tree", n, delta, T, 0), trees)
+    # the family only labels the record: a ListSchedule serves any graphs
+    return ScheduleParams("random-tree", n, delta, T, 0), trees
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(tree_streams())
-def test_degree_bounded_tree_streams(stream):
+@st.composite
+def tree_streams(draw):
+    """A ListSchedule of ``degree_bounded_trees``."""
+    return ListSchedule(*degree_bounded_trees(draw))
+
+
+@st.composite
+def connected_streams(draw):
+    """A ListSchedule of ``degree_bounded_trees`` plus drawn extra edges:
+    an edge is kept only if it is new and both its endpoints stay at degree
+    at most delta, so every graph is connected and most have cycles."""
+    params, trees = degree_bounded_trees(draw)
+    n, delta = params.n, params.delta
+    graphs = []
+    for tree in trees:
+        edges = set(tree.edges)
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        node = st.integers(0, n - 1)
+        for u, v in draw(st.lists(st.tuples(node, node), min_size=n // 2, max_size=2 * n)):
+            edge = (min(u, v), max(u, v))
+            if u != v and edge not in edges and max(degree[u], degree[v]) < delta:
+                edges.add(edge)
+                degree[u] += 1
+                degree[v] += 1
+        graphs.append(Topology(n, sorted(edges)))
+    return ListSchedule(params, graphs)
+
+
+def assert_stream_properties(stream):
     n = stream.params.n
     record = count(stream)
     assert record.status == "ok"
@@ -50,3 +79,15 @@ def test_degree_bounded_tree_streams(stream):
     assert d.min_leader_gain >= 0.0
     phases = [(t.k, t.collection, t.verification, t.notification) for t in record.per_k_trace]
     assert phases == dense_phase_lengths(stream, record.c)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(tree_streams())
+def test_degree_bounded_tree_streams(stream):
+    assert_stream_properties(stream)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(connected_streams())
+def test_degree_bounded_connected_streams(stream):
+    assert_stream_properties(stream)

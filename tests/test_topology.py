@@ -8,13 +8,11 @@ import pytest
 
 from adncount import (
     RootedTree,
-    SubtreeDistribution,
     Topology,
     gnp,
     path,
     prune,
     ranrut,
-    sizes_table,
     star,
     tree_to_topology,
 )
@@ -91,11 +89,8 @@ def test_tree_to_topology_star_shape():
 
 def test_tree_to_topology_edge_count():
     rng = random.Random(3)
-    from adncount import SubtreeDistribution, ranrut, sizes_table
-
-    dist = SubtreeDistribution(sizes_table(30), 30)
     for n in (2, 5, 17, 30):
-        topo = tree_to_topology(ranrut(n, dist, rng))
+        topo = tree_to_topology(ranrut(n, rng))
         assert len(topo.edges) == n - 1
         assert is_connected(topo)
 
@@ -145,7 +140,6 @@ def test_generators_match_validating_constructor():
     # the one the validating constructor derives from the edges: the order
     # of each node's inflows fixes the float sums.
     rng = random.Random(5)
-    dist = SubtreeDistribution(sizes_table(40), 40)
     snapshots = [star(2), star(7), path(2), path(7),
                  gnp(9, 0.5, rng), gnp(4, 0.0, rng), gnp(5, 1.0, rng)]
     snapshots += [path_topologies([_path_order(n, rng)])[0] for n in (2, 3, 9)]
@@ -153,7 +147,7 @@ def test_generators_match_validating_constructor():
     for variant in RANRUT_VARIANTS:
         for delta in (2, 3, 4):
             for n in range(1, 41):
-                tree = prune(ranrut(n, dist, rng, variant), delta, rng)
+                tree = prune(ranrut(n, rng, variant), delta, rng)
                 cases.append((tree_to_topology(tree), delta))
     energies = np.random.default_rng(5)
     for topo, delta in cases:

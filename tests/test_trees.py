@@ -1,6 +1,7 @@
 """Tree pipeline: counting recurrence, subtree tables, sampler, pruning."""
 
 import bisect
+import itertools
 import random
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 
 from adncount import (
     RootedTree,
-    SubtreeDistribution,
     Topology,
     canonical_form,
     check_tables,
     enumerate_rooted_trees,
     prune,
     ranrut,
+    row_pairs,
     sizes_table,
     tree_to_topology,
 )
@@ -45,94 +46,73 @@ def test_sizes_table_rejects_bad_input():
 
 
 def test_distribution_k3_probabilities():
-    dist = SubtreeDistribution(sizes_table(3), 3)
     # exactly the pairs with j*d < 3, so no other pair can be drawn
-    assert sorted(dist.row_pairs(3)) == [(1, 1, 0.25), (1, 2, 0.5), (2, 1, 0.25)]
+    assert sorted(row_pairs(3)) == [(1, 1, 0.25), (1, 2, 0.5), (2, 1, 0.25)]
 
 
 def test_distribution_rows_sum_to_one():
-    dist = SubtreeDistribution(sizes_table(40), 40)
     for k in range(3, 41):
-        total = sum(p for _, _, p in dist.row_pairs(k))
+        total = sum(p for _, _, p in row_pairs(k))
         assert abs(total - 1.0) <= 1e-12
 
 
-class _FixedUniforms:
-    """Stands in for random.Random: ``random()`` returns the given values."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
-
-
 def test_draw_tables_match_draw():
-    # ranrut looks its draws up in per-size tables instead of calling draw;
-    # both must map every uniform, the rounding tail included, to one pair
-    dist = SubtreeDistribution(sizes_table(40), 40)
-    tables = dist._draw_tables_upto(40)
+    # ranrut looks its draws up in per-size tables; they must map every
+    # uniform, the rounding tail included, to the pair that inverse
+    # transform sampling over row_pairs picks, clamped to the last pair
+    trees._grow_draw_tables(40)
     for k in range(3, 41):
-        cumulative, outcomes = tables[k]
+        row = row_pairs(k)
+        sums = list(itertools.accumulate(p for _, _, p in row))
+        cumulative, outcomes = trees._DRAW_TABLES[k]
         uniforms = [0.0, 1.0 - 2.0**-53]
         for c in cumulative:
             uniforms += [c, min(c + 2.0**-53, 1.0 - 2.0**-53)]
         for u in uniforms:
-            j, d = dist.draw(k, _FixedUniforms([u]))
+            j, d, _ = row[min(bisect.bisect_left(sums, u), len(row) - 1)]
             rest, sub_sizes = outcomes[bisect.bisect_left(cumulative, u)]
             assert (rest, sub_sizes) == (k - j * d, (d,) * j)
 
 
-def test_distribution_requires_coverage():
-    with pytest.raises(ValueError):
-        SubtreeDistribution(sizes_table(5), 9)
-
-
 def test_ranrut_tiny_sizes():
     rng = random.Random(0)
-    one = ranrut(1, None, rng)
+    one = ranrut(1, rng)
     assert one.parents == [-1]
-    two = ranrut(2, None, rng)
+    two = ranrut(2, rng)
     assert two.parents == [-1, 0]
 
 
 @pytest.mark.parametrize("variant", ["paper-literal", "same-copy"])
 def test_ranrut_vertex_and_edge_counts(variant):
-    dist = SubtreeDistribution(sizes_table(25), 25)
     rng = random.Random(11)
     for n in range(1, 26):
         for _ in range(5):
-            tree = ranrut(n, dist, rng, variant)
+            tree = ranrut(n, rng, variant)
             validate_tree(tree)
             assert tree.nodes == n
 
 
 def test_ranrut_deterministic_per_seed():
-    dist = SubtreeDistribution(sizes_table(20), 20)
-    a = ranrut(20, dist, random.Random(5), "paper-literal")
-    b = ranrut(20, dist, random.Random(5), "paper-literal")
+    a = ranrut(20, random.Random(5), "paper-literal")
+    b = ranrut(20, random.Random(5), "paper-literal")
     assert a.parents == b.parents
-    c = ranrut(20, dist, random.Random(6), "paper-literal")
+    c = ranrut(20, random.Random(6), "paper-literal")
     assert a.parents != c.parents
 
 
 def test_ranrut_validation():
-    dist = SubtreeDistribution(sizes_table(5), 5)
     with pytest.raises(ValueError):
-        ranrut(6, dist, random.Random(0))
+        ranrut(0, random.Random(0))
     with pytest.raises(ValueError):
-        ranrut(3, None, random.Random(0))
-    with pytest.raises(ValueError):
-        ranrut(5, dist, random.Random(0), variant="bogus")
+        ranrut(5, random.Random(0), variant="bogus")
 
 
 def test_ranrut_same_copy_uniformity_smoke():
     # 4 isomorphism classes at n=4; expect ~2500 each out of 10k draws
-    dist = SubtreeDistribution(sizes_table(4), 4)
     rng = random.Random(2024)
     counts = {}
     for _ in range(10000):
-        form = canonical_form(ranrut(4, dist, rng, "same-copy"))
+        form = canonical_form(ranrut(4, rng, "same-copy"))
         counts[form] = counts.get(form, 0) + 1
     assert len(counts) == 4
     for form, cnt in counts.items():
@@ -174,11 +154,10 @@ def test_prune_small_trees_with_delta1():
 def test_prune_properties_random_trees():
     # depth never decreases, degrees bounded, vertex count preserved, the
     # output is in preorder, and the input tree is never modified
-    dist = SubtreeDistribution(sizes_table(40), 40)
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(2, 40)
-        tree = ranrut(n, dist, rng, "paper-literal")
+        tree = ranrut(n, rng, "paper-literal")
         delta = rng.randint(2, 6)
         validate_tree(tree)
         before_depth = tree_depth(tree)
@@ -202,13 +181,12 @@ def test_validate_tree_requires_preorder():
 
 def test_tree_to_topology_matches_validating_constructor():
     # the snapshot of a tree is its parent edges, through the checked path
-    dist = SubtreeDistribution(sizes_table(40), 40)
     rng = random.Random(17)
     energies = np.random.default_rng(17)
     for variant in RANRUT_VARIANTS:
         for delta in range(2, 7):
             for n in range(1, 41):
-                tree = ranrut(n, dist, rng, variant)
+                tree = ranrut(n, rng, variant)
                 # the unpruned tree's bound is its largest possible degree
                 for t, bound in ((tree, max(n - 1, 1)), (prune(tree, delta, rng), delta)):
                     checked = Topology(n, [(p, v) for v, p in enumerate(t.parents) if v])
