@@ -58,10 +58,11 @@ its wall time in seconds.
 
 Every timed sample (a batch, a run, a schedule or a grid pass) is
 scaled, as in ``perfbench/run.py``, by ``CAL_REF_S`` over the mean of the
-calibration slices just before and just after it (``calibrate``, a copy of
-the benchmark's), so the figures read in µs or seconds of a machine on
-which the slice takes 10 ms. A grid pass lasts far longer than the machine
-holds one speed, so its scaling is coarser.
+calibration slices just before and just after it (``calibrate`` and
+``CAL_REF_S``, loaded from ``perfbench/run.py``), so the figures read in
+µs or seconds of a machine on which the slice takes 10 ms. A grid pass
+lasts far longer than the machine holds one speed, so its scaling is
+coarser.
 
 It writes ``BENCH_<tag>.json`` (next to ``bench/`` unless ``--out`` says
 otherwise) with the machine's core count and the Python and numpy
@@ -71,6 +72,7 @@ versions, and prints the same object.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -92,8 +94,6 @@ GNP_P = 0.3
 GNP_STAGES = ("seed", "gnp", "arrays")
 EPOCHS = 2000  # served epochs per schedule
 KERNEL_CALLS = 5000  # per batch
-CAL_LOOPS = 1800  # size of one calibration slice, about 10 ms
-CAL_REF_S = 0.010  # calibration time at which scaled timings are expressed
 SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
              ("gnp", N - 1, GNP_P))
 
@@ -109,20 +109,20 @@ def load_library():
     return adncount
 
 
-def calibrate() -> float:
-    """Wall time of a fixed slice of interpreter and small-array work; a
-    copy of ``calibrate`` in ``perfbench/run.py``."""
-    import numpy as np
+def load_benchmark():
+    """``perfbench/run.py`` as a module, loaded by file path (registered
+    first: its dataclasses look their module up in ``sys.modules``).
+    Loading it also pins BLAS to one thread, as in the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    values = np.arange(N, dtype=float)
-    idx = np.arange(2 * N) % N
-    acc = 0
-    t0 = perf_counter()
-    for i in range(CAL_LOOPS):
-        row = {j: (j, i) for j in range(16)}
-        acc += len(sorted(row, reverse=True))
-        acc += np.bincount(idx, weights=values[idx], minlength=N).size
-    return perf_counter() - t0
+
+# the benchmark's calibration slice and scale, so the two cannot drift
+_BENCHMARK = load_benchmark()
+calibrate, CAL_REF_S = _BENCHMARK.calibrate, _BENCHMARK.CAL_REF_S
 
 
 def scaled(sample):

@@ -116,8 +116,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     params = _schedule_params(args, args.T, FULL_DEGREE_FAMILIES)
-    setting = experiment.RunSetting(params.family, params.n, params.delta, params.T, params.p)
-    record = experiment.run_one(setting, params.seed, args.mode, args.c, args.max_rounds)
+    record = experiment.run_one(params, args.mode, args.c, args.max_rounds)
     if args.json:
         sys.stdout.write(json.dumps(record.to_json_dict()) + "\n")
     else:

@@ -12,7 +12,8 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .dynamics import (
     FAMILIES,
@@ -22,15 +23,17 @@ from .dynamics import (
     canonical_family,
 )
 from .errors import InvalidParameters, RoundLimitExceeded, _is_int, _is_real
-from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count
+from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count, record_inputs
 from .seeds import derive_seed
 
 DELTA_RULES = ("powers-of-two", "fixed-n-minus-1", "largest-power-of-two")
 
-CSV_HEADER = (
-    "family,n,delta,T,p,mode,c,seed,rep,estimate,rounds_total,"
-    "rounds_collection,rounds_verification,rounds_notification,status"
+# RunRecord fields, and the row's rep
+CSV_COLUMNS = (
+    "family", "n", "delta", "T", "p", "mode", "c", "seed", "rep", "estimate", "rounds_total",
+    "rounds_collection", "rounds_verification", "rounds_notification", "status",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,14 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
-        """Parse a spec file's JSON object; malformed fields raise
-        InvalidParameters, missing required keys KeyError. Families may use
-        the CLI alias ``tree``."""
+        """Parse a spec file's JSON object; malformed fields and keys that
+        name no field raise InvalidParameters, missing required keys
+        KeyError. Families may use the CLI alias ``tree``."""
         if not isinstance(data, dict):
             raise InvalidParameters("a sweep spec must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidParameters(f"unknown sweep spec keys: {', '.join(sorted(unknown))}")
 
         def items(key, default=None):
             value = data[key] if default is None else data.get(key, default)
@@ -280,7 +286,6 @@ class SweepResult:
             raise InvalidParameters("rows must be a JSON list")
         settings = spec.settings()
         configs = len(settings)
-        config = ProtocolConfig(c=spec.c, mode=spec.mode, max_rounds=spec.max_rounds)
         rows = []
         seen = set()
         for row in data["rows"]:
@@ -298,13 +303,8 @@ class SweepResult:
             seen.add((ci, rep))
             record = RunRecord.from_json_dict(row["record"])
             params = settings[ci].schedule_params(derive_seed(spec.master_seed, ci, rep))
-            expected = dict(
-                family=params.family, n=params.n, delta=params.delta, T=params.T,
-                p=params.p, seed=params.seed, mode=spec.mode, c=spec.c,
-                max_rounds=config.effective_max_rounds(params.n, params.delta),
-                disconnection_tolerant=params.may_disconnect,
-            )
-            for key, value in expected.items():
+            config = run_config(params, spec.mode, spec.c, spec.max_rounds)
+            for key, value in record_inputs(params, config).items():
                 if getattr(record, key) != value:
                     raise InvalidParameters(
                         f"the record of config_index {ci}, rep {rep} has {key} "
@@ -313,25 +313,21 @@ class SweepResult:
         return cls(spec=spec, rows=tuple(rows))
 
 
-def run_one(setting: RunSetting, seed: int, mode: str, c: float,
+def run_config(params: ScheduleParams, mode: str, c: float,
+               max_rounds: int | None) -> ProtocolConfig:
+    """The protocol settings of the run of ``params``: it is
+    disconnection-tolerant exactly when its stream may disconnect."""
+    return ProtocolConfig(c=c, mode=mode, max_rounds=max_rounds,
+                          disconnection_tolerant=params.may_disconnect)
+
+
+def run_one(params: ScheduleParams, mode: str, c: float,
             max_rounds: int | None = None) -> RunRecord:
     """Execute a single run; round-limit failures become error records."""
-    params = setting.schedule_params(seed)
-    config = ProtocolConfig(
-        c=c,
-        mode=mode,
-        max_rounds=max_rounds,
-        disconnection_tolerant=params.may_disconnect,
-    )
     try:
-        return count(DynamicsSchedule(params), config)
+        return count(DynamicsSchedule(params), run_config(params, mode, c, max_rounds))
     except RoundLimitExceeded as exc:
         return exc.record
-
-
-def _run_job(job) -> RunRecord:
-    setting_tuple, seed, mode, c, max_rounds = job
-    return run_one(RunSetting(*setting_tuple), seed, mode, c, max_rounds)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -360,22 +356,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             if key is not None:
                 first_job[key] = len(jobs)
             plan.append((ci, rep, seed, setting.T, len(jobs), False))
-            jobs.append(
-                (
-                    (setting.family, setting.n, setting.delta, setting.T, setting.p),
-                    seed,
-                    spec.mode,
-                    spec.c,
-                    spec.max_rounds,
-                )
-            )
+            jobs.append(setting.schedule_params(seed))
+    run = partial(run_one, mode=spec.mode, c=spec.c, max_rounds=spec.max_rounds)
     workers = min(workers, len(jobs))
     if workers == 1:
-        records = [_run_job(job) for job in jobs]
+        records = list(map(run, jobs))
     else:
         chunk = max(1, len(jobs) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_job, jobs, chunksize=chunk))
+            records = list(pool.map(run, jobs, chunksize=chunk))
     rows = tuple(
         RunRow(ci, rep, replace(records[i], seed=seed, T=T) if copy else records[i])
         for ci, rep, seed, T, i, copy in plan
@@ -432,28 +421,8 @@ def csv_text(result: SweepResult) -> str:
     """The CSV payload as a string (used for byte-level determinism checks)."""
     lines = [CSV_HEADER]
     for row in result.rows:
-        rec = row.record
-        lines.append(
-            ",".join(
-                [
-                    rec.family,
-                    str(rec.n),
-                    str(rec.delta),
-                    _csv_value(rec.T),
-                    _csv_value(rec.p),
-                    rec.mode,
-                    _csv_value(rec.c),
-                    str(rec.seed),
-                    str(row.rep),
-                    _csv_value(rec.estimate),
-                    str(rec.rounds_total),
-                    str(rec.rounds_collection),
-                    str(rec.rounds_verification),
-                    str(rec.rounds_notification),
-                    rec.status,
-                ]
-            )
-        )
+        values = vars(row.record) | {"rep": row.rep}
+        lines.append(",".join(_csv_value(values[column]) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

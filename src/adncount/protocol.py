@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsSchedule
+from .dynamics import DynamicsSchedule, ScheduleParams
 from .errors import (
     BudgetOverflow,
     DegreeBoundViolated,
@@ -447,6 +447,16 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     return _assemble(params, config, r, traces, diagnostics, k, "ok")
 
 
+def record_inputs(params: ScheduleParams, config: ProtocolConfig) -> dict:
+    """The ten fields of a ``RunRecord`` that its run's inputs fix."""
+    return dict(
+        family=params.family, n=params.n, delta=params.delta, T=params.T, p=params.p,
+        mode=config.mode, c=config.c, seed=params.seed,
+        max_rounds=config.effective_max_rounds(params.n, params.delta),
+        disconnection_tolerant=config.disconnection_tolerant,
+    )
+
+
 def _assemble(params, config, r, traces, diagnostics, estimate, status) -> RunRecord:
     rounds_collection = sum(t.collection for t in traces)
     rounds_verification = sum(t.verification for t in traces)
@@ -454,16 +464,7 @@ def _assemble(params, config, r, traces, diagnostics, estimate, status) -> RunRe
     rounds_total = rounds_collection + rounds_verification + rounds_notification
     assert rounds_total == r - 1, "phase accounting out of sync"
     return RunRecord(
-        family=params.family,
-        n=params.n,
-        delta=params.delta,
-        T=params.T,
-        p=params.p,
-        mode=config.mode,
-        c=config.c,
-        seed=params.seed,
-        max_rounds=config.effective_max_rounds(params.n, params.delta),
-        disconnection_tolerant=config.disconnection_tolerant,
+        **record_inputs(params, config),
         estimate=estimate,
         rounds_total=rounds_total,
         rounds_collection=rounds_collection,

@@ -4,10 +4,10 @@ Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
 ``row_pairs`` turns the counts into one table per tree size over (copies,
 subtree-size) pairs, ``ranrut`` samples a tree from those tables in one
 pass over its vertices, and ``prune`` pushes subtrees downward until every
-vertex respects the degree bound. The table of size k reads only the
-counts of sizes up to k, so it is built once per process, on first use,
-and serves every n. A tree is its preorder parent list, which is all that
-``topology.tree_to_topology`` reads.
+vertex respects the degree bound. The counts and the tables are grown on
+demand, each size once per process, and serve every n. A tree is its
+preorder parent list, which is all that ``topology.tree_to_topology``
+reads.
 
 ``ranrut`` has two variants. ``same-copy`` attaches j structurally
 identical copies of one recursive draw, which is the classic sampler whose
@@ -51,24 +51,26 @@ class RootedTree:
         return len(self.parents)
 
 
-def sizes_table(n_max: int) -> list[int]:
-    """Counts of unlabeled rooted trees on 1..n_max vertices.
+# Both grown on demand, never rebuilt. _COUNTS[i] is the number of
+# unlabeled rooted trees on i vertices. Entry k >= 2 of _ROWS is ranrut's
+# table for size k over the (j, d) pairs with j*d < k, in (j, d) order:
+# (cumulative, outcomes, probabilities). The probability of (j, d) is
+# d * t[k-j*d] * t[d] / ((k-1) * t[k]) as a 64-bit float, correctly rounded
+# from the exact rational; only the counts of sizes up to k enter, so a row
+# is the same for every n >= k. outcomes[i] is (k - j*d, (d,) * j), the size
+# left after the draw and the sizes of the j subtrees it attaches. A copy of
+# the last outcome stands at index len(cumulative), where bisect_left lands
+# in the ~1e-16 rounding tail of the cumulative sums, so that tail draws the
+# last pair.
+_COUNTS = [0, 1]
+_ROWS: list = [None, None]
 
-    Exact integer arithmetic; entry i-1 is the count for i vertices. The
-    convolution recurrence divides by i-1, which is always exact.
-    """
-    if n_max < 1:
-        raise InvalidParameters(f"n_max must be >= 1, got {n_max}")
-    return list(_sizes_cached(n_max))
 
-
-@lru_cache(maxsize=None)
-def _sizes_cached(n_max: int) -> tuple[int, ...]:
-    t = [0] * (n_max + 1)  # 1-indexed
-    t[1] = 1
-    if n_max >= 2:
-        t[2] = 1
-    for i in range(3, n_max + 1):
+def _grow_counts(n_max: int) -> list[int]:
+    """_COUNTS, grown to n_max by the convolution recurrence, whose
+    division by i-1 is always exact."""
+    t = _COUNTS
+    for i in range(len(t), n_max + 1):
         acc = 0
         for d in range(1, i):
             td = d * t[d]
@@ -77,51 +79,40 @@ def _sizes_cached(n_max: int) -> tuple[int, ...]:
         q, rem = divmod(acc, i - 1)
         if rem:  # the recurrence guarantees exact division
             raise ArithmeticError(f"inexact division in sizes_table at i={i}")
-        t[i] = q
-    return tuple(t[1:])
+        t.append(q)
+    return t
 
 
-@lru_cache(maxsize=None)
-def _row(k: int) -> tuple:
-    """RANRUT's table for size k >= 3 over the (j, d) pairs with j*d < k.
+def _grow_rows(n: int) -> list:
+    """_ROWS, grown to size n."""
+    t = _grow_counts(n)
+    for k in range(len(_ROWS), n + 1):
+        denom = (k - 1) * t[k]
+        outcomes = []
+        probs = []
+        for j in range(1, k):
+            for d in range(1, (k - 1) // j + 1):
+                outcomes.append((k - j * d, (d,) * j))
+                probs.append(float(Fraction(d * t[k - j * d] * t[d], denom)))
+        outcomes.append(outcomes[-1])
+        _ROWS.append((list(itertools.accumulate(probs)), outcomes, probs))
+    return _ROWS
 
-    p[(j, d)] = d * t[k-j*d] * t[d] / ((k-1) * t[k]), stored as 64-bit
-    floats (each entry correctly rounded from the exact rational). Only the
-    counts of sizes up to k enter, so a row is the same for every n >= k.
-    Returns (pairs, probabilities, cumulative sums).
+
+def sizes_table(n_max: int) -> list[int]:
+    """Counts of unlabeled rooted trees on 1..n_max vertices.
+
+    Exact integer arithmetic; entry i-1 is the count for i vertices.
     """
-    t = (0,) + _sizes_cached(k)  # 1-indexed
-    denom = (k - 1) * t[k]
-    pairs = []
-    probs = []
-    for j in range(1, k):
-        for d in range(1, (k - 1) // j + 1):
-            pairs.append((j, d))
-            probs.append(float(Fraction(d * t[k - j * d] * t[d], denom)))
-    return pairs, probs, list(itertools.accumulate(probs))
+    if n_max < 1:
+        raise InvalidParameters(f"n_max must be >= 1, got {n_max}")
+    return _grow_counts(n_max)[1:n_max + 1]
 
 
 def row_pairs(k: int) -> list[tuple[int, int, float]]:
     """(j, d, probability) triples for size k >= 3, in (j, d) order."""
-    pairs, probs, _ = _row(k)
-    return [(j, d, p) for (j, d), p in zip(pairs, probs)]
-
-
-# ranrut's draw tables, indexed by size and grown on demand: entry k >= 3
-# is (cumulative, outcomes), where outcomes[i] is (k - j*d, (d,) * j) for
-# the i-th (j, d) pair of _row(k), the size left after the draw and the
-# sizes of the j subtrees it attaches. A copy of the last outcome stands at
-# index len(cumulative), where bisect_left lands in the ~1e-16 rounding
-# tail of the cumulative sums, so that tail draws the last pair.
-_DRAW_TABLES: list = [None, None, None]
-
-
-def _grow_draw_tables(n: int) -> None:
-    for k in range(len(_DRAW_TABLES), n + 1):
-        pairs, _, cumulative = _row(k)
-        outcomes = [(k - j * d, (d,) * j) for j, d in pairs]
-        outcomes.append(outcomes[-1])
-        _DRAW_TABLES.append((cumulative, outcomes))
+    _, outcomes, probs = _grow_rows(k)[k]
+    return [(len(sub_sizes), sub_sizes[0], p) for (_, sub_sizes), p in zip(outcomes, probs)]
 
 
 def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> RootedTree:
@@ -133,9 +124,7 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> Rooted
         raise ValueError("n must be >= 1")
     if variant not in RANRUT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    tables = _DRAW_TABLES
-    if len(tables) <= n:
-        _grow_draw_tables(n)
+    tables = _ROWS if len(_ROWS) > n else _grow_rows(n)
     same_copy = variant == "same-copy"
     random_ = rng.random
     # A tree on k >= 3 vertices is j copies of a size-d subtree attached to
@@ -167,7 +156,7 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> Rooted
         c = v + 1
         chain = []
         while size > 2:
-            cumulative, outcomes = tables[size]
+            cumulative, outcomes, _ = tables[size]
             size, sub_sizes = outcomes[bisect_left(cumulative, random_())]
             chain.append(sub_sizes)
         if size == 2:

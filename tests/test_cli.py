@@ -202,6 +202,7 @@ def test_sweep_invalid_spec_exits_2(tmp_path, capsys):
     {"n_range": [2, 2]},
     {"families": ["random-tree"], "n_range": [2, 2], "T_set": [1]},
     {"families": ["star", "path"], "n_range": [2, 2]},  # path has no run
+    {"max_round": 5},  # a misspelled key is not ignored
 ])
 def test_sweep_malformed_spec_exits_2(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--spec", write_spec(tmp_path, **overrides))

@@ -237,7 +237,7 @@ DEDUP_SPECS = {
 
 def run_row_by_row(spec):
     rows = tuple(
-        RunRow(ci, rep, run_one(setting, derive_seed(spec.master_seed, ci, rep),
+        RunRow(ci, rep, run_one(setting.schedule_params(derive_seed(spec.master_seed, ci, rep)),
                                 spec.mode, spec.c, spec.max_rounds))
         for ci, setting in enumerate(spec.settings())
         for rep in range(spec.repetitions)
@@ -335,8 +335,11 @@ def test_csv_single_record_schema():
     assert fields[14] == "ok"
 
 
-def test_csv_and_json_files_round_trip(tmp_path):
-    result = run_sweep(tiny_spec())
+@pytest.mark.parametrize("name", sorted(DEDUP_SPECS))
+def test_csv_and_json_files_round_trip(tmp_path, name):
+    # the loader checks every row's inputs: tolerant gnp rows, copies of
+    # seed-invariant runs, round_limit rows and theoretical mode
+    result = run_sweep(DEDUP_SPECS[name])
     csv_path = tmp_path / "out.csv"
     json_path = tmp_path / "out.json"
     export_csv(result, csv_path)

@@ -60,11 +60,11 @@ def test_draw_tables_match_draw():
     # ranrut looks its draws up in per-size tables; they must map every
     # uniform, the rounding tail included, to the pair that inverse
     # transform sampling over row_pairs picks, clamped to the last pair
-    trees._grow_draw_tables(40)
+    trees._grow_rows(40)
     for k in range(3, 41):
         row = row_pairs(k)
         sums = list(itertools.accumulate(p for _, _, p in row))
-        cumulative, outcomes = trees._DRAW_TABLES[k]
+        cumulative, outcomes, _ = trees._ROWS[k]
         uniforms = [0.0, 1.0 - 2.0**-53]
         for c in cumulative:
             uniforms += [c, min(c + 2.0**-53, 1.0 - 2.0**-53)]
