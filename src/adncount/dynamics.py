@@ -18,17 +18,22 @@ batches, and serves rounds in any order.
 
 from __future__ import annotations
 
+import _random
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidParameters, _is_int, _is_real
-from .seeds import derive_seed
-# gnp and tree_to_topology, the batches of one, stay names of this module
-# for perfbench/spans.py, which wraps them here
+from .seeds import derive_seed, splitmix64
+# gnp and tree_to_topology, the batches of one, and prune, whose walk
+# _build calls alone, stay names of this module for perfbench/spans.py,
+# which wraps them here
 from .topology import (Topology, gnp, gnp_topologies, path, path_topologies, star,  # noqa: F401
                        tree_to_topology, tree_topologies)
-from .trees import prune, ranrut
+from .trees import RANRUT_VARIANTS, prune, prune_walk, ranrut  # noqa: F401
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
 # families that take delta = n - 1: a star's leader, and any node of a
@@ -125,15 +130,20 @@ class DynamicsSchedule:
     A snapshot depends only on its epoch, so ``topology_at(r)`` serves any
     round r >= 1, in any order. Snapshots are built ahead in batches of
     consecutive epochs: a batch starts at the requested epoch whenever that
-    epoch lies outside the current batch, and batch sizes double from 1 up
-    to ``_LOOKAHEAD``. So a run that asks for its rounds in order builds at
-    most ``_LOOKAHEAD - 1`` epochs it never serves.
+    epoch lies outside the current batch. Batch sizes double up to
+    ``_LOOKAHEAD`` while each batch starts right after the one before, and
+    start again at 1 after a jump. So a run that asks for its rounds in
+    order builds at most ``_LOOKAHEAD - 1`` epochs it never serves, and a
+    jump builds one.
     """
 
     def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal"):
+        if ranrut_variant not in RANRUT_VARIANTS:
+            raise InvalidParameters(f"unknown ranrut variant {ranrut_variant!r}")
         self.params = params
         self._variant = ranrut_variant
         self._period = params.period
+        self._rngs: list[random.Random] = []  # reseeded for every batch
         self._size = 1
         self._first = 0  # the epoch of self._batch[0]
         self._batch = self._build(0)
@@ -150,9 +160,30 @@ class DynamicsSchedule:
         epoch = 0 if self._period is None else (r - 1) // self._period
         i = epoch - self._first
         if not 0 <= i < len(self._batch):
+            if i != len(self._batch):
+                self._size = 1
             self._first, i = epoch, 0
+            self._batch = ()  # free the old batch's arrays before the new ones
             self._batch = self._build(epoch)
         return self._batch[i]
+
+    @cached_property
+    def _fold(self) -> int:
+        """``derive_seed(seed)``: epoch e's sub-seed ``derive_seed(seed, e)``
+        is ``splitmix64(_fold ^ e)``."""
+        return derive_seed(self.params.seed)
+
+    def _generators(self, epochs: range) -> list[random.Random]:
+        """The schedule's generators, one per epoch, each seeded as
+        ``random.Random(derive_seed(seed, epoch))``."""
+        seeds = [splitmix64(self._fold ^ epoch) for epoch in epochs]
+        pool = self._rngs
+        for rng, seed in zip(pool, seeds):
+            # the C seeding alone: random.Random.seed adds type checks and
+            # clears the gauss() cache, which no draw here reads
+            _random.Random.seed(rng, seed)
+        pool.extend(map(random.Random, seeds[len(pool):]))
+        return pool[:len(seeds)]
 
     def _build(self, first: int) -> list[Topology]:
         """Snapshots of a batch: epochs first, first + 1, ..."""
@@ -162,14 +193,23 @@ class DynamicsSchedule:
         if first == 0 and p.family in UNDRAWN_FIRST:
             # the first batch holds epoch 0 alone
             return [UNDRAWN_FIRST[p.family](p.n)]
-        rngs = (random.Random(derive_seed(p.seed, epoch)) for epoch in epochs)
+        rngs = self._generators(epochs)
         if p.family == "path":
             return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
         if p.family == "gnp":
             return gnp_topologies(p.n, p.p, rngs, p.delta)
-        trees = [prune(ranrut(p.n, rng, self._variant), p.delta, rng)
-                 for rng in rngs]
-        return tree_topologies(trees, p.delta)
+        parents = [ranrut(p.n, rng, self._variant).parents for rng in rngs]
+        labels = np.array(parents, dtype=np.intp)
+        # every tree's degrees at once: its children, plus the parent edge
+        # of each vertex but the root; only trees over the bound are pruned
+        batch, n = labels.shape
+        rows = np.arange(0, batch * n, n)[:, None]
+        degrees = np.bincount((labels[:, 1:] + rows).ravel(), minlength=batch * n)
+        degrees = degrees.reshape(batch, n)
+        degrees[:, 1:] += 1
+        for i in np.flatnonzero(degrees.max(axis=1) > p.delta).tolist():
+            labels[i] = prune_walk(parents[i], p.delta, rngs[i])
+        return tree_topologies(labels, p.delta)
 
 
 def _path_order(n: int, rng: random.Random) -> list[int]:

@@ -367,13 +367,18 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     topology = None  # the snapshot in force
     spent = [0, 0, 0]  # rounds of the current k, per phase
 
-    def fetch(r: int, phase: int) -> tuple[Topology, int]:
-        """Open round r == stop in ``phase``: the snapshot in force from r
-        on, and the next stop."""
+    def fetch(r: int, phase: int) -> None:
+        """Open round r == stop in ``phase``: set the snapshot in force from
+        r on, and the next stop."""
+        nonlocal topology, stop
         if r > limit:
             raise RoundLimitExceeded(f"round limit {limit} exceeded during {_PHASES[phase]}")
         next_epoch = math.inf if period is None else r - (r - 1) % period + period
-        return topology_at(r), min(next_epoch, limit + 1)
+        # the old snapshot views its batch's arrays: let them go before a
+        # new batch is built
+        topology = None
+        topology = topology_at(r)
+        stop = min(next_epoch, limit + 1)
 
     k = 1
     try:
@@ -393,7 +398,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             try:
                 while (r - first < budget) if theoretical else (energy[0] < threshold):
                     if r == stop:
-                        topology, stop = fetch(r, 0)
+                        fetch(r, 0)
                     # out is the next block row, never the previous one
                     energy = collection_round(energy, topology, delta, block_rows[rows])
                     r += 1
@@ -417,7 +422,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             fixed = verification_rounds(k, c)
             while spent[1] < fixed or (tolerant and heard[0] != everyone):
                 if r == stop:
-                    topology, stop = fetch(r, 1)
+                    fetch(r, 1)
                 r += 1
                 spent[1] += 1
                 max_heard = verification_round(max_heard, topology)
@@ -432,7 +437,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             fixed = notification_rounds(k)
             while spent[2] < fixed or (tolerant and halt[0] and not halt.all()):
                 if r == stop:
-                    topology, stop = fetch(r, 2)
+                    fetch(r, 2)
                 r += 1
                 spent[2] += 1
                 halt = notification_round(halt, topology)

@@ -197,17 +197,16 @@ def _upper_pairs(n: int):
 def tree_to_topology(tree: RootedTree) -> Topology:
     """The snapshot of a rooted tree: vertex v becomes node v, so the root
     is the leader."""
-    return tree_topologies((tree,))[0]
+    return tree_topologies(np.array([tree.parents], dtype=np.intp))[0]
 
 
-def tree_topologies(trees, delta: int | None = None) -> list[Topology]:
-    """The snapshots of rooted trees, all on n vertices; see
-    ``tree_to_topology``.
+def tree_topologies(labels, delta: int | None = None) -> list[Topology]:
+    """The snapshots of rooted trees, all on n vertices, from the (batch, n)
+    intp array of their preorder parent lists; see ``tree_to_topology``.
 
     A stable sort by parent label puts each tree's edges (parent, child) in
     sorted order, since in a preorder every parent is below its child.
     """
-    labels = np.array([tree.parents for tree in trees], dtype=np.intp)
     batch, n = labels.shape
     parents = labels[:, 1:]
     child = parents.argsort(axis=1, kind="stable")

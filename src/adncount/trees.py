@@ -134,24 +134,26 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> Rooted
     # pair to the first. Every child's size, and so its preorder number,
     # is known once its parent has drawn, so the loop visits the vertices
     # in preorder, which is the order of the draws. Only vertices with at
-    # least three in their subtree draw at all; leaves take a short path.
+    # least three in their subtree draw at all; smaller ones take a short
+    # path.
     size_of = [1] * n  # subtree size, set by the parent's draw
     size_of[0] = n
     parents = [-1] * n
     copies = {}  # same-copy: copy root -> offset from the drawn subtree
-    v = 0
-    while v < n:
+    for v in range(n):
         size = size_of[v]
         if size == 1:
-            v += 1
+            continue
+        if size == 2:
+            parents[v + 1] = v
             continue
         if same_copy and v in copies:
-            # the drawn subtree is complete: copy it, shifted by the offset
+            # the drawn subtree is complete: copy it, shifted by the offset;
+            # the copied vertices keep size 1, so the loop passes over them
             offset = copies[v]
             src = v - offset
             for u in range(src + 1, src + size):
                 parents[u + offset] = parents[u] + offset
-            v += size
             continue
         c = v + 1
         chain = []
@@ -167,10 +169,11 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> Rooted
             for d in sub_sizes:
                 parents[c] = v
                 size_of[c] = d
-                if same_copy and c != first:
-                    copies[c] = c - first
                 c += d
-        v += 1
+            if same_copy and d > 2:
+                # copies of one or two vertices need no draw to copy
+                for root in range(first + d, c, d):
+                    copies[root] = root - first
     return RootedTree(parents)
 
 
@@ -193,24 +196,31 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
         )
     if delta < 1:
         raise InfeasibleDegreeBound("delta must be >= 1")
-    full = delta - 1  # a non-root vertex with this many children has no room
     counts = [0] * n
     for p in itertools.islice(tree.parents, 1, None):
         counts[p] += 1
     counts[0] -= 1  # the root has no parent edge
-    if max(counts) <= full:
+    if max(counts) < delta:
         return tree
-    children = _children(tree.parents)
+    return RootedTree(prune_walk(tree.parents, delta, rng))
+
+
+def prune_walk(parents: list[int], delta: int, rng: random.Random) -> list[int]:
+    """``prune``'s walk, without its checks: the parent list of the pruned
+    tree of a preorder parent list with a vertex over the bound
+    ``delta >= 2``. ``parents`` is left as it was."""
+    full = delta - 1  # a non-root vertex with this many children has no room
+    children = _children(parents)
     # Re-attaching only ever moves a subtree below a descendant of the
     # visited vertex, so each child list is final once its vertex is
     # visited: the visit order is the pruned tree's preorder.
-    parents = []
+    pruned = []
     stack = [0]
     above = [-1]  # preorder index of each stacked vertex's parent
     while stack:
         v = stack.pop()
-        label = len(parents)
-        parents.append(above.pop())
+        label = len(pruned)
+        pruned.append(above.pop())
         kids = children[v]
         if not kids:
             continue
@@ -231,7 +241,7 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
         else:
             stack.extend(reversed(kids))
             above.extend([label] * len(kids))
-    return RootedTree(parents)
+    return pruned
 
 
 def _children(parents: list[int]) -> list[list[int]]:

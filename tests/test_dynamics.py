@@ -9,6 +9,7 @@ import pytest
 from adncount import (DynamicsSchedule, ScheduleParams, Topology, count, derive_seed, dynamics,
                       gnp, new_schedule, path, prune, ranrut, star, tree_to_topology)
 from adncount.errors import InvalidParameters
+from adncount.seeds import splitmix64
 from adncount.trees import RANRUT_VARIANTS
 from helpers import assert_same_snapshot, is_connected
 
@@ -168,6 +169,15 @@ def test_stream_facts(family, delta, T, p, key):
     assert params.may_disconnect == (family == "gnp")
 
 
+@pytest.mark.parametrize("family, delta, p", [
+    ("random-tree", 3, None), ("path", 2, None), ("gnp", 5, 0.3), ("star", 5, None),
+])
+def test_unknown_ranrut_variant_is_rejected(family, delta, p):
+    params = ScheduleParams(family, 6, delta, 1, 0, p)
+    with pytest.raises(InvalidParameters, match="bogus"):
+        DynamicsSchedule(params, ranrut_variant="bogus")
+
+
 def test_n2_path_with_delta1_is_valid():
     sch = new_schedule("path", 2, 1, math.inf, 0)
     assert sch.topology_at(1).edges == ((0, 1),)
@@ -226,21 +236,61 @@ def test_lookahead_serves_per_epoch_snapshots(params, variant, rounds):
                              params.delta, energies)
 
 
-@pytest.mark.parametrize("T,seeds", [(1, range(6)), (4, range(3))])
-def test_lookahead_builds_at_most_63_unserved_epochs(monkeypatch, T, seeds):
-    calls = 0
+def count_ranrut_calls(monkeypatch):
+    """Patch the schedule's ``ranrut`` to count its calls; returns the
+    one-item list that holds the count."""
+    calls = [0]
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return ranrut(*args)
 
     monkeypatch.setattr(dynamics, "ranrut", counted)
+    return calls
+
+
+@pytest.mark.parametrize("T,seeds", [(1, range(6)), (4, range(3))])
+def test_lookahead_builds_at_most_63_unserved_epochs(monkeypatch, T, seeds):
+    calls = count_ranrut_calls(monkeypatch)
     unserved = []
     for seed in seeds:
-        calls = 0
+        calls[0] = 0
         record = count(new_schedule("random-tree", 12, 4, T, seed))
         epochs = (record.rounds_total - 1) // T + 1
-        assert epochs <= calls <= epochs + 63
-        unserved.append(calls - epochs)
+        assert epochs <= calls[0] <= epochs + 63
+        unserved.append(calls[0] - epochs)
     assert max(unserved) > 0  # the schedule does build ahead
+
+
+def test_jumps_build_one_epoch_each(monkeypatch):
+    # every read of BACKWARDS lies outside the batch before it and does not
+    # follow it, so each builds its epoch alone: 11 builds, after the one of
+    # epoch 0 that the schedule makes when it is created
+    calls = count_ranrut_calls(monkeypatch)
+    schedule = new_schedule("random-tree", 20, 4, 1, 3)
+    for r in BACKWARDS:
+        schedule.topology_at(r)
+    assert calls[0] == 1 + len(BACKWARDS)
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**64 + 3])
+def test_batches_match_epoch_by_epoch_draws(seed):
+    # a schedule folds its seed once and reseeds its own generators for
+    # every batch, and it prunes only the trees over the bound; epoch e must
+    # still be the tree drawn and pruned on Random(derive_seed(seed, e))
+    epochs = 1 + 2 + 4 + 8 + 16 + 32 + 64 + 64  # ends with two full batches
+    fold = derive_seed(seed)
+    assert all(splitmix64(fold ^ e) == derive_seed(seed, e) for e in range(epochs))
+    n = 20
+    for delta in (3, n - 1):
+        for variant in RANRUT_VARIANTS:
+            schedule = new_schedule("random-tree", n, delta, 1, seed, ranrut_variant=variant)
+            pruned = 0
+            for e in range(epochs):
+                rng = random.Random(derive_seed(seed, e))
+                tree = ranrut(n, rng, variant)
+                bounded = prune(tree, delta, rng)
+                pruned += bounded is not tree
+                assert schedule.topology_at(e + 1) == tree_to_topology(bounded)
+            # at delta = n - 1 no tree is over the bound
+            assert (pruned > 0) == (delta < n - 1)
