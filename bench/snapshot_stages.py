@@ -13,7 +13,9 @@ at a time through the single-snapshot generators, in five stages:
 
 1. ``seed``: ``random.Random(derive_seed(seed, epoch))``;
 2. ``ranrut``: the paper-literal draw;
-3. ``prune``: the degree bound, with the same generator;
+3. ``prune``: the degree bound, with the same generator (every tree is
+   walked, also one already within the bound; a schedule prunes only the
+   trees over it);
 4. ``tree_to_topology``;
 5. ``arrays``: the first ``collection_arrays()`` and ``retention(delta)``,
    which the first collection round of a snapshot builds.

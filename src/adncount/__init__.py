@@ -45,7 +45,6 @@ from .protocol import (
 from .seeds import derive_seed
 from .topology import Topology, gnp, path, star, tree_to_topology
 from .trees import (
-    RootedTree,
     canonical_form,
     check_tables,
     enumerate_rooted_trees,

@@ -28,12 +28,11 @@ import numpy as np
 
 from .errors import InvalidParameters, _is_int, _is_real
 from .seeds import derive_seed, splitmix64
-# gnp and tree_to_topology, the batches of one, and prune, whose walk
-# _build calls alone, stay names of this module for perfbench/spans.py,
-# which wraps them here
+# gnp and tree_to_topology, the batches of one, stay names of this module
+# for perfbench/spans.py, which wraps them here
 from .topology import (Topology, gnp, gnp_topologies, path, path_topologies, star,  # noqa: F401
                        tree_to_topology, tree_topologies)
-from .trees import RANRUT_VARIANTS, prune, prune_walk, ranrut  # noqa: F401
+from .trees import RANRUT_VARIANTS, prune, ranrut
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
 # families that take delta = n - 1: a star's leader, and any node of a
@@ -198,7 +197,7 @@ class DynamicsSchedule:
             return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
         if p.family == "gnp":
             return gnp_topologies(p.n, p.p, rngs, p.delta)
-        parents = [ranrut(p.n, rng, self._variant).parents for rng in rngs]
+        parents = [ranrut(p.n, rng, self._variant) for rng in rngs]
         labels = np.array(parents, dtype=np.intp)
         # every tree's degrees at once: its children, plus the parent edge
         # of each vertex but the root; only trees over the bound are pruned
@@ -208,7 +207,7 @@ class DynamicsSchedule:
         degrees = degrees.reshape(batch, n)
         degrees[:, 1:] += 1
         for i in np.flatnonzero(degrees.max(axis=1) > p.delta).tolist():
-            labels[i] = prune_walk(parents[i], p.delta, rngs[i])
+            labels[i] = prune(parents[i], p.delta, rngs[i])
         return tree_topologies(labels, p.delta)
 
 

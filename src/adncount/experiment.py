@@ -58,7 +58,9 @@ class SweepSpec:
     ``FULL_DEGREE_FAMILIES``, star and gnp, always use delta = n - 1):
     ``powers-of-two`` takes every 2^i <= n - 1, ``largest-power-of-two``
     only the largest such power, and ``fixed-n-minus-1`` uses n - 1.
-    ``delta_cap`` further caps the rule.
+    ``delta_cap`` further caps the two power rules; it cannot be combined
+    with ``fixed-n-minus-1``. No family, T or p may be given twice, and
+    ``p_set`` is for the gnp family alone.
     """
 
     families: tuple[str, ...]
@@ -90,8 +92,11 @@ class SweepSpec:
             raise InvalidParameters("master_seed must be an integer")
         if self.delta_rule not in DELTA_RULES:
             raise InvalidParameters(f"unknown delta_rule {self.delta_rule!r}")
-        if self.delta_cap is not None and not _is_int(self.delta_cap):
-            raise InvalidParameters("delta_cap must be an integer or null")
+        if self.delta_cap is not None:
+            if not _is_int(self.delta_cap):
+                raise InvalidParameters("delta_cap must be an integer or null")
+            if self.delta_rule == "fixed-n-minus-1":
+                raise InvalidParameters("delta_cap does not apply to delta_rule fixed-n-minus-1")
         if not self.T_set:
             raise InvalidParameters("T_set must be non-empty")
         for T in self.T_set:
@@ -99,6 +104,14 @@ class SweepSpec:
                 raise InvalidParameters(f"bad T value {T!r}")
         if "gnp" in self.families and not self.p_set:
             raise InvalidParameters("gnp sweeps require a non-empty p_set")
+        if self.p_set and "gnp" not in self.families:
+            raise InvalidParameters("p_set applies only to the gnp family")
+        # a repeated grid point would run twice under two config indices
+        for key in ("families", "T_set", "p_set"):
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if values.index(v) < i]
+            if repeated:
+                raise InvalidParameters(f"{key} repeats {repeated[0]!r}")
         # c, mode and max_rounds are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
         unfit = [f for f in self.families

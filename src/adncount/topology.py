@@ -17,8 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trees import RootedTree
-
 
 def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -194,10 +192,10 @@ def _upper_pairs(n: int):
     return pairs
 
 
-def tree_to_topology(tree: RootedTree) -> Topology:
-    """The snapshot of a rooted tree: vertex v becomes node v, so the root
-    is the leader."""
-    return tree_topologies(np.array([tree.parents], dtype=np.intp))[0]
+def tree_to_topology(parents: list[int]) -> Topology:
+    """The snapshot of a rooted tree, from its preorder parent list (see
+    ``trees``): vertex v becomes node v, so the root is the leader."""
+    return tree_topologies(np.array([parents], dtype=np.intp))[0]
 
 
 def tree_topologies(labels, delta: int | None = None) -> list[Topology]:

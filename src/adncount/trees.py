@@ -5,9 +5,12 @@ Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
 subtree-size) pairs, ``ranrut`` samples a tree from those tables in one
 pass over its vertices, and ``prune`` pushes subtrees downward until every
 vertex respects the degree bound. The counts and the tables are grown on
-demand, each size once per process, and serve every n. A tree is its
-preorder parent list, which is all that ``topology.tree_to_topology``
-reads.
+demand, each size once per process, and serve every n.
+
+A tree is its preorder parent list, ``parents``: vertex v is the v-th
+vertex in preorder, the root is vertex 0 with parent -1, and the children
+of a vertex, in order, are the vertices that name it as parent, in
+increasing order.
 
 ``ranrut`` has two variants. ``same-copy`` attaches j structurally
 identical copies of one recursive draw, which is the classic sampler whose
@@ -25,7 +28,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,22 +35,6 @@ from .errors import InfeasibleDegreeBound, InvalidParameters
 
 RANRUT_VARIANTS = ("paper-literal", "same-copy")
 CHECK_TABLES_N_MAX = 16  # the largest n_max that check_tables enumerates
-
-
-@dataclass
-class RootedTree:
-    """Ordered rooted tree on vertices 0..nodes-1, numbered in preorder.
-
-    ``parents[v]`` is the parent of vertex v; the root is vertex 0, with
-    parent -1. The children of a vertex, in order, are the vertices that
-    name it as parent, in increasing order.
-    """
-
-    parents: list[int]
-
-    @property
-    def nodes(self) -> int:
-        return len(self.parents)
 
 
 # Both grown on demand, never rebuilt. _COUNTS[i] is the number of
@@ -115,11 +101,9 @@ def row_pairs(k: int) -> list[tuple[int, int, float]]:
     return [(len(sub_sizes), sub_sizes[0], p) for (_, sub_sizes), p in zip(outcomes, probs)]
 
 
-def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> RootedTree:
-    """Sample a rooted tree on n vertices; see the module docstring for variants.
-
-    Vertices are numbered in preorder with the root at 0.
-    """
+def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> list[int]:
+    """Sample the parent list of a rooted tree on n vertices; see the module
+    docstring for the variants."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if variant not in RANRUT_VARIANTS:
@@ -174,10 +158,10 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> Rooted
                 # copies of one or two vertices need no draw to copy
                 for root in range(first + d, c, d):
                     copies[root] = root - first
-    return RootedTree(parents)
+    return parents
 
 
-def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
+def prune(parents: list[int], delta: int, rng: random.Random) -> list[int]:
     """Push subtrees downward until every vertex has graph degree <= delta.
 
     The root may keep up to delta children; every other vertex up to
@@ -185,30 +169,17 @@ def prune(tree: RootedTree, delta: int, rng: random.Random) -> RootedTree:
     first, left to right; excess subtrees are detached rightmost-first and
     re-attached below a uniformly chosen child, descending until a vertex
     with room is found. Depth never decreases and the vertex count is
-    preserved. Returns the input itself when it already satisfies the
-    bound; otherwise a new tree, numbered in its own preorder, and the
+    preserved. Returns a new parent list, numbered in its own preorder; a
+    tree already within the bound comes back equal, and draws nothing. The
     input is left as it was.
     """
-    n = tree.nodes
+    n = len(parents)
     if n >= 3 and delta < 2:
         raise InfeasibleDegreeBound(
             f"no tree on {n} >= 3 vertices has max degree <= {delta}"
         )
     if delta < 1:
         raise InfeasibleDegreeBound("delta must be >= 1")
-    counts = [0] * n
-    for p in itertools.islice(tree.parents, 1, None):
-        counts[p] += 1
-    counts[0] -= 1  # the root has no parent edge
-    if max(counts) < delta:
-        return tree
-    return RootedTree(prune_walk(tree.parents, delta, rng))
-
-
-def prune_walk(parents: list[int], delta: int, rng: random.Random) -> list[int]:
-    """``prune``'s walk, without its checks: the parent list of the pruned
-    tree of a preorder parent list with a vertex over the bound
-    ``delta >= 2``. ``parents`` is left as it was."""
     full = delta - 1  # a non-root vertex with this many children has no room
     children = _children(parents)
     # Re-attaching only ever moves a subtree below a descendant of the
@@ -252,12 +223,12 @@ def _children(parents: list[int]) -> list[list[int]]:
     return children
 
 
-def canonical_form(tree: RootedTree) -> tuple:
+def canonical_form(parents: list[int]) -> tuple:
     """Nested-tuple canonical form; equal iff rooted-isomorphic."""
-    children = _children(tree.parents)
-    forms = [()] * tree.nodes
+    children = _children(parents)
+    forms = [()] * len(parents)
     # in a preorder every child comes after its parent
-    for v in reversed(range(tree.nodes)):
+    for v in reversed(range(len(parents))):
         forms[v] = tuple(sorted([forms[c] for c in children[v]]))
     return forms[0]
 

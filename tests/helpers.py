@@ -85,11 +85,10 @@ def is_connected(topology):
     return count == topology.n
 
 
-def validate_tree(tree):
-    """Check that ``tree.parents`` is a preorder parent list: vertex 0 is the
+def validate_tree(parents):
+    """Check that ``parents`` is a preorder parent list: vertex 0 is the
     root, with parent -1, and the parent of every other vertex v is v - 1 or
     an ancestor of v - 1."""
-    parents = tree.parents
     if not parents or parents[0] != -1:
         raise ValueError("vertex 0 must be the root, with parent -1")
     for v in range(1, len(parents)):
@@ -103,20 +102,20 @@ def validate_tree(tree):
             raise ValueError(f"vertex {v}: parent {p} is not v - 1 or an ancestor of it")
 
 
-def tree_depth(tree):
+def tree_depth(parents):
     """Longest root-to-leaf path, in edges."""
-    depth = [0] * tree.nodes
-    for v in range(1, tree.nodes):
-        depth[v] = depth[tree.parents[v]] + 1
+    depth = [0] * len(parents)
+    for v in range(1, len(parents)):
+        depth[v] = depth[parents[v]] + 1
     return max(depth)
 
 
-def graph_degree(tree, v):
-    return tree.parents.count(v) + (0 if v == 0 else 1)
+def graph_degree(parents, v):
+    return parents.count(v) + (0 if v == 0 else 1)
 
 
-def max_graph_degree(tree):
-    return max(graph_degree(tree, v) for v in range(tree.nodes))
+def max_graph_degree(parents):
+    return max(graph_degree(parents, v) for v in range(len(parents)))
 
 
 def degree_sequence(topology):

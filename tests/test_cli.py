@@ -203,6 +203,14 @@ def test_sweep_invalid_spec_exits_2(tmp_path, capsys):
     {"families": ["random-tree"], "n_range": [2, 2], "T_set": [1]},
     {"families": ["star", "path"], "n_range": [2, 2]},  # path has no run
     {"max_round": 5},  # a misspelled key is not ignored
+    # repeated grid points, and inputs that no run would read
+    {"families": ["tree", "random-tree"], "n_range": [4, 4], "T_set": [1]},
+    {"families": ["path", "path"]},
+    {"T_set": [1, 1.0]},
+    {"T_set": ["inf", "inf"]},
+    {"families": ["gnp"], "T_set": [10], "p_set": [0.3, 0.3]},
+    {"p_set": [0.3]},  # no gnp family
+    {"delta_rule": "fixed-n-minus-1", "delta_cap": 2},
 ])
 def test_sweep_malformed_spec_exits_2(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--spec", write_spec(tmp_path, **overrides))

@@ -289,8 +289,10 @@ def test_batches_match_epoch_by_epoch_draws(seed):
             for e in range(epochs):
                 rng = random.Random(derive_seed(seed, e))
                 tree = ranrut(n, rng, variant)
+                state = rng.getstate()
                 bounded = prune(tree, delta, rng)
-                pruned += bounded is not tree
+                # a tree within the bound comes back equal, without a draw
+                pruned += bounded != tree or rng.getstate() != state
                 assert schedule.topology_at(e + 1) == tree_to_topology(bounded)
             # at delta = n - 1 no tree is over the bound
             assert (pruned > 0) == (delta < n - 1)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from adncount import (
-    RootedTree,
     Topology,
     gnp,
     path,
@@ -69,20 +68,19 @@ def test_gnp_deterministic_per_seed():
 
 
 def test_tree_to_topology_two_vertices():
-    topo = tree_to_topology(RootedTree([-1, 0]))
+    topo = tree_to_topology([-1, 0])
     assert topo.n == 2
     assert topo.edges == ((0, 1),)
 
 
 def test_tree_to_topology_path_shape():
-    chain = RootedTree([-1, 0, 1, 2])
-    topo = tree_to_topology(chain)
+    topo = tree_to_topology([-1, 0, 1, 2])
     assert topo.edges == ((0, 1), (1, 2), (2, 3))
     assert topo.degrees[0] == 1  # leader at the endpoint
 
 
 def test_tree_to_topology_star_shape():
-    topo = tree_to_topology(RootedTree([-1, 0, 0]))
+    topo = tree_to_topology([-1, 0, 0])
     assert topo.edges == ((0, 1), (0, 2))
     assert topo.degrees[0] == 2  # leader at the center
 

@@ -6,9 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adncount import (
-    RootedTree,
     Topology,
     canonical_form,
     check_tables,
@@ -76,10 +77,8 @@ def test_draw_tables_match_draw():
 
 def test_ranrut_tiny_sizes():
     rng = random.Random(0)
-    one = ranrut(1, rng)
-    assert one.parents == [-1]
-    two = ranrut(2, rng)
-    assert two.parents == [-1, 0]
+    assert ranrut(1, rng) == [-1]
+    assert ranrut(2, rng) == [-1, 0]
 
 
 @pytest.mark.parametrize("variant", ["paper-literal", "same-copy"])
@@ -89,15 +88,14 @@ def test_ranrut_vertex_and_edge_counts(variant):
         for _ in range(5):
             tree = ranrut(n, rng, variant)
             validate_tree(tree)
-            assert tree.nodes == n
+            assert len(tree) == n
 
 
 def test_ranrut_deterministic_per_seed():
     a = ranrut(20, random.Random(5), "paper-literal")
     b = ranrut(20, random.Random(5), "paper-literal")
-    assert a.parents == b.parents
-    c = ranrut(20, random.Random(6), "paper-literal")
-    assert a.parents != c.parents
+    assert a == b
+    assert a != ranrut(20, random.Random(6), "paper-literal")
 
 
 def test_ranrut_validation():
@@ -120,63 +118,91 @@ def test_ranrut_same_copy_uniformity_smoke():
 
 
 def test_prune_star5_delta2_yields_path():
-    star5 = RootedTree([-1, 0, 0, 0, 0])
+    star5 = [-1, 0, 0, 0, 0]
     pruned = prune(star5, 2, random.Random(0))
     validate_tree(pruned)
-    assert pruned.nodes == 5
+    assert len(pruned) == 5
     assert max_graph_degree(pruned) <= 2
     # the only degree-<=2 tree on 5 vertices is the path; the root keeps
     # exactly delta children, so it sits in the interior of that path
     assert is_path_graph(tree_to_topology(pruned))
-    assert pruned.parents.count(0) == 2
+    assert pruned.count(0) == 2
     assert tree_depth(pruned) >= tree_depth(star5)
 
 
+def assert_prune_keeps(parents, delta):
+    """``prune`` returns a tree within the bound unchanged and draws nothing."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert prune(parents, delta, rng) == parents
+    assert rng.getstate() == state
+
+
 def test_prune_noop_returns_input_unchanged():
-    tree = RootedTree([-1, 0, 1, 0])
-    assert prune(tree, 3, random.Random(0)) is tree
-    assert prune(tree, 10, random.Random(0)) is tree
+    assert_prune_keeps([-1, 0, 1, 0], 3)
+    assert_prune_keeps([-1, 0, 1, 0], 10)
 
 
 def test_prune_rejects_infeasible_bound():
-    star4 = RootedTree([-1, 0, 0, 0])
     with pytest.raises(InfeasibleDegreeBound):
-        prune(star4, 1, random.Random(0))
+        prune([-1, 0, 0, 0], 1, random.Random(0))
 
 
 def test_prune_small_trees_with_delta1():
-    pair = RootedTree([-1, 0])
-    assert prune(pair, 1, random.Random(0)) is pair
-    single = RootedTree([-1])
-    assert prune(single, 1, random.Random(0)) is single
+    assert_prune_keeps([-1, 0], 1)
+    assert_prune_keeps([-1], 1)
 
 
 def test_prune_properties_random_trees():
-    # depth never decreases, degrees bounded, vertex count preserved, the
-    # output is in preorder, and the input tree is never modified
     rng = random.Random(99)
     for _ in range(1000):
         n = rng.randint(2, 40)
         tree = ranrut(n, rng, "paper-literal")
-        delta = rng.randint(2, 6)
         validate_tree(tree)
-        before_depth = tree_depth(tree)
-        before_parents = list(tree.parents)
-        within_bound = max_graph_degree(tree) <= delta
-        pruned = prune(tree, delta, rng)
-        assert tree.parents == before_parents
-        assert (pruned is tree) == within_bound
-        validate_tree(pruned)
-        assert pruned.nodes == n
-        assert max_graph_degree(pruned) <= delta
-        assert tree_depth(pruned) >= before_depth
+        assert_prune_properties(tree, rng.randint(2, 6), rng)
+
+
+def assert_prune_properties(parents, delta, rng):
+    """Depth never decreases, degrees are bounded, the vertex count is kept,
+    the output is in preorder and the input is never modified; a tree within
+    the bound comes back equal, without a draw."""
+    before = list(parents)
+    state = rng.getstate()
+    pruned = prune(parents, delta, rng)
+    assert parents == before
+    validate_tree(pruned)
+    assert len(pruned) == len(parents)
+    assert max_graph_degree(pruned) <= delta
+    assert tree_depth(pruned) >= tree_depth(parents)
+    if max_graph_degree(parents) <= delta:
+        assert pruned == parents
+        assert rng.getstate() == state
+
+
+@st.composite
+def preorder_parent_lists(draw):
+    """A preorder parent list on at most 40 vertices: the parent of vertex v
+    is v - 1 or an ancestor of v - 1."""
+    parents = [-1]
+    for v in range(1, draw(st.integers(1, 40))):
+        ancestors = [v - 1]
+        while parents[ancestors[-1]] >= 0:
+            ancestors.append(parents[ancestors[-1]])
+        parents.append(draw(st.sampled_from(ancestors)))
+    return parents
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(preorder_parent_lists(), st.integers(2, 5), st.integers(0, 2**32))
+def test_prune_properties_any_preorder_tree(parents, delta, seed):
+    assert_prune_properties(parents, delta, random.Random(seed))
 
 
 def test_validate_tree_requires_preorder():
-    validate_tree(RootedTree([-1, 0, 1, 0]))
+    validate_tree([-1, 0, 1, 0])
     for parents in ([], [0], [-1, -1], [-1, 1], [-1, 0, 0, 1], [-1, 0, 3, 0]):
         with pytest.raises(ValueError):
-            validate_tree(RootedTree(parents))
+            validate_tree(parents)
 
 
 def test_tree_to_topology_matches_validating_constructor():
@@ -189,16 +215,14 @@ def test_tree_to_topology_matches_validating_constructor():
                 tree = ranrut(n, rng, variant)
                 # the unpruned tree's bound is its largest possible degree
                 for t, bound in ((tree, max(n - 1, 1)), (prune(tree, delta, rng), delta)):
-                    checked = Topology(n, [(p, v) for v, p in enumerate(t.parents) if v])
+                    checked = Topology(n, [(p, v) for v, p in enumerate(t) if v])
                     assert_same_snapshot(tree_to_topology(t), checked, bound, energies)
 
 
 def test_canonical_form_separates_shapes():
-    path3 = RootedTree([-1, 0, 1])
-    star3 = RootedTree([-1, 0, 0])
-    assert canonical_form(path3) != canonical_form(star3)
+    assert canonical_form([-1, 0, 1]) != canonical_form([-1, 0, 0])  # path, star
     # the same shape with the root's two children in the other order
-    assert canonical_form(RootedTree([-1, 0, 1, 0])) == canonical_form(RootedTree([-1, 0, 0, 2]))
+    assert canonical_form([-1, 0, 1, 0]) == canonical_form([-1, 0, 0, 2])
 
 
 def test_enumeration_counts():
