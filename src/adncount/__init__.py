@@ -17,7 +17,6 @@ from .errors import (
 )
 from .experiment import (
     RunRow,
-    RunSetting,
     SweepResult,
     SweepSpec,
     check_bound,

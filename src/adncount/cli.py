@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _schedule_params(args, T, delta_defaults) -> ScheduleParams:
+def _params_from_flags(args, T, delta_defaults) -> ScheduleParams:
     """Schedule parameters from the flags; --delta may be omitted for the
     families in ``delta_defaults``, where it becomes n - 1."""
     family = canonical_family(args.family)
@@ -103,7 +103,7 @@ def _cmd_generate(args) -> int:
     # The round-1 snapshot is epoch 0 for every T; T = 1 is merely a value
     # that every family accepts. An undrawn epoch 0 depends on no degree
     # bound, so --delta may be omitted for those families too.
-    params = _schedule_params(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST))
+    params = _params_from_flags(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST))
     schedule = DynamicsSchedule(params, ranrut_variant=args.ranrut_variant)
     text = json.dumps(schedule.topology_at(1).to_json_dict()) + "\n"
     if args.out:
@@ -115,7 +115,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    params = _schedule_params(args, args.T, FULL_DEGREE_FAMILIES)
+    params = _params_from_flags(args, args.T, FULL_DEGREE_FAMILIES)
     record = experiment.run_one(params, args.mode, args.c, args.max_rounds)
     if args.json:
         sys.stdout.write(json.dumps(record.to_json_dict()) + "\n")

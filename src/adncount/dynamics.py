@@ -147,11 +147,6 @@ class DynamicsSchedule:
         self._first = 0  # the epoch of self._batch[0]
         self._batch = self._build(0)
 
-    @property
-    def period(self) -> int | None:
-        """``params.period``: the rounds per epoch, None when static."""
-        return self._period
-
     def topology_at(self, r: int) -> Topology:
         """Snapshot in force at round r >= 1."""
         if r < 1:

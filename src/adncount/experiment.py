@@ -37,20 +37,6 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
-class RunSetting:
-    """One grid point of a sweep."""
-
-    family: str
-    n: int
-    delta: int
-    T: float
-    p: float | None = None
-
-    def schedule_params(self, seed: int) -> ScheduleParams:
-        return ScheduleParams(self.family, self.n, self.delta, self.T, seed, self.p)
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     """A §-style parameter grid plus execution parameters.
 
@@ -59,8 +45,8 @@ class SweepSpec:
     ``powers-of-two`` takes every 2^i <= n - 1, ``largest-power-of-two``
     only the largest such power, and ``fixed-n-minus-1`` uses n - 1.
     ``delta_cap`` further caps the two power rules; it cannot be combined
-    with ``fixed-n-minus-1``. No family, T or p may be given twice, and
-    ``p_set`` is for the gnp family alone.
+    with ``fixed-n-minus-1`` or given to star and gnp alone. No family, T
+    or p may be given twice, and ``p_set`` is for the gnp family alone.
     """
 
     families: tuple[str, ...]
@@ -97,6 +83,8 @@ class SweepSpec:
                 raise InvalidParameters("delta_cap must be an integer or null")
             if self.delta_rule == "fixed-n-minus-1":
                 raise InvalidParameters("delta_cap does not apply to delta_rule fixed-n-minus-1")
+            if set(self.families) <= set(FULL_DEGREE_FAMILIES):
+                raise InvalidParameters("delta_cap does not apply to star or gnp, which use n - 1")
         if not self.T_set:
             raise InvalidParameters("T_set must be non-empty")
         for T in self.T_set:
@@ -114,18 +102,18 @@ class SweepSpec:
                 raise InvalidParameters(f"{key} repeats {repeated[0]!r}")
         # c, mode and max_rounds are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
-        unfit = [f for f in self.families
-                 if not any(self._deltas(f, n) for n in range(lo, hi + 1))]
+        # building the grid validates every point before any run starts
+        points = self.settings()
+        built = {point.family for point in points}
+        unfit = [f for f in self.families if f not in built]
         if unfit:
             raise InvalidParameters(
                 f"no power-of-two degree bound fits n_range and delta_cap for "
                 f"{', '.join(unfit)}"
             )
-        # refuse the whole grid before any run starts
-        for setting in self.settings():
-            setting.schedule_params(seed=0)
-            if self.mode == "theoretical":
-                check_theoretical_gate(setting.n, setting.delta)
+        if self.mode == "theoretical":
+            for point in points:
+                check_theoretical_gate(point.n, point.delta)
 
     def _deltas(self, family: str, n: int) -> list[int]:
         if family in FULL_DEGREE_FAMILIES or self.delta_rule == "fixed-n-minus-1":
@@ -140,36 +128,25 @@ class SweepSpec:
             return powers[-1:]
         return powers
 
-    def settings(self) -> list[RunSetting]:
-        """Deterministic grid enumeration; config_index = list position."""
-        out = []
+    def settings(self) -> list[ScheduleParams]:
+        """Deterministic grid enumeration, each point with seed 0;
+        config_index = list position."""
         lo, hi = self.n_range
-        for family in self.families:
-            for n in range(lo, hi + 1):
-                for delta in self._deltas(family, n):
-                    for T in self.T_set:
-                        T = math.inf if T == math.inf else int(T)
-                        if family == "gnp":
-                            for p in self.p_set:
-                                out.append(RunSetting(family, n, delta, T, p))
-                        else:
-                            out.append(RunSetting(family, n, delta, T, None))
-        return out
+        return [
+            ScheduleParams(family, n, delta, T if T == math.inf else int(T), 0, p)
+            for family in self.families
+            for n in range(lo, hi + 1)
+            for delta in self._deltas(family, n)
+            for T in self.T_set
+            for p in (self.p_set if family == "gnp" else (None,))
+        ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "families": list(self.families),
-            "n_range": list(self.n_range),
-            "T_set": ["inf" if T == math.inf else int(T) for T in self.T_set],
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "c": self.c,
-            "delta_rule": self.delta_rule,
-            "delta_cap": self.delta_cap,
-            "p_set": list(self.p_set),
-            "max_rounds": self.max_rounds,
-        }
+        """One key per field, in field order; a static T is written "inf"."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["T_set"] = ["inf" if T == math.inf else int(T) for T in self.T_set]
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in data.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
@@ -219,22 +196,14 @@ def standard_grid(family: str, full: bool = False) -> SweepSpec:
     if family not in FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")
     n_hi, reps, seed_base = (75, 100, 7500) if full else (30, 10, 3000)
-    seed = seed_base + FAMILIES.index(family)
-    if family == "gnp":
-        return SweepSpec(
-            families=("gnp",),
-            n_range=(3, n_hi),
-            T_set=_STUDY_T_SET[:-1],
-            repetitions=reps,
-            master_seed=seed,
-            p_set=_STUDY_P_SET,
-        )
+    gnp = family == "gnp"
     return SweepSpec(
         families=(family,),
         n_range=(3, n_hi),
-        T_set=_STUDY_T_SET,
+        T_set=_STUDY_T_SET[:-1] if gnp else _STUDY_T_SET,
         repetitions=reps,
-        master_seed=seed,
+        master_seed=seed_base + FAMILIES.index(family),
+        p_set=_STUDY_P_SET if gnp else (),
     )
 
 
@@ -315,7 +284,7 @@ class SweepResult:
                 raise InvalidParameters(f"duplicate row for config_index {ci}, rep {rep}")
             seen.add((ci, rep))
             record = RunRecord.from_json_dict(row["record"])
-            params = settings[ci].schedule_params(derive_seed(spec.master_seed, ci, rep))
+            params = replace(settings[ci], seed=derive_seed(spec.master_seed, ci, rep))
             config = run_config(params, spec.mode, spec.c, spec.max_rounds)
             for key, value in record_inputs(params, config).items():
                 if getattr(record, key) != value:
@@ -346,30 +315,26 @@ def run_one(params: ScheduleParams, mode: str, c: float,
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the whole grid; output is independent of the worker count.
 
-    Runs of a seed-invariant stream (``ScheduleParams.seed_invariant_key``)
-    are run once per stream key, at their lowest (config_index, rep); the
-    other rows of that key are copies of its record with ``seed`` and ``T``
-    replaced, the only fields in which their own runs would differ.
-    ``mode``, ``c`` and ``max_rounds`` are the same for every run of a
-    sweep. The pool has at most one worker per job, and a single job runs
-    in this process.
+    Each distinct stream is run once: a seed-invariant stream
+    (``ScheduleParams.seed_invariant_key``) at its key's lowest
+    (config_index, rep), any other at its own row. Every row is its
+    stream's record with ``seed`` and ``T`` replaced by its own, the only
+    fields in which its own run would differ. ``mode``, ``c`` and
+    ``max_rounds`` are the same for every run of a sweep. The pool has at
+    most one worker per job, and a single job runs in this process.
     """
     if not (_is_int(workers) and workers >= 1):
         raise InvalidParameters(f"workers must be an integer >= 1, got {workers!r}")
     jobs = []
-    plan = []  # per row: config_index, rep, seed, T, index into jobs, is a copy
-    first_job = {}
-    for ci, setting in enumerate(spec.settings()):
-        key = setting.schedule_params(seed=0).seed_invariant_key
+    job_of = {}  # stream -> index into jobs
+    plan = []  # per row: config_index, rep, params, index into jobs
+    for ci, point in enumerate(spec.settings()):
         for rep in range(spec.repetitions):
-            seed = derive_seed(spec.master_seed, ci, rep)
-            if key in first_job:
-                plan.append((ci, rep, seed, setting.T, first_job[key], True))
-                continue
-            if key is not None:
-                first_job[key] = len(jobs)
-            plan.append((ci, rep, seed, setting.T, len(jobs), False))
-            jobs.append(setting.schedule_params(seed))
+            params = replace(point, seed=derive_seed(spec.master_seed, ci, rep))
+            job = job_of.setdefault(params.seed_invariant_key or params, len(jobs))
+            if job == len(jobs):
+                jobs.append(params)
+            plan.append((ci, rep, params, job))
     run = partial(run_one, mode=spec.mode, c=spec.c, max_rounds=spec.max_rounds)
     workers = min(workers, len(jobs))
     if workers == 1:
@@ -379,8 +344,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, jobs, chunksize=chunk))
     rows = tuple(
-        RunRow(ci, rep, replace(records[i], seed=seed, T=T) if copy else records[i])
-        for ci, rep, seed, T, i, copy in plan
+        RunRow(ci, rep, replace(records[job], seed=params.seed, T=params.T))
+        for ci, rep, params, job in plan
     )
     return SweepResult(spec=spec, rows=rows)
 

@@ -336,7 +336,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
 
     Each round is one kernel call plus a little bookkeeping. The schedule
     is asked for a snapshot only at the first round of each epoch (every
-    ``schedule.period`` rounds; once when static), and the round cap is
+    ``params.period`` rounds; once when static), and the round cap is
     tested only at those points and at the round past the cap. Each
     collection round writes its energies straight into the next row of
     the diagnostics block.
@@ -357,7 +357,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     drift_tol = 1e-9 * n
     everyone = (1 << n) - 1
     topology_at = schedule.topology_at
-    period = schedule.period
+    period = params.period
     diagnostics = _Diagnostics()
     block = np.empty((_BLOCK, n))
     block_rows = list(block)  # row views, made once

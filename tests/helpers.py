@@ -159,11 +159,10 @@ class ListSchedule:
 
     def __init__(self, params, snapshots):
         self.params = params
-        self.period = params.T
         self._snapshots = list(snapshots)
 
     def topology_at(self, r):
-        return self._snapshots[(r - 1) // self.period % len(self._snapshots)]
+        return self._snapshots[(r - 1) // self.params.T % len(self._snapshots)]
 
 
 def prufer_tree(n, sequence):

@@ -3,17 +3,22 @@ functions where the engine looks them up, by reading
 ``owner.__dict__[attr]``. A renamed or deleted name would surface only as a
 KeyError under ``perfbench/run.py --trace 1``, so every name is checked
 here, without installing the tracer. A name the engine no longer calls
-would leave its span at 0, so small traced sweeps check which spans fire."""
+would leave its span at 0, so small traced sweeps check which spans fire.
+The benchmark's own sweep specs are checked to stay valid, one grid point
+each, and to pass its set-up probe."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from adncount import cli
+from adncount import ScheduleParams, SweepSpec, cli
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -80,3 +85,26 @@ def test_spans_that_read_zero(tmp_path, capsys, family):
     capsys.readouterr()
     calls = tracer.per_layer()
     assert {span for span in spans.SPAN_NAMES if calls[f"{span}.calls"][0] == 0} == zero
+
+
+def test_benchmark_specs_are_one_valid_point(tmp_path, monkeypatch):
+    # perfbench/run.py pins BLAS to one thread through the environment when
+    # it loads; setting the variables here first restores them afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    # registered first: its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    for name, wl in bench.WORKLOADS.items():
+        data = wl.spec(bench.master_seed(name, 1, 0))
+        assert SweepSpec.from_json_dict(data).settings() == [
+            ScheduleParams(wl.family, bench.N, wl.delta, wl.T, 0, wl.p)]
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps(data))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), str(ROOT), str(spec_path)],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        float(done.stdout.split()[-1])  # the probe's clock reading

@@ -211,6 +211,10 @@ def test_sweep_invalid_spec_exits_2(tmp_path, capsys):
     {"families": ["gnp"], "T_set": [10], "p_set": [0.3, 0.3]},
     {"p_set": [0.3]},  # no gnp family
     {"delta_rule": "fixed-n-minus-1", "delta_cap": 2},
+    # a delta_cap that no family reads: star and gnp use n - 1
+    {"families": ["star"], "n_range": [5, 5], "delta_cap": 2},
+    {"families": ["gnp"], "T_set": [10], "p_set": [0.3], "delta_cap": 2},
+    {"families": ["star", "gnp"], "T_set": [10], "p_set": [0.3], "delta_cap": 2},
 ])
 def test_sweep_malformed_spec_exits_2(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "sweep", "--spec", write_spec(tmp_path, **overrides))

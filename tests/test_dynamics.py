@@ -148,7 +148,6 @@ def test_invalid_parameters(kwargs):
     ("star", 5, 7, None),  # a star serves one snapshot at any T
 ])
 def test_period(family, delta, T, period):
-    assert new_schedule(family, 6, delta, T, 0).period == period
     assert ScheduleParams(family, 6, delta, T, 0).period == period
 
 

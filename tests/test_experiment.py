@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from adncount import (
     RunRow,
-    RunSetting,
+    ScheduleParams,
     SweepResult,
     SweepSpec,
     check_bound,
@@ -48,9 +49,9 @@ def test_settings_enumeration_order_and_constraints():
     )
     settings = spec.settings()
     # stars always use delta = n-1; paths get every power of two <= n-1
-    assert settings[0] == RunSetting("star", 3, 2, math.inf, None)
-    assert RunSetting("path", 5, 2, 10, None) in settings
-    assert RunSetting("path", 5, 4, math.inf, None) in settings
+    assert settings[0] == ScheduleParams("star", 3, 2, math.inf, 0)
+    assert ScheduleParams("path", 5, 2, 10, 0) in settings
+    assert ScheduleParams("path", 5, 4, math.inf, 0) in settings
     assert not any(s.family == "path" and s.delta == 3 for s in settings)
     # deterministic: same spec enumerates identically
     assert settings == spec.settings()
@@ -237,9 +238,9 @@ DEDUP_SPECS = {
 
 def run_row_by_row(spec):
     rows = tuple(
-        RunRow(ci, rep, run_one(setting.schedule_params(derive_seed(spec.master_seed, ci, rep)),
+        RunRow(ci, rep, run_one(replace(point, seed=derive_seed(spec.master_seed, ci, rep)),
                                 spec.mode, spec.c, spec.max_rounds))
-        for ci, setting in enumerate(spec.settings())
+        for ci, point in enumerate(spec.settings())
         for rep in range(spec.repetitions)
     )
     return SweepResult(spec=spec, rows=rows)
@@ -376,6 +377,13 @@ def test_standard_grid_shapes():
     g = standard_grid("gnp")
     assert math.inf not in g.T_set
     assert g.p_set == (0.1, 0.2, 0.3, 0.4, 0.5)
+    # configurations at desk scale and --full
+    sizes = {"random-tree": (900, 3240), "star": (280, 730), "path": (900, 3240),
+             "gnp": (1260, 3285)}
+    for family, (desk_size, full_size) in sizes.items():
+        desk, full = standard_grid(family), standard_grid(family, full=True)
+        assert (len(desk.settings()), len(full.settings())) == (desk_size, full_size)
+        assert (desk.p_set == ()) == (full.p_set == ()) == (family != "gnp")
     # degree bounds follow the family rules
     settings = standard_grid("random-tree").settings()
     deltas_n20 = sorted({s.delta for s in settings if s.n == 20})

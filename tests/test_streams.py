@@ -1,6 +1,5 @@
-"""The stream contract: ``count`` reads only a stream's ``params``,
-``period`` and ``topology_at``, so any stream of degree-bounded snapshots
-can drive it."""
+"""The stream contract: ``count`` reads only a stream's ``params`` and
+``topology_at``, so any stream of degree-bounded snapshots can drive it."""
 
 import pytest
 from hypothesis import given, settings
