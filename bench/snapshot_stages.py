@@ -100,17 +100,6 @@ SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
              ("gnp", N - 1, GNP_P))
 
 
-def load_library():
-    """Import adncount from this checkout's src/, and from nowhere else."""
-    src = os.path.join(ROOT, "src")
-    sys.path.insert(0, src)
-    import adncount
-
-    if not os.path.abspath(adncount.__file__).startswith(os.path.join(src, "")):
-        sys.exit(f"snapshot_stages: imported adncount from {adncount.__file__}, not {src}")
-    return adncount
-
-
 def load_benchmark():
     """``perfbench/run.py`` as a module, loaded by file path (registered
     first: its dataclasses look their module up in ``sys.modules``).
@@ -122,9 +111,11 @@ def load_benchmark():
     return module
 
 
-# the benchmark's calibration slice and scale, so the two cannot drift
+# the benchmark's calibration slice and scale, so the two cannot drift, and
+# its import of adncount from this checkout's src/ and from nowhere else
 _BENCHMARK = load_benchmark()
 calibrate, CAL_REF_S = _BENCHMARK.calibrate, _BENCHMARK.CAL_REF_S
+load_library = _BENCHMARK.load_library
 
 
 def scaled(sample):
@@ -244,10 +235,6 @@ def kernel_costs(adn, calls, repeats):
     for name, topology, delta in (("path", adn.path(N), 2),
                                   (f"gnp p={GNP_P}", adn.gnp(N, GNP_P, random.Random(SEED)), N - 1)):
         collection = (energy, topology, delta, np.empty(N))
-        try:
-            protocol.collection_round(*collection)
-        except TypeError:  # a kernel without ``out``, as in older checkouts
-            collection = collection[:3]
         result[name] = {"edges": len(topology.edges)}
         for kernel, args in (("collection_round", collection),
                              ("verification_round", (energy, topology)),
@@ -283,7 +270,7 @@ def static_path_cost(adn, kernels):
     the median µs per round less the median path kernel time of each
     round's phase (every static path run has the same rounds)."""
     def schedule(seed):
-        return adn.new_schedule("path", N, 2, math.inf, seed)
+        return adn.DynamicsSchedule(adn.ScheduleParams("path", N, 2, math.inf, seed))
 
     result = count_cost(adn, map(schedule, range(COUNT_RUNS)))
     record = adn.count(schedule(0))
@@ -301,7 +288,8 @@ def schedule_epoch_costs(adn, epochs, repeats, master):
     for family, delta, p in SCHEDULES:
         us = []
         for i in range(repeats):
-            schedule = adn.new_schedule(family, N, delta, 1, master + i, p=p)
+            params = adn.ScheduleParams(family, N, delta, 1, master + i, p=p)
+            schedule = adn.DynamicsSchedule(params)
 
             def serve():
                 t0 = perf_counter()
@@ -375,7 +363,8 @@ def main(argv=None) -> int:
         "kernel_calls": KERNEL_CALLS,
         "kernels_us_per_call": kernels,
         "count_T1_delta4": count_cost(
-            adn, (adn.new_schedule("random-tree", N, 4, 1, seed) for seed in range(COUNT_RUNS))),
+            adn, (adn.DynamicsSchedule(adn.ScheduleParams("random-tree", N, 4, 1, seed))
+                  for seed in range(COUNT_RUNS))),
         "count_static_path": static_path_cost(adn, kernels),
         "epochs": EPOCHS,
         "schedule_epochs_us_T1": schedule_epoch_costs(adn, EPOCHS, REPEATS, SEED),

@@ -6,7 +6,7 @@ counting protocol (collection / verification / notification), and the
 parameter-sweep harness used to check the polynomial-envelope claims.
 """
 
-from .dynamics import DynamicsSchedule, ScheduleParams, new_schedule
+from .dynamics import DynamicsSchedule, ScheduleParams
 from .errors import (
     BudgetOverflow,
     CountingError,

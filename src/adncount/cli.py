@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_flags(args, T, delta_defaults) -> ScheduleParams:
+def _params_from_flags(args, T, delta_defaults, variant="paper-literal") -> ScheduleParams:
     """Schedule parameters from the flags; --delta may be omitted for the
     families in ``delta_defaults``, where it becomes n - 1."""
     family = canonical_family(args.family)
@@ -95,7 +95,7 @@ def _params_from_flags(args, T, delta_defaults) -> ScheduleParams:
     if delta is None:
         raise CountingError(f"{family} requires --delta")
     return ScheduleParams(
-        family=family, n=args.n, delta=delta, T=T, seed=args.seed, p=args.p
+        family=family, n=args.n, delta=delta, T=T, seed=args.seed, p=args.p, variant=variant
     )
 
 
@@ -103,9 +103,9 @@ def _cmd_generate(args) -> int:
     # The round-1 snapshot is epoch 0 for every T; T = 1 is merely a value
     # that every family accepts. An undrawn epoch 0 depends on no degree
     # bound, so --delta may be omitted for those families too.
-    params = _params_from_flags(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST))
-    schedule = DynamicsSchedule(params, ranrut_variant=args.ranrut_variant)
-    text = json.dumps(schedule.topology_at(1).to_json_dict()) + "\n"
+    params = _params_from_flags(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST),
+                                args.ranrut_variant)
+    text = json.dumps(DynamicsSchedule(params).topology_at(1).to_json_dict()) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -55,7 +55,8 @@ def canonical_family(name):
 class ScheduleParams:
     """Inputs that define one dynamic-network instance, and the facts about
     its snapshot stream that follow from them. A parameter combination that
-    no schedule can serve raises InvalidParameters here."""
+    no schedule can serve raises InvalidParameters here. Every family
+    accepts either ranrut ``variant``; only random-tree streams read it."""
 
     family: str
     n: int
@@ -63,6 +64,7 @@ class ScheduleParams:
     T: float  # positive int, or math.inf for static
     seed: int
     p: float | None = None
+    variant: str = "paper-literal"
 
     def __post_init__(self):
         f, n, delta, T = self.family, self.n, self.delta, self.T
@@ -91,6 +93,8 @@ class ScheduleParams:
                 )
         elif self.p is not None:
             raise InvalidParameters(f"p is only meaningful for gnp, not {f}")
+        if self.variant not in RANRUT_VARIANTS:
+            raise InvalidParameters(f"unknown ranrut variant {self.variant!r}")
 
     @property
     def period(self) -> int | None:
@@ -136,11 +140,8 @@ class DynamicsSchedule:
     jump builds one.
     """
 
-    def __init__(self, params: ScheduleParams, ranrut_variant: str = "paper-literal"):
-        if ranrut_variant not in RANRUT_VARIANTS:
-            raise InvalidParameters(f"unknown ranrut variant {ranrut_variant!r}")
+    def __init__(self, params: ScheduleParams):
         self.params = params
-        self._variant = ranrut_variant
         self._period = params.period
         self._rngs: list[random.Random] = []  # reseeded for every batch
         self._size = 1
@@ -192,7 +193,7 @@ class DynamicsSchedule:
             return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
         if p.family == "gnp":
             return gnp_topologies(p.n, p.p, rngs, p.delta)
-        parents = [ranrut(p.n, rng, self._variant) for rng in rngs]
+        parents = [ranrut(p.n, rng, p.variant) for rng in rngs]
         labels = np.array(parents, dtype=np.intp)
         # every tree's degrees at once: its children, plus the parent edge
         # of each vertex but the root; only trees over the bound are pruned
@@ -212,12 +213,3 @@ def _path_order(n: int, rng: random.Random) -> list[int]:
     labels = list(range(1, n))
     rng.shuffle(labels)
     return [0] + labels
-
-
-def new_schedule(family: str, n: int, delta: int, T: float, seed: int,
-                 p: float | None = None, **kwargs) -> DynamicsSchedule:
-    """Convenience constructor mirroring the schedule parameter list."""
-    return DynamicsSchedule(
-        ScheduleParams(family=family, n=n, delta=delta, T=T, seed=seed, p=p),
-        **kwargs,
-    )

@@ -102,8 +102,17 @@ class SweepSpec:
                 raise InvalidParameters(f"{key} repeats {repeated[0]!r}")
         # c, mode and max_rounds are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
-        # building the grid validates every point before any run starts
-        points = self.settings()
+        # the grid, built once: building it validates every point before any run
+        lo, hi = self.n_range
+        points = tuple(
+            ScheduleParams(family, n, delta, T if T == math.inf else int(T), 0, p)
+            for family in self.families
+            for n in range(lo, hi + 1)
+            for delta in self._deltas(family, n)
+            for T in self.T_set
+            for p in (self.p_set if family == "gnp" else (None,))
+        )
+        object.__setattr__(self, "_points", points)
         built = {point.family for point in points}
         unfit = [f for f in self.families if f not in built]
         if unfit:
@@ -129,17 +138,9 @@ class SweepSpec:
         return powers
 
     def settings(self) -> list[ScheduleParams]:
-        """Deterministic grid enumeration, each point with seed 0;
-        config_index = list position."""
-        lo, hi = self.n_range
-        return [
-            ScheduleParams(family, n, delta, T if T == math.inf else int(T), 0, p)
-            for family in self.families
-            for n in range(lo, hi + 1)
-            for delta in self._deltas(family, n)
-            for T in self.T_set
-            for p in (self.p_set if family == "gnp" else (None,))
-        ]
+        """The grid points built with the spec, each with seed 0, in
+        deterministic order; config_index = list position."""
+        return list(self._points)
 
     def to_json_dict(self) -> dict:
         """One key per field, in field order; a static T is written "inf"."""

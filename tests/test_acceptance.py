@@ -14,7 +14,9 @@ import random
 import pytest
 
 from adncount import (
+    DynamicsSchedule,
     ProtocolConfig,
+    ScheduleParams,
     SweepSpec,
     canonical_form,
     check_bound,
@@ -23,7 +25,6 @@ from adncount import (
     count,
     csv_text,
     enumerate_rooted_trees,
-    new_schedule,
     notification_round,
     notification_rounds,
     path,
@@ -167,7 +168,7 @@ def test_criterion_07_phase_length_formulas():
     ok = ok and got_tau == collection_budget_oracle(2, 1) == 6
     checks.append(f"tau(k=2,delta=1)={got_tau}")
     # the engine uses exactly these lengths
-    rec = count(new_schedule("path", 2, 1, math.inf, 0))
+    rec = count(DynamicsSchedule(ScheduleParams("path", 2, 1, math.inf, 0)))
     ok = ok and rec.per_k_trace[0].verification == 5
     ok = ok and rec.per_k_trace[0].notification == 2
     report(7, "phase lengths match the independent oracle", ok,
@@ -185,7 +186,7 @@ def test_criterion_08_theoretical_budget_sound():
         energy = collection_round(energy, topo, 2)
     leader_after = float(energy[0])
     threshold = 4 - 1 - 4 ** (-2.4)
-    rec = count(new_schedule("path", 4, 2, math.inf, 0), cfg)
+    rec = count(DynamicsSchedule(ScheduleParams("path", 4, 2, math.inf, 0)), cfg)
     report(8, "theoretical budget collects enough energy",
            leader_after >= threshold and rec.estimate == 4,
            f"e_leader {leader_after:.12f} >= {threshold:.12f} after "

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from adncount import new_schedule
+from adncount import DynamicsSchedule, ScheduleParams, SweepResult, experiment, standard_grid
 from adncount.cli import main
+from adncount.experiment import CSV_HEADER
 
 
 def run_cli(capsys, *argv):
@@ -61,7 +62,7 @@ def test_generate_bad_parameters_exit_2(capsys, argv):
 def test_generate_prints_round_one_snapshot(capsys, argv, schedule):
     code, out, _ = run_cli(capsys, "generate", *argv)
     assert code == 0
-    expected = new_schedule(*schedule).topology_at(1).to_json_dict()
+    expected = DynamicsSchedule(ScheduleParams(*schedule)).topology_at(1).to_json_dict()
     assert out == json.dumps(expected) + "\n"
 
 
@@ -239,6 +240,43 @@ def test_sweep_spec_tree_alias(tmp_path, capsys):
     assert outputs[0][0].count(b"\nrandom-tree,") == 4
 
 
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["run", "--family", "tree", "--n", "5"], {}, "random-tree requires --delta"),
+    (["sweep", "--spec", "{spec}"], {"families": []}, "families must be non-empty"),
+    (["sweep", "--spec", "{spec}"], {"T_set": []}, "T_set must be non-empty"),
+    (["sweep", "--spec", "{spec}", "--out-csv", "{tmp}/missing/runs.csv"], {},
+     "cannot write CSV to"),
+    (["sweep", "--spec", "{spec}", "--out-json", "{tmp}/missing/runs.json"], {},
+     "cannot write JSON to"),
+    (["check-bound", "--in-json", "{tmp}/missing.json"], {}, "cannot read JSON from"),
+], ids=["run-tree-no-delta", "spec-no-families", "spec-no-T", "csv-dir-missing",
+        "json-dir-missing", "in-json-missing"])
+def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, overrides, message):
+    spec = write_spec(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, *(a.format(spec=spec, tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, spec, workers", [
+    (["--grid", "tree"], standard_grid("random-tree"), 1),
+    (["--grid", "gnp", "--full", "--workers", "3"], standard_grid("gnp", full=True), 3),
+])
+def test_sweep_grid_runs_the_standard_grid(monkeypatch, capsys, argv, spec, workers):
+    calls = []
+
+    def run_sweep(spec, workers):
+        calls.append((spec, workers))
+        return SweepResult(spec, ())
+
+    monkeypatch.setattr(experiment, "run_sweep", run_sweep)
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    assert calls == [(spec, workers)]
+    assert out == CSV_HEADER + "\n"
+
+
 def test_sweep_spec_not_an_object_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("[]")
@@ -382,9 +420,12 @@ def test_unknown_flag_exits_2(capsys):
 
 
 def test_bad_T_value_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["run", "--family", "path", "--n", "3", "--delta", "2", "--T", "soon"])
-    assert info.value.code == 2
+    for value, message in (("soon", "T must be a positive integer or 'inf'"),
+                           ("0", "T must be >= 1")):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--family", "path", "--n", "3", "--delta", "2", "--T", value])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -2,12 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adncount import (DynamicsSchedule, ScheduleParams, Topology, count, derive_seed, dynamics,
-                      gnp, new_schedule, path, prune, ranrut, star, tree_to_topology)
+                      gnp, path, prune, ranrut, star, tree_to_topology)
 from adncount.errors import InvalidParameters
 from adncount.seeds import splitmix64
 from adncount.trees import RANRUT_VARIANTS
@@ -19,13 +20,13 @@ def collect_snapshots(schedule, rounds):
 
 
 def test_static_star_never_changes():
-    sch = new_schedule("star", 5, 4, math.inf, 0)
+    sch = DynamicsSchedule(ScheduleParams("star", 5, 4, math.inf, 0))
     snaps = collect_snapshots(sch, 40)
     assert all(s is snaps[0] for s in snaps)
 
 
 def test_path_T10_stability_window():
-    sch = new_schedule("path", 4, 2, 10, 3)
+    sch = DynamicsSchedule(ScheduleParams("path", 4, 2, 10, 3))
     snaps = collect_snapshots(sch, 30)
     # snapshots are the same object within each T-window
     assert all(s is snaps[0] for s in snaps[:10])
@@ -36,21 +37,21 @@ def test_path_T10_stability_window():
 
 
 def test_first_change_effective_at_round_T_plus_1():
-    sch = new_schedule("random-tree", 8, 4, 7, 1)
+    sch = DynamicsSchedule(ScheduleParams("random-tree", 8, 4, 7, 1))
     snaps = collect_snapshots(sch, 15)
     changes = [r for r in range(2, 16) if snaps[r - 1] is not snaps[r - 2]]
     assert changes == [8, 15]
 
 
 def test_t_stability_gap_bound():
-    sch = new_schedule("random-tree", 6, 2, 5, 9)
+    sch = DynamicsSchedule(ScheduleParams("random-tree", 6, 2, 5, 9))
     snaps = collect_snapshots(sch, 60)
     changes = [r for r in range(2, 61) if snaps[r - 1] is not snaps[r - 2]]
     assert all(b - a >= 5 for a, b in zip(changes, changes[1:]))
 
 
 def test_path_T1_leader_stays_endpoint():
-    sch = new_schedule("path", 6, 2, 1, 4)
+    sch = DynamicsSchedule(ScheduleParams("path", 6, 2, 1, 4))
     seen = set()
     for r in range(1, 40):
         topo = sch.topology_at(r)
@@ -61,7 +62,7 @@ def test_path_T1_leader_stays_endpoint():
 
 
 def test_star_leader_degree_every_round():
-    sch = new_schedule("star", 7, 6, 3, 2)
+    sch = DynamicsSchedule(ScheduleParams("star", 7, 6, 3, 2))
     for r in range(1, 20):
         assert sch.topology_at(r).degrees[0] == 6
 
@@ -81,7 +82,7 @@ def test_star_serves_one_snapshot_every_epoch(monkeypatch):
 
 
 def test_tree_snapshots_respect_bound():
-    sch = new_schedule("random-tree", 12, 4, 2, 8)
+    sch = DynamicsSchedule(ScheduleParams("random-tree", 12, 4, 2, 8))
     for r in range(1, 30):
         topo = sch.topology_at(r)
         assert len(topo.edges) == 11
@@ -90,20 +91,20 @@ def test_tree_snapshots_respect_bound():
 
 
 def test_same_seed_same_sequence():
-    a = new_schedule("random-tree", 10, 2, 3, 77)
-    b = new_schedule("random-tree", 10, 2, 3, 77)
+    a = DynamicsSchedule(ScheduleParams("random-tree", 10, 2, 3, 77))
+    b = DynamicsSchedule(ScheduleParams("random-tree", 10, 2, 3, 77))
     for r in range(1, 25):
         assert a.topology_at(r) == b.topology_at(r)
 
 
 def test_different_seed_differs():
-    a = new_schedule("gnp", 10, 9, 1, 1, p=0.5)
-    b = new_schedule("gnp", 10, 9, 1, 2, p=0.5)
+    a = DynamicsSchedule(ScheduleParams("gnp", 10, 9, 1, 1, p=0.5))
+    b = DynamicsSchedule(ScheduleParams("gnp", 10, 9, 1, 2, p=0.5))
     assert any(a.topology_at(r) != b.topology_at(r) for r in range(1, 10))
 
 
 def test_round_zero_is_rejected():
-    sch = new_schedule("path", 4, 2, 10, 0)
+    sch = DynamicsSchedule(ScheduleParams("path", 4, 2, 10, 0))
     for r in (0, -1):
         with pytest.raises(InvalidParameters):
             sch.topology_at(r)
@@ -137,8 +138,6 @@ def test_round_zero_is_rejected():
 def test_invalid_parameters(kwargs):
     with pytest.raises(InvalidParameters):
         ScheduleParams(**kwargs)
-    with pytest.raises(InvalidParameters):
-        new_schedule(**kwargs)
 
 
 @pytest.mark.parametrize("family, delta, T, period", [
@@ -172,17 +171,17 @@ def test_stream_facts(family, delta, T, p, key):
     ("random-tree", 3, None), ("path", 2, None), ("gnp", 5, 0.3), ("star", 5, None),
 ])
 def test_unknown_ranrut_variant_is_rejected(family, delta, p):
-    params = ScheduleParams(family, 6, delta, 1, 0, p)
-    with pytest.raises(InvalidParameters, match="bogus"):
-        DynamicsSchedule(params, ranrut_variant="bogus")
+    # every family accepts either variant, though only random trees read it
+    with pytest.raises(InvalidParameters, match="unknown ranrut variant 'bogus'"):
+        ScheduleParams(family, 6, delta, 1, 0, p, variant="bogus")
 
 
 def test_n2_path_with_delta1_is_valid():
-    sch = new_schedule("path", 2, 1, math.inf, 0)
+    sch = DynamicsSchedule(ScheduleParams("path", 2, 1, math.inf, 0))
     assert sch.topology_at(1).edges == ((0, 1),)
 
 
-def epoch_snapshot(params, epoch, variant):
+def epoch_snapshot(params, epoch):
     """Epoch ``epoch`` of a schedule's stream, built on its own from the
     single-snapshot generators (permuted paths through the validating
     constructor)."""
@@ -198,7 +197,7 @@ def epoch_snapshot(params, epoch, variant):
         return Topology(params.n, zip(order, order[1:]))
     if params.family == "gnp":
         return gnp(params.n, params.p, rng)
-    tree = prune(ranrut(params.n, rng, variant), params.delta, rng)
+    tree = prune(ranrut(params.n, rng, params.variant), params.delta, rng)
     return tree_to_topology(tree)
 
 
@@ -227,11 +226,12 @@ def test_lookahead_serves_per_epoch_snapshots(params, variant, rounds):
     # batches build several epochs in one go; each served snapshot must
     # equal, in every array and in a collection round's bits, the one
     # built on its own for that epoch
-    schedule = DynamicsSchedule(params, ranrut_variant=variant)
+    params = replace(params, variant=variant)
+    schedule = DynamicsSchedule(params)
     energies = np.random.default_rng(params.seed)
     for r in rounds:
         epoch = (r - 1) // params.T
-        assert_same_snapshot(schedule.topology_at(r), epoch_snapshot(params, epoch, variant),
+        assert_same_snapshot(schedule.topology_at(r), epoch_snapshot(params, epoch),
                              params.delta, energies)
 
 
@@ -254,7 +254,7 @@ def test_lookahead_builds_at_most_63_unserved_epochs(monkeypatch, T, seeds):
     unserved = []
     for seed in seeds:
         calls[0] = 0
-        record = count(new_schedule("random-tree", 12, 4, T, seed))
+        record = count(DynamicsSchedule(ScheduleParams("random-tree", 12, 4, T, seed)))
         epochs = (record.rounds_total - 1) // T + 1
         assert epochs <= calls[0] <= epochs + 63
         unserved.append(calls[0] - epochs)
@@ -266,7 +266,7 @@ def test_jumps_build_one_epoch_each(monkeypatch):
     # follow it, so each builds its epoch alone: 11 builds, after the one of
     # epoch 0 that the schedule makes when it is created
     calls = count_ranrut_calls(monkeypatch)
-    schedule = new_schedule("random-tree", 20, 4, 1, 3)
+    schedule = DynamicsSchedule(ScheduleParams("random-tree", 20, 4, 1, 3))
     for r in BACKWARDS:
         schedule.topology_at(r)
     assert calls[0] == 1 + len(BACKWARDS)
@@ -283,7 +283,8 @@ def test_batches_match_epoch_by_epoch_draws(seed):
     n = 20
     for delta in (3, n - 1):
         for variant in RANRUT_VARIANTS:
-            schedule = new_schedule("random-tree", n, delta, 1, seed, ranrut_variant=variant)
+            params = ScheduleParams("random-tree", n, delta, 1, seed, variant=variant)
+            schedule = DynamicsSchedule(params)
             pruned = 0
             for e in range(epochs):
                 rng = random.Random(derive_seed(seed, e))

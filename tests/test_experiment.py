@@ -18,6 +18,7 @@ from adncount import (
     export_json,
     load_json,
     run_sweep,
+    standard_grid,
 )
 from adncount import experiment
 from adncount.experiment import CSV_HEADER, run_one
@@ -55,6 +56,14 @@ def test_settings_enumeration_order_and_constraints():
     assert not any(s.family == "path" and s.delta == 3 for s in settings)
     # deterministic: same spec enumerates identically
     assert settings == spec.settings()
+
+
+def test_settings_are_built_once():
+    # the grid is built with the spec; each call copies the list, not the points
+    spec = standard_grid("gnp")
+    first, second = spec.settings(), spec.settings()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_delta_rules():
@@ -364,8 +373,6 @@ def test_aggregates_consistent_with_rows():
 
 
 def test_standard_grid_shapes():
-    from adncount import standard_grid
-
     desk = standard_grid("path")
     assert desk.n_range == (3, 30)
     assert desk.repetitions == 10

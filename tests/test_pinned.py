@@ -18,14 +18,15 @@ import random
 import pytest
 
 from adncount import (
+    DynamicsSchedule,
     PhaseTrace,
     ProtocolConfig,
+    ScheduleParams,
     SweepSpec,
     count,
     export_csv,
     export_json,
     gnp,
-    new_schedule,
     prune,
     ranrut,
     run_sweep,
@@ -90,21 +91,21 @@ def record_sha256(record) -> str:
 
 
 def test_pinned_static_path_record():
-    rec = count(new_schedule("path", 30, 2, math.inf, 0))
+    rec = count(DynamicsSchedule(ScheduleParams("path", 30, 2, math.inf, 0)))
     assert (rec.rounds_total, rec.rounds_collection) == (40769, 39755)
     assert record_sha256(rec) == PATH30_RECORD_SHA256
 
 
 def test_pinned_theoretical_record():
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    rec = count(new_schedule("path", 4, 2, math.inf, 0), cfg)
+    rec = count(DynamicsSchedule(ScheduleParams("path", 4, 2, math.inf, 0)), cfg)
     assert record_sha256(rec) == THEORETICAL_RECORD_SHA256
 
 
 def test_pinned_round_limit_record():
     cfg = ProtocolConfig(max_rounds=7544 + 1000)
     with pytest.raises(RoundLimitExceeded) as info:
-        count(new_schedule("path", 30, 2, math.inf, 0), cfg)
+        count(DynamicsSchedule(ScheduleParams("path", 30, 2, math.inf, 0)), cfg)
     rec = info.value.record
     assert rec.per_k_trace[-1] == PhaseTrace(k=20, collection=1000, verification=0,
                                              notification=0)
@@ -113,14 +114,14 @@ def test_pinned_round_limit_record():
 
 @pytest.mark.parametrize("delta,variant", sorted(TREE_RECORDS_SHA256))
 def test_pinned_random_tree_record(delta, variant):
-    rec = count(new_schedule("random-tree", 30, delta, 1, 0, ranrut_variant=variant))
+    rec = count(DynamicsSchedule(ScheduleParams("random-tree", 30, delta, 1, 0, variant=variant)))
     assert rec.estimate == 30
     assert record_sha256(rec) == TREE_RECORDS_SHA256[delta, variant]
 
 
 def test_pinned_gnp_tolerant_record():
     cfg = ProtocolConfig(disconnection_tolerant=True)
-    rec = count(new_schedule("gnp", 30, 29, 10, 0, p=0.3), cfg)
+    rec = count(DynamicsSchedule(ScheduleParams("gnp", 30, 29, 10, 0, p=0.3)), cfg)
     assert rec.estimate == 30
     assert record_sha256(rec) == GNP_TOLERANT_RECORD_SHA256
 
@@ -130,7 +131,7 @@ def test_pinned_gnp_tolerant_record():
     ("path", 2, PATH_T1_RECORD_SHA256),
 ])
 def test_pinned_T1_record(family, delta, digest):
-    rec = count(new_schedule(family, 30, delta, 1, 0))
+    rec = count(DynamicsSchedule(ScheduleParams(family, 30, delta, 1, 0)))
     assert rec.estimate == 30
     assert record_sha256(rec) == digest
 

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from adncount import (
+    DynamicsSchedule,
     PhaseTrace,
     ProtocolConfig,
     RunDiagnostics,
     RunRecord,
+    ScheduleParams,
     Topology,
     collection_budget,
     collection_round,
     count,
     gnp,
     heard_round,
-    new_schedule,
     notification_round,
     notification_rounds,
     path,
@@ -85,7 +86,7 @@ def test_collection_round_rejects_degree_violation():
 @pytest.mark.parametrize("topo, delta", [
     (path(9), 2),
     (star(9), 8),
-    (new_schedule("random-tree", 9, 3, 1, 4).topology_at(1), 3),
+    (DynamicsSchedule(ScheduleParams("random-tree", 9, 3, 1, 4)).topology_at(1), 3),
     (gnp(9, 0.4, random.Random(2)), 8),
     (Topology(9, []), 2),
 ], ids=["path", "star", "tree", "gnp", "no-edges"])
@@ -183,7 +184,7 @@ def test_run_collection_n2_takes_two_rounds():
 def test_run_collection_theoretical_ignores_threshold():
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
     _, needed = collect_to_threshold(path(2), 1, 2, c=2.4)
-    rec = count(new_schedule("path", 2, 1, math.inf, 0), cfg)
+    rec = count(DynamicsSchedule(ScheduleParams("path", 2, 1, math.inf, 0)), cfg)
     assert needed == 3
     # tau(2) with delta = 1, well past the threshold
     assert rec.per_k_trace == (PhaseTrace(k=2, collection=6, verification=4, notification=2),)
@@ -227,7 +228,7 @@ def test_run_notification_false_verdict_fixed_length():
         halt = notification_round(halt, path(4))
     assert not halt.any()
     # a rejected k is never spread, so tolerance adds no notification rounds
-    rec = count(new_schedule("gnp", 6, 5, 2, 3, p=0.5),
+    rec = count(DynamicsSchedule(ScheduleParams("gnp", 6, 5, 2, 3, p=0.5)),
                 ProtocolConfig(disconnection_tolerant=True))
     assert len(rec.per_k_trace) == 5
     assert all(t.notification == t.k for t in rec.per_k_trace[:-1])
@@ -254,17 +255,17 @@ def test_notification_spread_is_one_hop_per_round():
 def test_count_n2_golden_trace():
     # k=2: collection 2 rounds, verification 1+ceil(2/(1-2^-1.01)) = 5,
     # notification 2; total 9
-    rec = count(new_schedule("path", 2, 1, math.inf, 0))
+    rec = count(DynamicsSchedule(ScheduleParams("path", 2, 1, math.inf, 0)))
     assert rec.estimate == 2
     assert rec.per_k_trace == (PhaseTrace(k=2, collection=2, verification=5, notification=2),)
     assert rec.rounds_total == 9
     assert rec.status == "ok"
-    star_rec = count(new_schedule("star", 2, 1, math.inf, 0))
+    star_rec = count(DynamicsSchedule(ScheduleParams("star", 2, 1, math.inf, 0)))
     assert star_rec.per_k_trace == rec.per_k_trace
 
 
 def test_count_n5_static_path_golden():
-    rec = count(new_schedule("path", 5, 2, math.inf, 0))
+    rec = count(DynamicsSchedule(ScheduleParams("path", 5, 2, math.inf, 0)))
     assert rec.estimate == 5
     # engine-produced golden values, frozen for regression
     assert rec.rounds_total == 188
@@ -287,7 +288,7 @@ def test_count_small_grid_exact(family, delta, T, p):
     for n in range(3, 9):
         d = (n - 1) if delta is None else min(delta, n - 1)
         cfg = ProtocolConfig(disconnection_tolerant=(family == "gnp"))
-        rec = count(new_schedule(family, n, d, T, 1234 + n, p=p), cfg)
+        rec = count(DynamicsSchedule(ScheduleParams(family, n, d, T, 1234 + n, p=p)), cfg)
         assert rec.estimate == n
         assert rec.status == "ok"
         total = sum(t.collection + t.verification + t.notification for t in rec.per_k_trace)
@@ -300,15 +301,15 @@ def test_count_small_grid_exact(family, delta, T, p):
 
 
 def test_count_deterministic():
-    a = count(new_schedule("random-tree", 9, 4, 10, 31))
-    b = count(new_schedule("random-tree", 9, 4, 10, 31))
+    a = count(DynamicsSchedule(ScheduleParams("random-tree", 9, 4, 10, 31)))
+    b = count(DynamicsSchedule(ScheduleParams("random-tree", 9, 4, 10, 31)))
     assert a == b
 
 
 def test_count_round_limit_partial_record():
     cfg = ProtocolConfig(max_rounds=40, disconnection_tolerant=True)
     with pytest.raises(RoundLimitExceeded) as info:
-        count(new_schedule("gnp", 3, 2, 1, 5, p=0.0), cfg)
+        count(DynamicsSchedule(ScheduleParams("gnp", 3, 2, 1, 5, p=0.0)), cfg)
     rec = info.value.record
     assert rec.status == "round_limit"
     assert rec.estimate is None
@@ -338,12 +339,12 @@ def test_kernel_calls_match_phase_rounds(monkeypatch):
         assert calls["notification_round"] == rec.rounds_notification
         return rec
 
-    tolerant = run(new_schedule("gnp", 7, 6, 3, 11, p=0.3),
+    tolerant = run(DynamicsSchedule(ScheduleParams("gnp", 7, 6, 3, 11, p=0.3)),
                    ProtocolConfig(disconnection_tolerant=True))
     assert calls["heard_round"] == tolerant.rounds_verification
     # this stream keeps k = 2 verifying past its fixed length
     assert tolerant.per_k_trace[0].verification > verification_rounds(2, 1.01)
-    run(new_schedule("path", 6, 2, math.inf, 0), ProtocolConfig())
+    run(DynamicsSchedule(ScheduleParams("path", 6, 2, math.inf, 0)), ProtocolConfig())
     assert calls["heard_round"] == 0
 
 
@@ -364,7 +365,7 @@ def record_snapshots(monkeypatch):
 def assert_in_force(seen, stream):
     """Round r ran on ``topology_at(r)`` of a fresh schedule of ``stream``."""
     family, delta, T, p = stream
-    fresh = new_schedule(family, 6, delta, T, 3, p=p)
+    fresh = DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p))
     for r, topology in enumerate(seen, start=1):
         assert topology == fresh.topology_at(r), f"round {r}"
 
@@ -380,7 +381,7 @@ def test_snapshot_in_force_each_round(monkeypatch, stream):
     seen = record_snapshots(monkeypatch)
     family, delta, T, p = stream
     cfg = ProtocolConfig(disconnection_tolerant=(family == "gnp"))
-    rec = count(new_schedule(family, 6, delta, T, 3, p=p), cfg)
+    rec = count(DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p)), cfg)
     assert len(seen) == rec.rounds_total
     assert_in_force(seen, stream)
 
@@ -394,7 +395,7 @@ def test_snapshot_in_force_up_to_round_cap(monkeypatch, stream, phase):
     # first round past it is not the first of an epoch
     family, delta, T, p = stream
     tolerant = family == "gnp"
-    full = count(new_schedule(family, 6, delta, T, 3, p=p),
+    full = count(DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p)),
                  ProtocolConfig(disconnection_tolerant=tolerant))
     done, second = full.per_k_trace[:2]
     lengths = (second.collection, second.verification, second.notification)
@@ -404,7 +405,7 @@ def test_snapshot_in_force_up_to_round_cap(monkeypatch, stream, phase):
     seen = record_snapshots(monkeypatch)
     name = ("collection", "verification", "notification")[phase]
     with pytest.raises(RoundLimitExceeded, match=f"during {name}$") as info:
-        count(new_schedule(family, 6, delta, T, 3, p=p),
+        count(DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p)),
               ProtocolConfig(max_rounds=cap, disconnection_tolerant=tolerant))
     rec = info.value.record
     assert rec.rounds_total == cap == len(seen)
@@ -469,10 +470,10 @@ def test_diagnostics_match_per_round_reduction(monkeypatch, schedule, config, la
     monkeypatch.setattr(protocol, "collection_round", recorded)
     cfg = ProtocolConfig(**config)
     if last_k is None:
-        rec = count(new_schedule(*schedule), cfg)
+        rec = count(DynamicsSchedule(ScheduleParams(*schedule)), cfg)
     else:
         with pytest.raises(RoundLimitExceeded) as info:
-            count(new_schedule(*schedule), cfg)
+            count(DynamicsSchedule(ScheduleParams(*schedule)), cfg)
         rec = info.value.record
         assert rec.per_k_trace[-1] == PhaseTrace(*last_k, 0, 0)
     assert len(energies) == rec.rounds_collection
@@ -481,7 +482,7 @@ def test_diagnostics_match_per_round_reduction(monkeypatch, schedule, config, la
 
 def test_count_theoretical_full_run():
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    rec = count(new_schedule("path", 4, 2, math.inf, 0), cfg)
+    rec = count(DynamicsSchedule(ScheduleParams("path", 4, 2, math.inf, 0)), cfg)
     assert rec.estimate == 4
     assert [t.collection for t in rec.per_k_trace] == [24, 213, 1420]
 
@@ -489,9 +490,9 @@ def test_count_theoretical_full_run():
 def test_theoretical_gate():
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
     with pytest.raises(InvalidParameters):
-        count(new_schedule("path", 9, 2, math.inf, 0), cfg)
+        count(DynamicsSchedule(ScheduleParams("path", 9, 2, math.inf, 0)), cfg)
     with pytest.raises(InvalidParameters):
-        count(new_schedule("path", 8, 8, math.inf, 0), cfg)
+        count(DynamicsSchedule(ScheduleParams("path", 8, 8, math.inf, 0)), cfg)
 
 
 def test_config_validation():
@@ -514,9 +515,9 @@ def test_config_validation():
 
 
 def test_run_record_json_round_trip():
-    rec = count(new_schedule("gnp", 6, 5, 10, 3, p=0.5),
+    rec = count(DynamicsSchedule(ScheduleParams("gnp", 6, 5, 10, 3, p=0.5)),
                 ProtocolConfig(disconnection_tolerant=True))
     again = RunRecord.from_json_dict(rec.to_json_dict())
     assert again == rec
-    static = count(new_schedule("path", 4, 2, math.inf, 2))
+    static = count(DynamicsSchedule(ScheduleParams("path", 4, 2, math.inf, 2)))
     assert RunRecord.from_json_dict(static.to_json_dict()) == static  # T=inf survives

@@ -14,6 +14,7 @@ from adncount import (
     canonical_form,
     check_tables,
     enumerate_rooted_trees,
+    gnp,
     prune,
     ranrut,
     row_pairs,
@@ -248,3 +249,16 @@ def test_check_tables_detects_corruption(monkeypatch):
     assert not ok
     assert lines[-1] == "FAIL"
     assert any("sizes_table[6]" in line for line in lines)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Topology(0, []), ValueError, "n must be >= 1"),
+    (lambda: Topology.from_json_dict({"n": 2, "leader": 1, "edges": [[0, 1]]}), ValueError,
+     "leader must be node 0"),
+    (lambda: gnp(1, 0.5, random.Random(0)), ValueError, "gnp requires n >= 2"),
+    (lambda: prune([-1, 0], 0, random.Random(0)), InfeasibleDegreeBound, "delta must be >= 1"),
+    (lambda: enumerate_rooted_trees(0), ValueError, "n must be >= 1"),
+], ids=["topology-empty", "leader-not-0", "gnp-one-node", "prune-delta-0", "enumerate-empty"])
+def test_library_refuses_bad_sizes(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
