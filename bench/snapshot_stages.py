@@ -34,9 +34,11 @@ round), one per seed from 0, and reports total wall time over total
 rounds.
 
 ``kernels_us_per_call`` times each round kernel at n = 30 on ``path(30)``
-(delta = 2) and on one G(n, p) snapshot at p = ``GNP_P`` (delta = n - 1):
+(delta = 2) and on one G(n, p) snapshot at p = ``GNP_P`` (delta = n - 1),
+and on one at n = ``GNP_WIDE_N``, where each heard set spans two words:
 ``collection_round`` writing into a preallocated row, as ``count`` calls
-it, ``verification_round``, ``notification_round`` and ``heard_round``.
+it, ``verification_round``, ``notification_round`` and ``heard_round``
+(on the start of a verification, in which node i has heard only itself).
 Each batch is ``KERNEL_CALLS`` calls on one input; the fastest and median
 of ``REPEATS`` batches are reported. ``count_static_path`` times
 ``COUNT_RUNS`` static path runs at n = 30 and delta = 2 (every run has the
@@ -94,6 +96,7 @@ SEED = 7
 STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
 GNP_P = 0.3
 GNP_STAGES = ("seed", "gnp", "arrays")
+GNP_WIDE_N = 75
 EPOCHS = 2000  # served epochs per schedule
 KERNEL_CALLS = 5000  # per batch
 SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
@@ -222,24 +225,38 @@ def per_call_us(call, args, calls, repeats):
     return {"min_us": round(min(us), 3), "median_us": round(statistics.median(us), 3)}
 
 
+def origin_words(n):
+    """The heard sets ``heard_round`` starts from: a (ceil(n/64), n) uint64
+    array in which node i holds only bit i % 64 of word i // 64."""
+    import numpy as np
+
+    nodes = np.arange(n, dtype=np.uint64)
+    heard = np.zeros((-(-n // 64), n), dtype=np.uint64)
+    heard[nodes // 64, nodes] = np.uint64(1) << nodes % 64
+    return heard
+
+
 def kernel_costs(adn, calls, repeats):
     """Scaled µs per call of each round kernel, per snapshot."""
     import numpy as np
 
     protocol = adn.protocol
-    energy = np.random.default_rng(SEED).random(N)
-    halt = np.zeros(N, dtype=bool)
-    halt[0] = True
-    heard = [1 << i for i in range(N)]
     result = {}
-    for name, topology, delta in (("path", adn.path(N), 2),
-                                  (f"gnp p={GNP_P}", adn.gnp(N, GNP_P, random.Random(SEED)), N - 1)):
-        collection = (energy, topology, delta, np.empty(N))
+    for name, topology, delta in (
+            ("path", adn.path(N), 2),
+            (f"gnp p={GNP_P}", adn.gnp(N, GNP_P, random.Random(SEED)), N - 1),
+            (f"gnp n={GNP_WIDE_N} p={GNP_P}",
+             adn.gnp(GNP_WIDE_N, GNP_P, random.Random(SEED)), GNP_WIDE_N - 1)):
+        n = topology.n
+        energy = np.random.default_rng(SEED).random(n)
+        halt = np.zeros(n, dtype=bool)
+        halt[0] = True
+        collection = (energy, topology, delta, np.empty(n))
         result[name] = {"edges": len(topology.edges)}
         for kernel, args in (("collection_round", collection),
                              ("verification_round", (energy, topology)),
                              ("notification_round", (halt, topology)),
-                             ("heard_round", (heard, topology))):
+                             ("heard_round", (origin_words(n), topology))):
             result[name][kernel] = per_call_us(getattr(protocol, kernel), args, calls, repeats)
     return result
 

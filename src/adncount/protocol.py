@@ -11,7 +11,9 @@ shared global round counter r that also drives the topology schedule:
 * verification: the leader is checked against k - 1, then the maximum
   residual energy is max-gossiped for 1 + ceil(k / (1 - 1/k^c)) rounds and
   compared with 1/k^c. With disconnection tolerance the phase keeps going
-  until the leader has heard from every node (per-node origin bitmasks).
+  until the leader has heard from every node. Who has heard from whom is a
+  (W, n) uint64 array, W = ceil(n/64): column i holds node i's set of
+  origins, and origin j is bit j % 64 of word j // 64.
 * notification: the leader's verdict is OR-gossiped for k rounds, plus,
   with disconnection tolerance, until a positive verdict has reached all
   nodes.
@@ -270,12 +272,18 @@ def notification_round(halt: np.ndarray, topology: Topology) -> np.ndarray:
     return new
 
 
-def heard_round(heard: list[int], topology: Topology) -> list[int]:
-    """Union each node's origin bitmask with its neighbors' bitmasks."""
-    new = list(heard)
-    for u, v in topology.edges:
-        new[u] |= heard[v]
-        new[v] |= heard[u]
+def heard_round(heard: np.ndarray, topology: Topology) -> np.ndarray:
+    """Union each node's origin set with its neighbors' sets.
+
+    ``heard`` is a (W, n) uint64 array, W = ceil(n/64): column i is node
+    i's set, with origin j at bit j % 64 of word j // 64. The OR goes over
+    the same directed pairs as max-gossip, one word row at a time.
+    """
+    new = heard.copy()
+    src, dst = topology.symmetric_arrays()
+    if src.size:
+        for word, row in zip(new, heard):
+            np.bitwise_or.at(word, dst, row[src])
     return new
 
 
@@ -355,7 +363,12 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     # from below), so they get the conservation tolerance 1e-9*n as slack;
     # for k < n the detection margins exceed it by orders of magnitude.
     drift_tol = 1e-9 * n
-    everyone = (1 << n) - 1
+    if tolerant:
+        # the start of every verification: each node has heard only itself
+        nodes = np.arange(n, dtype=np.uint64)
+        origins = np.zeros((-(-n // 64), n), dtype=np.uint64)
+        origins[nodes // 64, nodes] = np.uint64(1) << nodes % 64
+        everyone = np.bitwise_or.reduce(origins, axis=1).tolist()
     topology_at = schedule.topology_at
     period = params.period
     diagnostics = _Diagnostics()
@@ -418,9 +431,9 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
             max_heard = energy.copy()
             max_heard[0] = 0.0
             if tolerant:
-                heard = [1 << i for i in range(n)]
+                heard = origins
             fixed = verification_rounds(k, c)
-            while spent[1] < fixed or (tolerant and heard[0] != everyone):
+            while spent[1] < fixed or (tolerant and heard[:, 0].tolist() != everyone):
                 if r == stop:
                     fetch(r, 1)
                 r += 1

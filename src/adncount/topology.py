@@ -179,9 +179,8 @@ def gnp_topologies(n: int, p: float, rngs, delta: int | None = None) -> list[Top
         b"".join([rng.getrandbits(64 * m).to_bytes(8 * m, "little") for rng in rngs]), "<u8")
     draws = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
     keep = (draws < math.ceil(p * 2.0 ** 53)).reshape(-1, m)
-    snapshot, pair = keep.nonzero()
-    sizes = np.bincount(snapshot, minlength=len(keep))
-    return Topology._batch(n, _upper_pairs(n)[pair], sizes, delta)
+    return Topology._batch(n, _upper_pairs(n)[np.flatnonzero(keep) % m],
+                           np.count_nonzero(keep, axis=1), delta)
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,24 @@ def assert_same_snapshot(topo, checked, delta, energies):
             == collection_round(energy, checked, delta).tobytes())
 
 
+def heard_oracle(heard, topology):
+    """One heard round on Python-int origin sets, edge by edge: for every
+    edge (u, v), u's set gains v's and v's gains u's."""
+    new = list(heard)
+    for u, v in topology.edges:
+        new[u] |= heard[v]
+        new[v] |= heard[u]
+    return new
+
+
+def heard_words(sets):
+    """Python-int origin sets of n nodes as the (ceil(n/64), n) uint64
+    words of ``heard_round``: origin j is bit j % 64 of word j // 64."""
+    words = -(-len(sets) // 64)
+    return np.array([[s >> 64 * w & (1 << 64) - 1 for s in sets] for w in range(words)],
+                    dtype=np.uint64)
+
+
 def dense_share_matrix(topology, delta):
     """Share-fraction matrix built entry by entry from its definition.
 
@@ -181,11 +199,14 @@ def prufer_tree(n, sequence):
     return Topology(n, edges)
 
 
-def dense_phase_lengths(schedule, c):
+def dense_phase_lengths(schedule, c, tolerant=False):
     """Per-k (k, collection, verification, notification) rounds of the
-    protocol without disconnection tolerance, replayed densely on
-    ``schedule``: collection multiplies by ``dense_share_matrix``, and the
-    max- and OR-gossips go over the closed adjacency matrix."""
+    protocol, replayed densely on ``schedule``: collection multiplies by
+    ``dense_share_matrix``, and the max- and OR-gossips go over the closed
+    adjacency matrix. With ``tolerant``, verification goes on until the
+    leader's row of a boolean heard matrix (``heard[i, j]``: i has heard
+    from j) is full, and notification until a positive verdict has reached
+    every node."""
     n, delta = schedule.params.n, schedule.params.delta
     slack = 1e-9 * n  # the engine's documented conservation tolerance
     dense = {}  # per snapshot: (share matrix, closed adjacency)
@@ -215,13 +236,20 @@ def dense_phase_lengths(schedule, c):
         correct = energy[0] <= k - 1 + slack
         residual = energy.copy()
         residual[0] = 0.0
-        for _ in range(verification_rounds(k, c)):
-            residual = np.where(step()[1], residual, -np.inf).max(axis=1)
+        heard = np.eye(n, dtype=bool)
+        verification = 0
+        while verification < verification_rounds(k, c) or (tolerant and not heard[0].all()):
+            closed = step()[1]
+            residual = np.where(closed, residual, -np.inf).max(axis=1)
+            heard = closed @ heard
+            verification += 1
         correct = correct and residual[0] <= k ** (-c) + slack
         halt = np.zeros(n, dtype=bool)
         halt[0] = correct
-        for _ in range(notification_rounds(k)):
+        notification = 0
+        while notification < notification_rounds(k) or (tolerant and halt[0] and not halt.all()):
             halt = (step()[1] & halt).any(axis=1)
-        phases.append((k, collection, verification_rounds(k, c), notification_rounds(k)))
+            notification += 1
+        phases.append((k, collection, verification, notification))
         if correct:
             return phases

@@ -221,6 +221,10 @@ BACKWARDS = [300, 299, 5, 301, 1, 1000, 2, 64, 63, 1000, 1]
 ] + [
     (ScheduleParams(family, 7, delta, T, 8), "paper-literal")
     for family, delta in (("path", 2), ("star", 6)) for T in (1, 3, 10)
+] + [
+    # about 40 % of these epochs have no edge, so empty snapshots sit
+    # between others inside one batch
+    (ScheduleParams("gnp", 30, 29, 1, 9, 0.002), "paper-literal"),
 ])
 def test_lookahead_serves_per_epoch_snapshots(params, variant, rounds):
     # batches build several epochs in one go; each served snapshot must

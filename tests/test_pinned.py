@@ -5,7 +5,8 @@ the snapshot pipeline was refactored, the path, theoretical and round-cap
 record digests before the collection diagnostics were reduced in blocks,
 the random-tree record digests before each tree snapshot was built in
 one draw pass and one walk, and the gnp, star and T = 1 path digests
-before each G(n, p) snapshot was drawn in one bulk read. A refactor or speed-up must leave them
+before each G(n, p) snapshot was drawn in one bulk read, and the n = 70
+tolerant gnp digests before the heard sets became uint64 words. A refactor or speed-up must leave them
 unchanged; a deliberate behaviour change must update them and say so in
 CHANGES.md.
 """
@@ -77,6 +78,14 @@ GNP_TOLERANT_RECORD_SHA256 = "bbd317d08e022331f4558960ca8cf7df06de121772d62df39d
 STAR_T1_RECORD_SHA256 = "f91b0bca1e31c9d8cfc9b853840ff71ecf5f2c46fe1061a8a719dcee7cebd72d"
 PATH_T1_RECORD_SHA256 = "f99947b5167db7624bfba56d303d66a9f8daf9a79ea35d0333272efc227d394f"
 
+# Disconnection-tolerant gnp records at n = 70 and T = 10, where each node's
+# heard set spans two 64-bit words: at p = 0.3 no verification outlasts its
+# fixed length, at p = 0.05 those of k = 2, 3 and 4 do.
+GNP70_TOLERANT_RECORDS_SHA256 = {
+    0.3: "279ad5cf0564a78e7fd22e645cbaa58a589d74cbf24d650f98375a64a2dcd979",
+    0.05: "3f40ed5094d30a6d0016762a2e3f2c05a01f556dc4079961227e2b95cea77cbd",
+}
+
 # 400 gnp(30, 0.3) snapshots drawn from one shared generator, so each
 # draw's consumption of the stream is pinned as well as its edges.
 GNP_SNAPSHOTS_SHA256 = "c0d421e0e1791a390cb7dae53878f73426329525f71109f9397046b2d1eb9584"
@@ -124,6 +133,14 @@ def test_pinned_gnp_tolerant_record():
     rec = count(DynamicsSchedule(ScheduleParams("gnp", 30, 29, 10, 0, p=0.3)), cfg)
     assert rec.estimate == 30
     assert record_sha256(rec) == GNP_TOLERANT_RECORD_SHA256
+
+
+@pytest.mark.parametrize("p", sorted(GNP70_TOLERANT_RECORDS_SHA256))
+def test_pinned_gnp_two_word_record(p):
+    cfg = ProtocolConfig(disconnection_tolerant=True)
+    rec = count(DynamicsSchedule(ScheduleParams("gnp", 70, 69, 10, 0, p=p)), cfg)
+    assert rec.estimate == 70
+    assert record_sha256(rec) == GNP70_TOLERANT_RECORDS_SHA256[p]
 
 
 @pytest.mark.parametrize("family,delta,digest", [

@@ -34,7 +34,7 @@ from adncount.errors import (
     RoundLimitExceeded,
 )
 
-from helpers import dense_share_matrix
+from helpers import dense_share_matrix, heard_oracle, heard_words
 
 
 # ---------------------------------------------------------------- rounds
@@ -119,9 +119,28 @@ def test_notification_round_keeps_own_flag_when_isolated():
 
 
 def test_heard_round_unions_neighbors():
-    topo = path(3)
-    heard = [0b001, 0b010, 0b100]
-    assert heard_round(heard, topo) == [0b011, 0b111, 0b110]
+    heard = np.array([[0b001, 0b010, 0b100]], dtype=np.uint64)
+    out = heard_round(heard, path(3))
+    assert out.dtype == np.uint64
+    assert out.tolist() == [[0b011, 0b111, 0b110]]
+    assert heard.tolist() == [[0b001, 0b010, 0b100]]  # the input is kept
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 75])
+def test_heard_round_matches_int_oracle(n, p):
+    # chained rounds over fresh G(n, p) snapshots, from the origin sets and
+    # from random sets, so every bit of both words is exercised; p = 0
+    # gives edgeless snapshots, n = 64 and 65 the word boundary
+    rng = random.Random(n)
+    for sets in ([1 << i for i in range(n)], [rng.getrandbits(n) for _ in range(n)]):
+        words = heard_words(sets)
+        for _ in range(4):
+            topology = gnp(n, p, rng)
+            sets = heard_oracle(sets, topology)
+            words = heard_round(words, topology)
+            assert words.shape == (-(-n // 64), n)
+            assert words.tolist() == heard_words(sets).tolist()
 
 
 # ---------------------------------------------------------- phase lengths

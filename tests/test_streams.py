@@ -42,11 +42,10 @@ def tree_streams(draw):
     return ListSchedule(*degree_bounded_trees(draw))
 
 
-@st.composite
-def connected_streams(draw):
-    """A ListSchedule of ``degree_bounded_trees`` plus drawn extra edges:
-    an edge is kept only if it is new and both its endpoints stay at degree
-    at most delta, so every graph is connected and most have cycles."""
+def connected_graphs(draw):
+    """``degree_bounded_trees`` plus drawn extra edges: an edge is kept only
+    if it is new and both its endpoints stay at degree at most delta, so
+    every graph is connected and most have cycles."""
     params, trees = degree_bounded_trees(draw)
     n, delta = params.n, params.delta
     graphs = []
@@ -64,12 +63,31 @@ def connected_streams(draw):
                 degree[u] += 1
                 degree[v] += 1
         graphs.append(Topology(n, sorted(edges)))
+    return params, graphs
+
+
+@st.composite
+def connected_streams(draw):
+    """A ListSchedule of ``connected_graphs``."""
+    return ListSchedule(*connected_graphs(draw))
+
+
+@st.composite
+def disconnecting_streams(draw):
+    """A ListSchedule of ``connected_graphs`` with drawn edges dropped from
+    every graph but the first, which stays whole, so the stream is connected
+    once per pass over the list and may be disconnected in between."""
+    params, graphs = connected_graphs(draw)
+    for i, graph in enumerate(graphs[1:], 1):
+        keep = draw(st.lists(st.booleans(), min_size=len(graph.edges),
+                             max_size=len(graph.edges)))
+        graphs[i] = Topology(params.n, [e for e, kept in zip(graph.edges, keep) if kept])
     return ListSchedule(params, graphs)
 
 
-def assert_stream_properties(stream):
+def assert_stream_properties(stream, tolerant=False):
     n = stream.params.n
-    record = count(stream)
+    record = count(stream, ProtocolConfig(disconnection_tolerant=tolerant))
     assert record.status == "ok"
     assert record.estimate == n
     d = record.diagnostics
@@ -77,7 +95,7 @@ def assert_stream_properties(stream):
     assert d.max_nonleader_energy <= 1.0 + 1e-12  # the criterion-2 bound
     assert d.min_leader_gain >= 0.0
     phases = [(t.k, t.collection, t.verification, t.notification) for t in record.per_k_trace]
-    assert phases == dense_phase_lengths(stream, record.c)
+    assert phases == dense_phase_lengths(stream, record.c, tolerant)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -90,3 +108,9 @@ def test_degree_bounded_tree_streams(stream):
 @given(connected_streams())
 def test_degree_bounded_connected_streams(stream):
     assert_stream_properties(stream)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(disconnecting_streams())
+def test_disconnecting_streams_in_tolerant_mode(stream):
+    assert_stream_properties(stream, tolerant=True)
