@@ -5,17 +5,19 @@ Run from anywhere; each side runs in its own checkout, importing that
 checkout's ``src/``:
 
     python3 bench/perf_pairs.py --parent ../parent --change . \\
-        --workload tree-churn --seeds 521-530 --seconds 10
+        --workload static-path,tree-churn --seeds 521-530 --seconds 10
 
-Pair i runs ``perfbench/run.py --workload W --seed SEEDS[i] --seconds S
---trace 0`` once in each checkout; even pairs run the parent first, odd
-pairs the change, so that drift in the machine's speed does not favour
-one side. Each run's metrics are printed as it ends. At the end, for every
-end-to-end metric of ``BENCHMARK.json`` (read from the change's checkout,
-for the direction in which each metric is better), it prints the medians
-and quartiles of both sides, the change of the median, and the number of
-pairs the change won (ties count for neither side). A run that is not
-``correct`` or that reports failed runs is flagged; its metrics still count.
+For each workload W of the comma-separated list, in turn, pair i runs
+``perfbench/run.py --workload W --seed SEEDS[i] --seconds S --trace 0``
+once in each checkout; even pairs run the parent first, odd pairs the
+change, so that drift in the machine's speed does not favour one side.
+Each run's metrics are printed as it ends. At the end, per workload and
+for every end-to-end metric of ``BENCHMARK.json`` (read from the change's
+checkout, for the direction in which each metric is better), it prints
+the medians and quartiles of both sides, the change of the median, and
+the number of pairs the change won (ties count for neither side). A run
+that is not ``correct`` or that reports failed runs is flagged and makes
+the exit status 1; its metrics still count.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=lambda text: text.split(","),
+                        help="one workload, or several: static-path,tree-churn")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="one pair per seed: 521-530, or 1,4,9")
     parser.add_argument("--seconds", required=True, type=float)
@@ -70,29 +73,38 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in better} for side in sides}
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
-            metrics = {m: result["metrics"][m]["value"] for m in better}
-            flag = "" if result["correct"] and result["failed"] == 0 else "  NOT CORRECT"
-            print(f"seed {seed} {side}: "
-                  + " ".join(f"{m} {v:.6g}" for m, v in metrics.items()) + flag, flush=True)
-            for m, v in metrics.items():
-                values[side][m].append(v)
+    flagged = 0
+    # per workload, side and metric: the values of every pair
+    values = {w: {side: {m: [] for m in better} for side in sides} for w in args.workload}
+    for workload in args.workload:
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], workload, seed, args.seconds)
+                metrics = {m: result["metrics"][m]["value"] for m in better}
+                ok = result["correct"] and result["failed"] == 0
+                flagged += not ok
+                print(f"{workload} seed {seed} {side}: "
+                      + " ".join(f"{m} {v:.6g}" for m, v in metrics.items())
+                      + ("" if ok else "  NOT CORRECT"), flush=True)
+                for m, v in metrics.items():
+                    values[workload][side][m].append(v)
 
     pairs = len(args.seeds)
-    print(f"{args.workload}: {pairs} pairs, --seconds {args.seconds}")
-    for m, direction in better.items():
-        parent, change = values["parent"][m], values["change"][m]
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        p1, pm, p3 = quartiles(parent)
-        c1, cm, c3 = quartiles(change)
-        print(f"  {m} ({direction} is better): parent {pm:.6g} [{p1:.6g}, {p3:.6g}], "
-              f"change {cm:.6g} [{c1:.6g}, {c3:.6g}], median {100 * (cm / pm - 1):+.1f} %, "
-              f"change wins {wins}/{pairs}, parent quartile distance {p3 - p1:.6g}")
+    for workload in args.workload:
+        print(f"{workload}: {pairs} pairs, --seconds {args.seconds}")
+        for m, direction in better.items():
+            parent, change = values[workload]["parent"][m], values[workload]["change"][m]
+            sign = 1 if direction == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            p1, pm, p3 = quartiles(parent)
+            c1, cm, c3 = quartiles(change)
+            print(f"  {m} ({direction} is better): parent {pm:.6g} [{p1:.6g}, {p3:.6g}], "
+                  f"change {cm:.6g} [{c1:.6g}, {c3:.6g}], median {100 * (cm / pm - 1):+.1f} %, "
+                  f"change wins {wins}/{pairs}, parent quartile distance {p3 - p1:.6g}")
+    if flagged:
+        print(f"{flagged} runs were not correct or reported failed runs", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,21 +17,25 @@ at a time through the single-snapshot generators, in five stages:
    walked, also one already within the bound; a schedule prunes only the
    trees over it);
 4. ``tree_to_topology``;
-5. ``arrays``: the first ``collection_arrays()`` and ``retention(delta)``,
-   which the first collection round of a snapshot builds.
-
-For G(n, p) at n = 30 and p = ``GNP_P`` it times three stages the same
-way: ``seed``, ``gnp`` and ``arrays`` (with delta = n - 1, the only
-degree bound a gnp schedule takes).
+5. ``arrays``: the kernel operands ``count`` reads when a snapshot comes
+   into force, ``collection_operands(topology, delta)`` and
+   ``symmetric_arrays()``.
 
 Snapshots are built one at a time and each stage is timed around its
-call (two ``perf_counter`` reads, a fraction of a microsecond, included);
-the batch (epochs from master seed ``SEED``) is rebuilt ``REPEATS`` times
-and the fastest and median batch are reported, in microseconds per
-snapshot. ``count_T1_delta4`` times ``COUNT_RUNS`` whole ``count`` runs of
-a random-tree stream at delta = 4 and T = 1 (a fresh snapshot every
-round), one per seed from 0, and reports total wall time over total
-rounds.
+call (two ``perf_counter`` reads, a fraction of a microsecond, included).
+
+For G(n, p) at n = 30 and p = ``GNP_P`` it times three stages per batch
+of ``GNP_BATCH`` epochs, as a schedule builds them: ``seed`` (one
+generator per epoch), ``gnp`` (one ``gnp_topologies`` call with
+delta = n - 1, the only degree bound a gnp schedule takes) and
+``arrays`` (the operands of each snapshot, as above).
+
+The ``SNAPSHOTS`` epochs from master seed ``SEED`` are rebuilt
+``REPEATS`` times, and the fastest and median pass are reported, in
+microseconds per snapshot. ``count_T1_delta4`` times ``COUNT_RUNS``
+whole ``count`` runs of a random-tree stream at delta = 4 and T = 1 (a
+fresh snapshot every round), one per seed from 0, and reports total wall
+time over total rounds.
 
 ``kernels_us_per_call`` times each round kernel at n = 30 on ``path(30)``
 (delta = 2) and on one G(n, p) snapshot at p = ``GNP_P`` (delta = n - 1),
@@ -39,6 +43,8 @@ and on one at n = ``GNP_WIDE_N``, where each heard set spans two words:
 ``collection_round`` writing into a preallocated row, as ``count`` calls
 it, ``verification_round``, ``notification_round`` and ``heard_round``
 (on the start of a verification, in which node i has heard only itself).
+Each kernel gets the snapshot's operands, read once before the batch, as
+``count`` reads them once per epoch.
 Each batch is ``KERNEL_CALLS`` calls on one input; the fastest and median
 of ``REPEATS`` batches are reported. ``count_static_path`` times
 ``COUNT_RUNS`` static path runs at n = 30 and delta = 2 (every run has the
@@ -47,10 +53,9 @@ round: that figure minus the median path kernel time of each round's phase.
 
 ``schedule_epochs`` times ``topology_at`` over ``EPOCHS`` consecutive
 rounds of a T = 1 schedule of each family at n = 30 (random-tree and path
-at delta = 4 and 2, gnp at p = ``GNP_P``), with the first
-``collection_arrays()`` and ``retention(delta)`` of every snapshot, and
-reports the fastest and median of ``REPEATS`` schedules (seeds from
-``SEED``) in microseconds per served epoch. The schedule is built outside
+at delta = 4 and 2, gnp at p = ``GNP_P``), with the kernel operands of
+every snapshot, and reports the fastest and median of ``REPEATS``
+schedules (seeds from ``SEED``) in microseconds per served epoch. The schedule is built outside
 the timed loop. This is the per-epoch snapshot cost of a run, look-ahead
 included.
 
@@ -96,6 +101,7 @@ SEED = 7
 STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
 GNP_P = 0.3
 GNP_STAGES = ("seed", "gnp", "arrays")
+GNP_BATCH = 64  # epochs per gnp_topologies call, as in a schedule
 GNP_WIDE_N = 75
 EPOCHS = 2000  # served epochs per schedule
 KERNEL_CALLS = 5000  # per batch
@@ -136,7 +142,7 @@ def time_batch(adn, delta, epochs, master):
     garbage collection sees the same small heap as in a run.
     """
     derive_seed, ranrut, prune = adn.derive_seed, adn.ranrut, adn.prune
-    tree_to_topology = adn.tree_to_topology
+    tree_to_topology, operands = adn.tree_to_topology, adn.collection_operands
     totals = [0.0] * len(STAGES)
     for epoch in epochs:
         t0 = perf_counter()
@@ -148,8 +154,8 @@ def time_batch(adn, delta, epochs, master):
         t3 = perf_counter()
         topology = tree_to_topology(tree)
         t4 = perf_counter()
-        topology.collection_arrays()
-        topology.retention(delta)
+        operands(topology, delta)
+        topology.symmetric_arrays()
         t5 = perf_counter()
         for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t2, t3), (t3, t4), (t4, t5))):
             totals[i] += end - start
@@ -157,17 +163,21 @@ def time_batch(adn, delta, epochs, master):
 
 
 def time_gnp_batch(adn, epochs, master):
-    """Seconds spent in each G(n, p) stage over one batch, as ``time_batch``."""
-    derive_seed, gnp = adn.derive_seed, adn.gnp
+    """Seconds spent in each G(n, p) stage over ``epochs``, built
+    ``GNP_BATCH`` at a time; only one batch is alive at once."""
+    derive_seed, operands = adn.derive_seed, adn.collection_operands
+    gnp_topologies = adn.topology.gnp_topologies
     totals = [0.0] * len(GNP_STAGES)
-    for epoch in epochs:
+    for first in range(epochs.start, epochs.stop, GNP_BATCH):
         t0 = perf_counter()
-        rng = random.Random(derive_seed(master, epoch))
+        rngs = [random.Random(derive_seed(master, epoch))
+                for epoch in range(first, min(first + GNP_BATCH, epochs.stop))]
         t1 = perf_counter()
-        topology = gnp(N, GNP_P, rng)
+        topologies = gnp_topologies(N, GNP_P, rngs, N - 1)
         t2 = perf_counter()
-        topology.collection_arrays()
-        topology.retention(N - 1)
+        for topology in topologies:
+            operands(topology, N - 1)
+            topology.symmetric_arrays()
         t3 = perf_counter()
         for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t2, t3))):
             totals[i] += end - start
@@ -251,12 +261,13 @@ def kernel_costs(adn, calls, repeats):
         energy = np.random.default_rng(SEED).random(n)
         halt = np.zeros(n, dtype=bool)
         halt[0] = True
-        collection = (energy, topology, delta, np.empty(n))
+        collection = (energy, adn.collection_operands(topology, delta), np.empty(n))
+        pairs = topology.symmetric_arrays()
         result[name] = {"edges": len(topology.edges)}
         for kernel, args in (("collection_round", collection),
-                             ("verification_round", (energy, topology)),
-                             ("notification_round", (halt, topology)),
-                             ("heard_round", (origin_words(n), topology))):
+                             ("verification_round", (energy, pairs)),
+                             ("notification_round", (halt, pairs)),
+                             ("heard_round", (origin_words(n), pairs))):
             result[name][kernel] = per_call_us(getattr(protocol, kernel), args, calls, repeats)
     return result
 
@@ -312,8 +323,8 @@ def schedule_epoch_costs(adn, epochs, repeats, master):
                 t0 = perf_counter()
                 for r in range(1, epochs + 1):
                     topology = schedule.topology_at(r)
-                    topology.collection_arrays()
-                    topology.retention(delta)
+                    adn.collection_operands(topology, delta)
+                    topology.symmetric_arrays()
                 return perf_counter() - t0
 
             seconds, scale = scaled(serve)

@@ -33,6 +33,7 @@ from .protocol import (
     RunDiagnostics,
     RunRecord,
     collection_budget,
+    collection_operands,
     collection_round,
     count,
     heard_round,

@@ -221,28 +221,16 @@ def check_theoretical_gate(n: int, delta: int) -> None:
         )
 
 
-def collection_round(energy: np.ndarray, topology: Topology, delta: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """One energy-exchange round as a sparse per-edge update.
-
-    Equivalent to multiplying by the share-fraction matrix: each non-leader
-    j keeps energy[j] * (1 - deg(j)/(2*delta)) and sends energy[j]/(2*delta)
-    to each neighbor; the leader retains everything and sends nothing.
-
-    The new energies go to ``out`` when given (it is returned), else to a
-    new array; ``out`` must not share memory with ``energy``.
-    """
+def collection_operands(topology: Topology, delta: int) -> tuple:
+    """What ``collection_round`` needs of a snapshot under the degree bound
+    delta: (retention row, src, dst, 2*delta), with src and dst the
+    ``collection_arrays`` pairs. Raises DegreeBoundViolated when a degree
+    of the snapshot exceeds delta."""
     if topology.max_degree > delta:
         raise DegreeBoundViolated(
             f"max degree {topology.max_degree} exceeds delta={delta}"
         )
-    new = np.multiply(topology.retention(delta), energy, out=out)
-    src, dst = topology.collection_arrays()
-    if src.size:
-        inflow = np.bincount(dst, energy[src], topology.n)
-        inflow /= _two_delta(delta)
-        new += inflow
-    return new
+    return (topology.retention(delta), *topology.collection_arrays(), _two_delta(delta))
 
 
 @lru_cache(maxsize=None)
@@ -254,33 +242,57 @@ def _two_delta(delta: int) -> np.ndarray:
     return divisor
 
 
-def verification_round(values: np.ndarray, topology: Topology) -> np.ndarray:
-    """Max-gossip round over neighbors and self."""
+def collection_round(energy: np.ndarray, operands: tuple,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """One energy-exchange round as a sparse per-edge update, on the
+    ``collection_operands`` of the snapshot in force.
+
+    Equivalent to multiplying by the share-fraction matrix: each non-leader
+    j keeps energy[j] * (1 - deg(j)/(2*delta)) and sends energy[j]/(2*delta)
+    to each neighbor; the leader retains everything and sends nothing.
+
+    The new energies go to ``out`` when given (it is returned), else to a
+    new array; ``out`` must not share memory with ``energy``.
+    """
+    retain, src, dst, two_delta = operands
+    new = np.multiply(retain, energy, out=out)
+    if src.size:
+        inflow = np.bincount(dst, energy[src], energy.size)
+        inflow /= two_delta
+        new += inflow
+    return new
+
+
+def verification_round(values: np.ndarray, pairs: tuple) -> np.ndarray:
+    """Max-gossip round over neighbors and self; ``pairs`` is the snapshot's
+    ``symmetric_arrays()``."""
     new = values.copy()
-    src, dst = topology.symmetric_arrays()
+    src, dst = pairs
     if src.size:
         np.maximum.at(new, dst, values[src])
     return new
 
 
-def notification_round(halt: np.ndarray, topology: Topology) -> np.ndarray:
-    """OR-gossip round over neighbors and self."""
+def notification_round(halt: np.ndarray, pairs: tuple) -> np.ndarray:
+    """OR-gossip round over neighbors and self; ``pairs`` is the snapshot's
+    ``symmetric_arrays()``."""
     new = halt.copy()
-    src, dst = topology.symmetric_arrays()
+    src, dst = pairs
     if src.size:
         np.logical_or.at(new, dst, halt[src])
     return new
 
 
-def heard_round(heard: np.ndarray, topology: Topology) -> np.ndarray:
+def heard_round(heard: np.ndarray, pairs: tuple) -> np.ndarray:
     """Union each node's origin set with its neighbors' sets.
 
     ``heard`` is a (W, n) uint64 array, W = ceil(n/64): column i is node
     i's set, with origin j at bit j % 64 of word j // 64. The OR goes over
-    the same directed pairs as max-gossip, one word row at a time.
+    ``pairs``, the snapshot's ``symmetric_arrays()`` as in max-gossip, one
+    word row at a time.
     """
     new = heard.copy()
-    src, dst = topology.symmetric_arrays()
+    src, dst = pairs
     if src.size:
         for word, row in zip(new, heard):
             np.bitwise_or.at(word, dst, row[src])
@@ -342,12 +354,16 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     Raises RoundLimitExceeded with the partial record attached when the
     safety cap is hit (e.g. a G(n, p) stream that stays disconnected).
 
+    Raises DegreeBoundViolated when a snapshot over the degree bound comes
+    into force, in any phase.
+
     Each round is one kernel call plus a little bookkeeping. The schedule
     is asked for a snapshot only at the first round of each epoch (every
     ``params.period`` rounds; once when static), and the round cap is
-    tested only at those points and at the round past the cap. Each
-    collection round writes its energies straight into the next row of
-    the diagnostics block.
+    tested only at those points and at the round past the cap. The
+    kernels' operands (``collection_operands`` and ``symmetric_arrays``)
+    are read there too, once per epoch. Each collection round writes its
+    energies straight into the next row of the diagnostics block.
     """
     if config is None:
         config = ProtocolConfig()
@@ -377,20 +393,22 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     traces: list[PhaseTrace] = []
     r = 1  # the next global round
     stop = 1  # the next round that opens an epoch or passes the cap
-    topology = None  # the snapshot in force
+    coll = pairs = None  # the kernel operands of the snapshot in force
     spent = [0, 0, 0]  # rounds of the current k, per phase
 
     def fetch(r: int, phase: int) -> None:
         """Open round r == stop in ``phase``: set the snapshot in force from
         r on, and the next stop."""
-        nonlocal topology, stop
+        nonlocal coll, pairs, stop
         if r > limit:
             raise RoundLimitExceeded(f"round limit {limit} exceeded during {_PHASES[phase]}")
         next_epoch = math.inf if period is None else r - (r - 1) % period + period
-        # the old snapshot views its batch's arrays: let them go before a
+        # the old operands view their batch's arrays: let them go before a
         # new batch is built
-        topology = None
+        coll = pairs = None
         topology = topology_at(r)
+        coll = collection_operands(topology, delta)
+        pairs = topology.symmetric_arrays()
         stop = min(next_epoch, limit + 1)
 
     k = 1
@@ -413,7 +431,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
                     if r == stop:
                         fetch(r, 0)
                     # out is the next block row, never the previous one
-                    energy = collection_round(energy, topology, delta, block_rows[rows])
+                    energy = collection_round(energy, coll, block_rows[rows])
                     r += 1
                     rows += 1
                     if rows == _BLOCK:
@@ -438,9 +456,9 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
                     fetch(r, 1)
                 r += 1
                 spent[1] += 1
-                max_heard = verification_round(max_heard, topology)
+                max_heard = verification_round(max_heard, pairs)
                 if tolerant:
-                    heard = heard_round(heard, topology)
+                    heard = heard_round(heard, pairs)
             if max_heard[0] > k ** (-c) + drift_tol:
                 is_correct = False
 
@@ -453,7 +471,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
                     fetch(r, 2)
                 r += 1
                 spent[2] += 1
-                halt = notification_round(halt, topology)
+                halt = notification_round(halt, pairs)
 
             traces.append(PhaseTrace(k, *spent))
             if is_correct:

@@ -3,7 +3,8 @@
 import numpy as np
 
 from adncount import Topology
-from adncount.protocol import collection_round, notification_rounds, verification_rounds
+from adncount.protocol import (collection_operands, collection_round, notification_rounds,
+                               verification_rounds)
 
 
 def gnp_oracle(n, p, rng):
@@ -31,8 +32,8 @@ def assert_same_snapshot(topo, checked, delta, energies):
         assert got.tolist() == want.tolist()
     assert topo.retention(delta).tobytes() == checked.retention(delta).tobytes()
     energy = energies.random(topo.n)
-    assert (collection_round(energy, topo, delta).tobytes()
-            == collection_round(energy, checked, delta).tobytes())
+    assert (collection_round(energy, collection_operands(topo, delta)).tobytes()
+            == collection_round(energy, collection_operands(checked, delta)).tobytes())
 
 
 def heard_oracle(heard, topology):
@@ -74,6 +75,50 @@ def dense_share_matrix(topology, delta):
         if u != 0:
             F[v, u] = share
     return F
+
+
+def spectral_collection_lengths(topology, delta, c, ks):
+    """Experimental collection length of each k in ``ks`` on the static,
+    connected snapshot ``topology``, predicted from a spectrum instead of
+    by running rounds.
+
+    Q, the non-leader block of ``dense_share_matrix``, is symmetric with
+    eigenvalues in [0, 1), so after r rounds from (0, 1, ..., 1) the leader
+    holds (n - 1) - sum_i w_i lambda_i^r, with w_i the square of
+    eigenvector i's component along the all-ones vector. The length for k
+    is the least r >= 1 at which this reaches k - 1 - k^-c; the leader's
+    energy only grows, so a doubling and a bisection find it.
+
+    Returns {k: length}. A k is undecided (None) when the predicted energy
+    after its last round or the round before lies within
+    16 (r + 1) n (n - 1) eps of the threshold: a generous bound on the
+    eigensolver's error and on the float drift of r engine rounds.
+    """
+    n = topology.n
+    lam, vectors = np.linalg.eigh(dense_share_matrix(topology, delta)[1:, 1:])
+    weights = vectors.sum(axis=0) ** 2
+    eps = np.finfo(float).eps
+
+    def leader(r):
+        return (n - 1) - float(weights @ lam ** r)
+
+    lengths = {}
+    for k in ks:
+        threshold = k - 1 - k ** (-c)
+        hi = 1
+        while leader(hi) < threshold:
+            hi *= 2
+        lo = hi // 2  # leader(lo) < threshold <= leader(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if leader(mid) < threshold:
+                lo = mid
+            else:
+                hi = mid
+        close = any(abs(leader(r) - threshold) <= 16 * (r + 1) * n * (n - 1) * eps
+                    for r in (hi - 1, hi))
+        lengths[k] = None if close else hi
+    return lengths
 
 
 def neighbor_lists(topology):

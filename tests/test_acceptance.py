@@ -21,6 +21,7 @@ from adncount import (
     canonical_form,
     check_bound,
     collection_budget,
+    collection_operands,
     collection_round,
     count,
     csv_text,
@@ -180,10 +181,10 @@ def test_criterion_08_theoretical_budget_sound():
     import numpy as np
 
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    topo = path(4)
+    operands = collection_operands(path(4), 2)
     energy = np.array([0.0, 1.0, 1.0, 1.0])
     for _ in range(collection_budget(4, 2)):
-        energy = collection_round(energy, topo, 2)
+        energy = collection_round(energy, operands)
     leader_after = float(energy[0])
     threshold = 4 - 1 - 4 ** (-2.4)
     rec = count(DynamicsSchedule(ScheduleParams("path", 4, 2, math.inf, 0)), cfg)
@@ -199,12 +200,12 @@ def test_criterion_09_broadcast_bound():
     details = []
     ok = True
     for n in (3, 10, 25):
-        topo = path(n)
+        pairs = path(n).symmetric_arrays()
         halt = np.zeros(n, dtype=bool)
         halt[0] = True
         rounds = 0
         while not halt[n - 1]:
-            halt = notification_round(halt, topo)
+            halt = notification_round(halt, pairs)
             rounds += 1
         ok = ok and rounds == n - 1 and halt.all()
         details.append(f"n={n}: {rounds} rounds")

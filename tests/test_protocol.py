@@ -16,6 +16,7 @@ from adncount import (
     ScheduleParams,
     Topology,
     collection_budget,
+    collection_operands,
     collection_round,
     count,
     gnp,
@@ -34,7 +35,8 @@ from adncount.errors import (
     RoundLimitExceeded,
 )
 
-from helpers import dense_share_matrix, heard_oracle, heard_words
+from helpers import (ListSchedule, dense_phase_lengths, dense_share_matrix, heard_oracle,
+                     heard_words, spectral_collection_lengths)
 
 
 # ---------------------------------------------------------------- rounds
@@ -46,16 +48,16 @@ def test_collection_round_matches_dense_matrix():
         topo = gnp(n, 0.5, rng)
         delta = max(1, topo.max_degree + rng.randint(0, 2))
         energy = np.array([rng.random() for _ in range(n)])
-        got = collection_round(energy, topo, delta)
+        got = collection_round(energy, collection_operands(topo, delta))
         want = dense_share_matrix(topo, delta) @ energy
         assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_collection_round_two_nodes_closed_form():
-    topo = path(2)
+    operands = collection_operands(path(2), 1)
     energy = np.array([0.0, 1.0])
     for r in range(1, 40):
-        energy = collection_round(energy, topo, 1)
+        energy = collection_round(energy, operands)
         assert energy[0] == 1.0 - 2.0**-r  # dyadic, exact
         assert energy[1] == 2.0**-r
 
@@ -64,7 +66,7 @@ def test_collection_round_complete_graph_shares():
     topo = Topology(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     # energy concentrated at node 1: retention 1 - 3/6 = 1/2, share 1/6
     energy = np.array([0.0, 1.0, 0.0, 0.0])
-    out = collection_round(energy, topo, 3)
+    out = collection_round(energy, collection_operands(topo, 3))
     assert out[1] == pytest.approx(0.5, abs=1e-15)
     assert out[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert out[2] == pytest.approx(1.0 / 6.0, abs=1e-15)
@@ -74,13 +76,23 @@ def test_collection_round_complete_graph_shares():
 def test_collection_round_isolated_node_unchanged():
     topo = Topology(3, [(0, 1)])
     energy = np.array([0.2, 0.3, 0.7])
-    out = collection_round(energy, topo, 2)
+    out = collection_round(energy, collection_operands(topo, 2))
     assert out[2] == 0.7
 
 
-def test_collection_round_rejects_degree_violation():
-    with pytest.raises(DegreeBoundViolated):
-        collection_round(np.zeros(4), star(4), 2)
+def test_collection_operands_reject_degree_violation():
+    with pytest.raises(DegreeBoundViolated, match=r"^max degree 3 exceeds delta=2$"):
+        collection_operands(star(4), 2)
+
+
+def test_collection_operands_are_the_snapshot_arrays():
+    topo = gnp(9, 0.4, random.Random(2))
+    retain, src, dst, two_delta = collection_operands(topo, 8)
+    assert retain is topo.retention(8)
+    coll_src, coll_dst = topo.collection_arrays()
+    assert src is coll_src and dst is coll_dst
+    assert two_delta.shape == () and two_delta == 16.0
+    assert not two_delta.flags.writeable
 
 
 @pytest.mark.parametrize("topo, delta", [
@@ -95,8 +107,9 @@ def test_collection_round_out_row(topo, delta):
     before = energy.tobytes()
     block = np.full((2, 9), np.nan)
     row = block[1]
-    assert collection_round(energy, topo, delta, row) is row
-    assert row.tobytes() == collection_round(energy, topo, delta).tobytes()
+    operands = collection_operands(topo, delta)
+    assert collection_round(energy, operands, row) is row
+    assert row.tobytes() == collection_round(energy, operands).tobytes()
     assert energy.tobytes() == before
     assert np.isnan(block[0]).all()
 
@@ -104,7 +117,7 @@ def test_collection_round_out_row(topo, delta):
 def test_verification_round_max_with_self():
     topo = path(3)
     values = np.array([0.0, 5.0, 1.0])
-    out = verification_round(values, topo)
+    out = verification_round(values, topo.symmetric_arrays())
     assert out.tolist() == [5.0, 5.0, 5.0]
     # values never decrease at any node
     assert (out >= values).all()
@@ -114,13 +127,13 @@ def test_notification_round_keeps_own_flag_when_isolated():
     # node 0 halted but disconnected: the flag must not be lost
     topo = Topology(3, [(1, 2)])
     halt = np.array([True, False, False])
-    out = notification_round(halt, topo)
+    out = notification_round(halt, topo.symmetric_arrays())
     assert out.tolist() == [True, False, False]
 
 
 def test_heard_round_unions_neighbors():
     heard = np.array([[0b001, 0b010, 0b100]], dtype=np.uint64)
-    out = heard_round(heard, path(3))
+    out = heard_round(heard, path(3).symmetric_arrays())
     assert out.dtype == np.uint64
     assert out.tolist() == [[0b011, 0b111, 0b110]]
     assert heard.tolist() == [[0b001, 0b010, 0b100]]  # the input is kept
@@ -138,7 +151,7 @@ def test_heard_round_matches_int_oracle(n, p):
         for _ in range(4):
             topology = gnp(n, p, rng)
             sets = heard_oracle(sets, topology)
-            words = heard_round(words, topology)
+            words = heard_round(words, topology.symmetric_arrays())
             assert words.shape == (-(-n // 64), n)
             assert words.tolist() == heard_words(sets).tolist()
 
@@ -176,18 +189,20 @@ def test_collection_budget_overflow():
 
 def collect_to_threshold(topo, delta, k, c=1.01):
     """Experimental collection from (0, 1, ..., 1) on a static topology."""
+    operands = collection_operands(topo, delta)
     energy = np.ones(topo.n)
     energy[0] = 0.0
     rounds = 0
     while energy[0] < k - 1 - k ** (-c):
-        energy = collection_round(energy, topo, delta)
+        energy = collection_round(energy, operands)
         rounds += 1
     return energy, rounds
 
 
 def max_gossip(values, topo, rounds):
+    pairs = topo.symmetric_arrays()
     for _ in range(rounds):
-        values = verification_round(values, topo)
+        values = verification_round(values, pairs)
     return values
 
 
@@ -244,7 +259,7 @@ def test_max_heard_reaches_leader_on_static_topology():
 def test_run_notification_false_verdict_fixed_length():
     halt = np.zeros(4, dtype=bool)
     for _ in range(notification_rounds(3)):
-        halt = notification_round(halt, path(4))
+        halt = notification_round(halt, path(4).symmetric_arrays())
     assert not halt.any()
     # a rejected k is never spread, so tolerance adds no notification rounds
     rec = count(DynamicsSchedule(ScheduleParams("gnp", 6, 5, 2, 3, p=0.5)),
@@ -256,15 +271,15 @@ def test_run_notification_false_verdict_fixed_length():
 def test_run_notification_star_one_round_suffices():
     halt = np.zeros(6, dtype=bool)
     halt[0] = True
-    assert notification_round(halt, star(6)).all()
+    assert notification_round(halt, star(6).symmetric_arrays()).all()
 
 
 def test_notification_spread_is_one_hop_per_round():
-    topo = path(10)
+    pairs = path(10).symmetric_arrays()
     halt = np.zeros(10, dtype=bool)
     halt[0] = True
     for r in range(1, 10):
-        halt = notification_round(halt, topo)
+        halt = notification_round(halt, pairs)
         assert halt[:r + 1].all()
         assert not halt[r + 1:].any()
 
@@ -319,6 +334,34 @@ def test_count_small_grid_exact(family, delta, T, p):
         assert d0.min_leader_gain >= 0.0
 
 
+STATIC_STREAMS = [("path", 12, 2), ("path", 30, 2), ("path", 13, 4), ("star", 30, 29)] + [
+    ("random-tree", n, delta) for n in (10, 20, 30) for delta in (2, 4)]
+
+
+def test_static_collection_lengths_match_spectral_prediction():
+    # every per-k collection length of a static run is the least round at
+    # which the spectral leader energy reaches the threshold; a k too close
+    # to call is replayed densely instead
+    for family, n, delta in STATIC_STREAMS:
+        schedule = DynamicsSchedule(ScheduleParams(family, n, delta, math.inf, 0))
+        rec = count(schedule)
+        lengths = {t.k: t.collection for t in rec.per_k_trace}
+        predicted = spectral_collection_lengths(schedule.topology_at(1), delta, rec.c, lengths)
+        undecided = [k for k, length in predicted.items() if length is None]
+        if undecided:
+            dense = {k: collection for k, collection, _, _ in
+                     dense_phase_lengths(DynamicsSchedule(schedule.params), rec.c)}
+            predicted.update((k, dense[k]) for k in undecided)
+        assert predicted == lengths, (family, n, delta)
+
+
+def test_spectral_prediction_reports_a_tie_as_undecided():
+    # on path(2) at delta 1 the leader holds exactly 1 - 2^-r after r
+    # rounds, and at c = 1 the k = 2 threshold 1/2 is reached exactly
+    assert spectral_collection_lengths(path(2), 1, 1.01, [2]) == {2: 2}
+    assert spectral_collection_lengths(path(2), 1, 1.0, [2]) == {2: None}
+
+
 def test_count_deterministic():
     a = count(DynamicsSchedule(ScheduleParams("random-tree", 9, 4, 10, 31)))
     b = count(DynamicsSchedule(ScheduleParams("random-tree", 9, 4, 10, 31)))
@@ -336,26 +379,38 @@ def test_count_round_limit_partial_record():
     assert rec.per_k_trace == (PhaseTrace(k=2, collection=40, verification=0, notification=0),)
 
 
-def test_kernel_calls_match_phase_rounds(monkeypatch):
-    # one kernel call per simulated round, and heard_round on exactly the
-    # tolerant verification rounds; span tracers count rounds this way
+KERNELS = ("collection_round", "verification_round", "notification_round", "heard_round")
+
+
+def count_kernel_calls(monkeypatch):
+    """Wrap the round kernels where ``count`` looks them up; the dict
+    returned counts the calls of each."""
     from adncount import protocol
 
-    calls = dict.fromkeys(
-        ("collection_round", "verification_round", "notification_round", "heard_round"), 0
-    )
+    calls = dict.fromkeys(KERNELS, 0)
     for name in calls:
         def counted(*args, _kernel=getattr(protocol, name), _name=name):
             calls[_name] += 1
             return _kernel(*args)
         monkeypatch.setattr(protocol, name, counted)
+    return calls
+
+
+def assert_calls_match_rounds(calls, rec):
+    assert calls["collection_round"] == rec.rounds_collection
+    assert calls["verification_round"] == rec.rounds_verification
+    assert calls["notification_round"] == rec.rounds_notification
+
+
+def test_kernel_calls_match_phase_rounds(monkeypatch):
+    # one kernel call per simulated round, and heard_round on exactly the
+    # tolerant verification rounds; span tracers count rounds this way
+    calls = count_kernel_calls(monkeypatch)
 
     def run(schedule, cfg):
         calls.update(dict.fromkeys(calls, 0))
         rec = count(schedule, cfg)
-        assert calls["collection_round"] == rec.rounds_collection
-        assert calls["verification_round"] == rec.rounds_verification
-        assert calls["notification_round"] == rec.rounds_notification
+        assert_calls_match_rounds(calls, rec)
         return rec
 
     tolerant = run(DynamicsSchedule(ScheduleParams("gnp", 7, 6, 3, 11, p=0.3)),
@@ -367,26 +422,73 @@ def test_kernel_calls_match_phase_rounds(monkeypatch):
     assert calls["heard_round"] == 0
 
 
-def record_snapshots(monkeypatch):
+@pytest.mark.parametrize("params", [
+    ScheduleParams("path", 8, 2, math.inf, 0),
+    ScheduleParams("random-tree", 8, 3, 3, 4),
+    ScheduleParams("gnp", 7, 6, 3, 11, p=0.3),
+], ids=lambda params: f"{params.family}-T{params.T}")
+def test_operands_read_once_per_epoch(monkeypatch, params):
+    # count reads a snapshot's kernel operands when it comes into force,
+    # not in every round of its epoch
+    reads = dict.fromkeys(("retention", "collection_arrays", "symmetric_arrays"), 0)
+    for name in reads:
+        def counted(topology, *args, _method=getattr(Topology, name), _name=name):
+            reads[_name] += 1
+            return _method(topology, *args)
+        monkeypatch.setattr(Topology, name, counted)
+    calls = count_kernel_calls(monkeypatch)
+    rec = count(DynamicsSchedule(params),
+                ProtocolConfig(disconnection_tolerant=params.may_disconnect))
+    epochs = 1 if params.T == math.inf else -(-rec.rounds_total // params.T)
+    assert epochs < rec.rounds_total
+    assert reads == dict.fromkeys(reads, epochs)
+    assert_calls_match_rounds(calls, rec)
+
+
+def test_degree_bound_checked_when_a_snapshot_comes_into_force(monkeypatch):
+    # a star over the bound comes into force at the first verification
+    # round of k = 2, where no collection round runs on it
+    params = ScheduleParams("path", 4, 2, math.inf, 0)
+    first = count(DynamicsSchedule(params)).per_k_trace[0].collection
+    stream = ListSchedule(ScheduleParams("path", 4, 2, first, 0), [path(4), star(4)])
+    calls = count_kernel_calls(monkeypatch)
+    with pytest.raises(DegreeBoundViolated, match=r"^max degree 3 exceeds delta=2$"):
+        count(stream)
+    assert calls == dict(collection_round=first, verification_round=0, notification_round=0,
+                         heard_round=0)
+
+
+def record_operands(monkeypatch):
     """Wrap the three round kernels where ``count`` looks them up; the list
-    returned gets the snapshot of every global round, in round order."""
+    returned gets (kernel name, operands) of every global round, in round
+    order."""
     from adncount import protocol
 
     seen = []
-    for name in ("collection_round", "verification_round", "notification_round"):
-        def recorded(*args, _kernel=getattr(protocol, name)):
-            seen.append(args[1])
+    for name in KERNELS[:3]:
+        def recorded(*args, _kernel=getattr(protocol, name), _name=name):
+            seen.append((_name, args[1]))
             return _kernel(*args)
         monkeypatch.setattr(protocol, name, recorded)
     return seen
 
 
 def assert_in_force(seen, stream):
-    """Round r ran on ``topology_at(r)`` of a fresh schedule of ``stream``."""
+    """Round r ran on the operands of ``topology_at(r)`` of a fresh schedule
+    of ``stream``, byte for byte: ``collection_operands`` in collection,
+    ``symmetric_arrays`` otherwise."""
     family, delta, T, p = stream
     fresh = DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p))
-    for r, topology in enumerate(seen, start=1):
-        assert topology == fresh.topology_at(r), f"round {r}"
+    for r, (kernel, operands) in enumerate(seen, start=1):
+        topology = fresh.topology_at(r)
+        if kernel == "collection_round":
+            want = collection_operands(topology, delta)
+        else:
+            want = topology.symmetric_arrays()
+        assert len(operands) == len(want), f"round {r}"
+        for got, expected in zip(operands, want):
+            assert got.dtype == expected.dtype, f"round {r}"
+            assert got.tobytes() == expected.tobytes(), f"round {r}"
 
 
 STREAMS = [(family, delta, T, p)
@@ -397,7 +499,7 @@ STREAMS = [(family, delta, T, p)
 
 @pytest.mark.parametrize("stream", STREAMS, ids=lambda s: f"{s[0]}-T{s[2]}")
 def test_snapshot_in_force_each_round(monkeypatch, stream):
-    seen = record_snapshots(monkeypatch)
+    seen = record_operands(monkeypatch)
     family, delta, T, p = stream
     cfg = ProtocolConfig(disconnection_tolerant=(family == "gnp"))
     rec = count(DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p)), cfg)
@@ -421,7 +523,7 @@ def test_snapshot_in_force_up_to_round_cap(monkeypatch, stream, phase):
     start = done.collection + done.verification + done.notification + sum(lengths[:phase]) + 1
     cap = start if T == math.inf or start % T else start + 1
     assert cap + 1 < start + lengths[phase]
-    seen = record_snapshots(monkeypatch)
+    seen = record_operands(monkeypatch)
     name = ("collection", "verification", "notification")[phase]
     with pytest.raises(RoundLimitExceeded, match=f"during {name}$") as info:
         count(DynamicsSchedule(ScheduleParams(family, 6, delta, T, 3, p=p)),
