@@ -1,21 +1,33 @@
 """Per-stage cost of a random-tree and a G(n, p) snapshot, of each round
 kernel, of a T = 1 tree and a static path ``count``, of a served epoch per
-family, and of one pass over each acceptance grid.
+family, and of one pass over each acceptance grid, for one checkout or for
+two side by side.
 
 Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
 
     python3 bench/snapshot_stages.py --tag before
     python3 bench/snapshot_stages.py --tag after --out results
+    python3 bench/snapshot_stages.py --tag pair --parent ../parent
 
-For n = 30 and each degree bound it builds ``SNAPSHOTS`` snapshots one
-at a time through the single-snapshot generators, in five stages:
+With ``--parent PATH`` it also loads ``PATH/src/adncount``, under the
+package name ``adncount_parent``, and measures both: every repeat of every
+measurement below runs once for each side, the parent first in even
+repeats and the change first in odd ones, so that drift in the machine's
+speed does not favour one side. The parent must offer the functions the
+stages call. The report then holds one object per side, ``change`` and
+``parent``, and ``median_change``: the change's figure over the parent's,
+as a percentage, for every median and every grid pass.
+
+For each (n, delta) of ``TREE_POINTS`` it builds ``SNAPSHOTS`` snapshots
+one at a time through the single-snapshot generators, in five stages:
 
 1. ``seed``: ``random.Random(derive_seed(seed, epoch))``;
 2. ``ranrut``: the paper-literal draw;
-3. ``prune``: the degree bound, with the same generator (every tree is
-   walked, also one already within the bound; a schedule prunes only the
-   trees over it);
+3. ``prune``: the degree bound, with the same generator, called only on
+   trees over the bound, as a schedule does; ``over_bound_share`` is
+   their share of the snapshots, and ``prune`` is averaged over all of
+   them;
 4. ``tree_to_topology``;
 5. ``arrays``: the kernel operands ``count`` reads when a snapshot comes
    into force, ``collection_operands(topology, delta)`` and
@@ -33,9 +45,9 @@ delta = n - 1, the only degree bound a gnp schedule takes) and
 The ``SNAPSHOTS`` epochs from master seed ``SEED`` are rebuilt
 ``REPEATS`` times, and the fastest and median pass are reported, in
 microseconds per snapshot. ``count_T1_delta4`` times ``COUNT_RUNS``
-whole ``count`` runs of a random-tree stream at delta = 4 and T = 1 (a
-fresh snapshot every round), one per seed from 0, and reports total wall
-time over total rounds.
+whole ``count`` runs of a random-tree stream at n = 30, delta = 4 and
+T = 1 (a fresh snapshot every round), one per seed from 0, and reports
+total wall time over total rounds.
 
 ``kernels_us_per_call`` times each round kernel at n = 30 on ``path(30)``
 (delta = 2) and on one G(n, p) snapshot at p = ``GNP_P`` (delta = n - 1),
@@ -93,7 +105,7 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 30
-DELTAS = (2, 4, 8)
+TREE_POINTS = ((N, 2), (N, 4), (N, 8), (75, 2), (75, 4))  # (n, delta)
 SNAPSHOTS = 2000  # per batch
 REPEATS = 7  # batches per degree bound
 COUNT_RUNS = 5
@@ -107,6 +119,7 @@ EPOCHS = 2000  # served epochs per schedule
 KERNEL_CALLS = 5000  # per batch
 SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
              ("gnp", N - 1, GNP_P))
+MEDIANS = ("median_us", "median_run_us_per_round", "seconds")
 
 
 def load_benchmark():
@@ -127,6 +140,31 @@ calibrate, CAL_REF_S = _BENCHMARK.calibrate, _BENCHMARK.CAL_REF_S
 load_library = _BENCHMARK.load_library
 
 
+def load_parent(checkout):
+    """``checkout/src/adncount`` as the package ``adncount_parent``; its
+    modules import each other relatively, so none of them reads the
+    change's ``adncount``."""
+    pkg = os.path.join(os.path.abspath(checkout), "src", "adncount")
+    if not os.path.isfile(os.path.join(pkg, "__init__.py")):
+        sys.exit(f"snapshot_stages: {pkg} not found")
+    spec = importlib.util.spec_from_file_location(
+        "adncount_parent", os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def alternate(sides, repeats, sample):
+    """``sample(side, i)`` for each repeat i and each side, the sides in
+    turn, in reversed order in odd repeats: per side, the list of
+    results."""
+    results = {side: [] for side in sides}
+    for i in range(repeats):
+        for side in sides if i % 2 == 0 else reversed(sides):
+            results[side].append(sample(side, i))
+    return results
+
+
 def scaled(sample):
     """``sample()`` between two calibration slices: its result and the
     factor that scales its timings."""
@@ -135,8 +173,18 @@ def scaled(sample):
     return result, 2 * CAL_REF_S / (before + calibrate())
 
 
-def time_batch(adn, delta, epochs, master):
-    """Seconds spent in each stage over one batch of snapshots.
+def over_bound(parents, delta):
+    """Whether a tree's graph degree exceeds delta somewhere."""
+    degrees = [1] * len(parents)
+    degrees[0] = 0
+    for p in parents[1:]:
+        degrees[p] += 1
+    return max(degrees) > delta
+
+
+def time_batch(adn, n, delta, epochs, master):
+    """Seconds spent in each stage over one batch of snapshots, and the
+    number of trees over the bound.
 
     Snapshots are built one at a time, so only one is alive at once and
     garbage collection sees the same small heap as in a run.
@@ -144,22 +192,27 @@ def time_batch(adn, delta, epochs, master):
     derive_seed, ranrut, prune = adn.derive_seed, adn.ranrut, adn.prune
     tree_to_topology, operands = adn.tree_to_topology, adn.collection_operands
     totals = [0.0] * len(STAGES)
+    pruned = 0
     for epoch in epochs:
         t0 = perf_counter()
         rng = random.Random(derive_seed(master, epoch))
         t1 = perf_counter()
-        tree = ranrut(N, rng, "paper-literal")
+        tree = ranrut(n, rng, "paper-literal")
         t2 = perf_counter()
-        tree = prune(tree, delta, rng)
+        over = over_bound(tree, delta)  # a schedule's bound test, untimed
+        pruned += over
         t3 = perf_counter()
-        topology = tree_to_topology(tree)
+        if over:
+            tree = prune(tree, delta, rng)
         t4 = perf_counter()
+        topology = tree_to_topology(tree)
+        t5 = perf_counter()
         operands(topology, delta)
         topology.symmetric_arrays()
-        t5 = perf_counter()
-        for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t2, t3), (t3, t4), (t4, t5))):
+        t6 = perf_counter()
+        for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t3, t4), (t4, t5), (t5, t6))):
             totals[i] += end - start
-    return dict(zip(STAGES, totals))
+    return dict(zip(STAGES, totals)), pruned
 
 
 def time_gnp_batch(adn, epochs, master):
@@ -184,16 +237,17 @@ def time_gnp_batch(adn, epochs, master):
     return dict(zip(GNP_STAGES, totals))
 
 
+def fastest_and_median(values, digits=2):
+    return {"min_us": round(min(values), digits),
+            "median_us": round(statistics.median(values), digits)}
+
+
 def summarise(batches, snapshots):
     """Fastest and median batch per stage and in total, in µs per snapshot."""
-    per_stage = {}
-    for stage in batches[0]:
-        us = [b[stage] / snapshots * 1e6 for b in batches]
-        per_stage[stage] = {"min_us": round(min(us), 2),
-                            "median_us": round(statistics.median(us), 2)}
-    totals = [sum(b.values()) / snapshots * 1e6 for b in batches]
-    per_stage["total"] = {"min_us": round(min(totals), 2),
-                          "median_us": round(statistics.median(totals), 2)}
+    per_stage = {stage: fastest_and_median([b[stage] / snapshots * 1e6 for b in batches])
+                 for stage in batches[0]}
+    per_stage["total"] = fastest_and_median(
+        [sum(b.values()) / snapshots * 1e6 for b in batches])
     return per_stage
 
 
@@ -203,36 +257,45 @@ def scaled_batch(time_one):
     return {stage: t * scale for stage, t in totals.items()}
 
 
-def stage_costs(adn, snapshots, repeats, master):
-    result = {}
-    for delta in DELTAS:
-        batches = [scaled_batch(lambda: time_batch(
-            adn, delta, range(i * snapshots, (i + 1) * snapshots), master))
-            for i in range(repeats)]
-        result[f"delta={delta}"] = summarise(batches, snapshots)
+def stage_costs(libs, snapshots, repeats, master):
+    result = {side: {} for side in libs}
+    for n, delta in TREE_POINTS:
+        def sample(side, i):
+            (totals, pruned), scale = scaled(lambda: time_batch(
+                libs[side], n, delta, range(i * snapshots, (i + 1) * snapshots), master))
+            return {stage: t * scale for stage, t in totals.items()}, pruned
+
+        for side, runs in alternate(list(libs), repeats, sample).items():
+            point = summarise([totals for totals, _ in runs], snapshots)
+            # every repeat rebuilds the same epochs, so their shares are equal
+            point["over_bound_share"] = round(runs[0][1] / snapshots, 3)
+            result[side][f"n={n} delta={delta}"] = point
     return result
 
 
-def gnp_stage_costs(adn, snapshots, repeats, master):
-    batches = [scaled_batch(lambda: time_gnp_batch(
-        adn, range(i * snapshots, (i + 1) * snapshots), master)) for i in range(repeats)]
-    return {f"p={GNP_P}": summarise(batches, snapshots)}
+def gnp_stage_costs(libs, snapshots, repeats, master):
+    batches = alternate(list(libs), repeats, lambda side, i: scaled_batch(lambda: time_gnp_batch(
+        libs[side], range(i * snapshots, (i + 1) * snapshots), master)))
+    return {side: {f"p={GNP_P}": summarise(runs, snapshots)} for side, runs in batches.items()}
 
 
-def per_call_us(call, args, calls, repeats):
-    """Scaled µs per ``call(*args)``, fastest and median of ``repeats``
-    batches of ``calls`` calls."""
-    def batch():
-        t0 = perf_counter()
-        for _ in range(calls):
-            call(*args)
-        return perf_counter() - t0
+def per_call_us(calls_by_side, calls, repeats):
+    """Per side, scaled µs per ``call(*args)`` of its ``(call, args)``:
+    fastest and median of ``repeats`` batches of ``calls`` calls."""
+    def batch(side, _):
+        call, args = calls_by_side[side]
 
-    us = []
-    for _ in range(repeats):
-        seconds, scale = scaled(batch)
-        us.append(seconds * scale / calls * 1e6)
-    return {"min_us": round(min(us), 3), "median_us": round(statistics.median(us), 3)}
+        def timed():
+            t0 = perf_counter()
+            for _ in range(calls):
+                call(*args)
+            return perf_counter() - t0
+
+        seconds, scale = scaled(timed)
+        return seconds * scale / calls * 1e6
+
+    return {side: fastest_and_median(us, 3)
+            for side, us in alternate(list(calls_by_side), repeats, batch).items()}
 
 
 def origin_words(n):
@@ -246,8 +309,9 @@ def origin_words(n):
     return heard
 
 
-def kernel_costs(adn, calls, repeats):
-    """Scaled µs per call of each round kernel, per snapshot."""
+def kernel_calls(adn):
+    """Per snapshot, its edge count and, per round kernel, the kernel and
+    its arguments: that snapshot's operands."""
     import numpy as np
 
     protocol = adn.protocol
@@ -263,63 +327,89 @@ def kernel_costs(adn, calls, repeats):
         halt[0] = True
         collection = (energy, adn.collection_operands(topology, delta), np.empty(n))
         pairs = topology.symmetric_arrays()
-        result[name] = {"edges": len(topology.edges)}
-        for kernel, args in (("collection_round", collection),
-                             ("verification_round", (energy, pairs)),
-                             ("notification_round", (halt, pairs)),
-                             ("heard_round", (origin_words(n), pairs))):
-            result[name][kernel] = per_call_us(getattr(protocol, kernel), args, calls, repeats)
+        result[name] = len(topology.edges), {
+            kernel: (getattr(protocol, kernel), args)
+            for kernel, args in (("collection_round", collection),
+                                 ("verification_round", (energy, pairs)),
+                                 ("notification_round", (halt, pairs)),
+                                 ("heard_round", (origin_words(n), pairs)))}
     return result
 
 
-def count_cost(adn, schedules):
-    """Scaled µs per round of one ``count`` per schedule."""
-    per_run = []
-    rounds = seconds = 0
-    for schedule in schedules:
-        def run():
+def kernel_costs(libs, calls, repeats):
+    """Per side, scaled µs per call of each round kernel, per snapshot."""
+    made = {side: kernel_calls(adn) for side, adn in libs.items()}
+    result = {side: {} for side in libs}
+    for name, (edges, kernels) in made["change"].items():
+        for side in libs:
+            result[side][name] = {"edges": edges}
+        for kernel in kernels:
+            timed = per_call_us({side: made[side][name][1][kernel] for side in libs},
+                                calls, repeats)
+            for side, us in timed.items():
+                result[side][name][kernel] = us
+    return result
+
+
+def count_cost(libs, schedule):
+    """Per side, scaled µs per round of one ``count`` per seed, on
+    ``schedule(adn, seed)`` for seeds 0 .. COUNT_RUNS - 1."""
+    def run(side, seed):
+        adn = libs[side]
+        built = schedule(adn, seed)
+
+        def timed():
             t0 = perf_counter()
-            record = adn.count(schedule)
+            record = adn.count(built)
             return perf_counter() - t0, record.rounds_total
 
-        (elapsed, run_rounds), scale = scaled(run)
-        elapsed *= scale
-        per_run.append(elapsed / run_rounds * 1e6)
-        rounds += run_rounds
-        seconds += elapsed
-    return {"runs": len(per_run), "rounds": rounds,
-            "us_per_round": round(seconds / rounds * 1e6, 2),
-            "min_run_us_per_round": round(min(per_run), 2),
-            "median_run_us_per_round": round(statistics.median(per_run), 2)}
+        (elapsed, rounds), scale = scaled(timed)
+        return elapsed * scale, rounds
+
+    result = {}
+    for side, runs in alternate(list(libs), COUNT_RUNS, run).items():
+        seconds = sum(elapsed for elapsed, _ in runs)
+        rounds = sum(r for _, r in runs)
+        per_run = [elapsed / r * 1e6 for elapsed, r in runs]
+        result[side] = {"runs": len(runs), "rounds": rounds,
+                        "us_per_round": round(seconds / rounds * 1e6, 2),
+                        "min_run_us_per_round": round(min(per_run), 2),
+                        "median_run_us_per_round": round(statistics.median(per_run), 2)}
+    return result
 
 
-def static_path_cost(adn, kernels):
+def tree_T1_schedule(adn, seed):
+    return adn.DynamicsSchedule(adn.ScheduleParams("random-tree", N, 4, 1, seed))
+
+
+def static_path_schedule(adn, seed):
+    return adn.DynamicsSchedule(adn.ScheduleParams("path", N, 2, math.inf, seed))
+
+
+def static_path_cost(libs, kernels):
     """``count_cost`` of static paths, plus the engine overhead per round:
     the median µs per round less the median path kernel time of each
     round's phase (every static path run has the same rounds)."""
-    def schedule(seed):
-        return adn.DynamicsSchedule(adn.ScheduleParams("path", N, 2, math.inf, seed))
-
-    result = count_cost(adn, map(schedule, range(COUNT_RUNS)))
-    record = adn.count(schedule(0))
-    path_us = kernels["path"]
-    kernel_us = sum(getattr(record, f"rounds_{phase}") * path_us[f"{phase}_round"]["median_us"]
-                    for phase in ("collection", "verification", "notification"))
-    result["overhead_us_per_round"] = round(
-        result["median_run_us_per_round"] - kernel_us / record.rounds_total, 2)
+    result = count_cost(libs, static_path_schedule)
+    for side, adn in libs.items():
+        record = adn.count(static_path_schedule(adn, 0))
+        path_us = kernels[side]["path"]
+        kernel_us = sum(getattr(record, f"rounds_{phase}") * path_us[f"{phase}_round"]["median_us"]
+                        for phase in ("collection", "verification", "notification"))
+        result[side]["overhead_us_per_round"] = round(
+            result[side]["median_run_us_per_round"] - kernel_us / record.rounds_total, 2)
     return result
 
 
-def schedule_epoch_costs(adn, epochs, repeats, master):
-    """µs per served epoch of ``topology_at`` at T = 1, per family."""
-    result = {}
+def schedule_epoch_costs(libs, epochs, repeats, master):
+    """Per side, µs per served epoch of ``topology_at`` at T = 1, per family."""
+    result = {side: {} for side in libs}
     for family, delta, p in SCHEDULES:
-        us = []
-        for i in range(repeats):
-            params = adn.ScheduleParams(family, N, delta, 1, master + i, p=p)
-            schedule = adn.DynamicsSchedule(params)
+        def serve(side, i):
+            adn = libs[side]
+            schedule = adn.DynamicsSchedule(adn.ScheduleParams(family, N, delta, 1, master + i, p=p))
 
-            def serve():
+            def timed():
                 t0 = perf_counter()
                 for r in range(1, epochs + 1):
                     topology = schedule.topology_at(r)
@@ -327,43 +417,62 @@ def schedule_epoch_costs(adn, epochs, repeats, master):
                     topology.symmetric_arrays()
                 return perf_counter() - t0
 
-            seconds, scale = scaled(serve)
-            us.append(seconds * scale / epochs * 1e6)
-        result[family] = {"delta": delta, "min_us": round(min(us), 2),
-                          "median_us": round(statistics.median(us), 2)}
+            seconds, scale = scaled(timed)
+            return seconds * scale / epochs * 1e6
+
+        for side, us in alternate(list(libs), repeats, serve).items():
+            result[side][family] = {"delta": delta, **fastest_and_median(us)}
     return result
 
 
-def acceptance_grid_passes(adn):
-    """One timed ``run_sweep`` pass per acceptance grid, counting ``count`` calls."""
+def acceptance_grid_passes(libs):
+    """Per side, one timed ``run_sweep`` pass per acceptance grid, counting
+    ``count`` calls."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     from test_acceptance import GRID_SPECS
 
-    experiment = adn.experiment
-    real_count = experiment.count
-    calls = 0
+    def sweep(side, i):
+        adn = libs[side]
+        experiment = adn.experiment
+        real_count = experiment.count
+        calls = 0
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_count(*args, **kwargs)
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_count(*args, **kwargs)
 
-    result = {}
-    experiment.count = counted
-    try:
-        for name, spec in GRID_SPECS.items():
-            calls = 0
-
-            def sweep():
+        # the spec in this side's own types
+        spec = adn.SweepSpec.from_json_dict(specs[i].to_json_dict())
+        experiment.count = counted
+        try:
+            def timed():
                 t0 = perf_counter()
                 rows = len(adn.run_sweep(spec, workers=1).rows)
                 return perf_counter() - t0, rows
 
-            (elapsed, rows), scale = scaled(sweep)
-            result[name] = {"rows": rows, "count_calls": calls,
-                            "seconds": round(elapsed * scale, 2)}
-    finally:
-        experiment.count = real_count
+            (elapsed, rows), scale = scaled(timed)
+        finally:
+            experiment.count = real_count
+        return {"rows": rows, "count_calls": calls, "seconds": round(elapsed * scale, 2)}
+
+    names, specs = list(GRID_SPECS), list(GRID_SPECS.values())
+    passes = alternate(list(libs), len(names), sweep)
+    return {side: dict(zip(names, runs)) for side, runs in passes.items()}
+
+
+def median_change(parent, change):
+    """The change's figure over the parent's, as a signed percentage, for
+    every median and grid pass of two sides' reports, nested as they
+    are."""
+    result = {}
+    for key, value in change.items():
+        if isinstance(value, dict) and isinstance(parent.get(key), dict):
+            nested = median_change(parent[key], value)
+            if nested:
+                result[key] = nested
+        elif key in MEDIANS and parent.get(key):
+            result[key] = f"{100 * (value / parent[key] - 1):+.1f} %"
     return result
 
 
@@ -371,14 +480,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     parser.add_argument("--out", default=ROOT, help="directory for BENCH_<tag>.json")
+    parser.add_argument("--parent", help="a parent checkout to measure side by side")
     args = parser.parse_args(argv)
-    adn = load_library()
+    libs = {"change": load_library()}
+    if args.parent:
+        libs = {"parent": load_parent(args.parent), **libs}
     import numpy as np
 
-    kernels = kernel_costs(adn, KERNEL_CALLS, REPEATS)
+    kernels = kernel_costs(libs, KERNEL_CALLS, REPEATS)
+    sections = {
+        "stages_us_per_snapshot": stage_costs(libs, SNAPSHOTS, REPEATS, SEED),
+        "gnp_stages_us_per_snapshot": gnp_stage_costs(libs, SNAPSHOTS, REPEATS, SEED),
+        "kernels_us_per_call": kernels,
+        "count_T1_delta4": count_cost(libs, tree_T1_schedule),
+        "count_static_path": static_path_cost(libs, kernels),
+        "schedule_epochs_us_T1": schedule_epoch_costs(libs, EPOCHS, REPEATS, SEED),
+        "acceptance_grids": acceptance_grid_passes(libs),
+    }
     report = {
         "tag": args.tag,
-        "n": N,
+        "parent_checkout": args.parent,
         "cores": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
@@ -386,18 +507,13 @@ def main(argv=None) -> int:
         "calibration_ref_s": CAL_REF_S,
         "snapshots": SNAPSHOTS,
         "repeats": REPEATS,
-        "stages_us_per_snapshot": stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
-        "gnp_stages_us_per_snapshot": gnp_stage_costs(adn, SNAPSHOTS, REPEATS, SEED),
         "kernel_calls": KERNEL_CALLS,
-        "kernels_us_per_call": kernels,
-        "count_T1_delta4": count_cost(
-            adn, (adn.DynamicsSchedule(adn.ScheduleParams("random-tree", N, 4, 1, seed))
-                  for seed in range(COUNT_RUNS))),
-        "count_static_path": static_path_cost(adn, kernels),
         "epochs": EPOCHS,
-        "schedule_epochs_us_T1": schedule_epoch_costs(adn, EPOCHS, REPEATS, SEED),
-        "acceptance_grids": acceptance_grid_passes(adn),
     }
+    for side in libs:
+        report[side] = {name: section[side] for name, section in sections.items()}
+    if args.parent:
+        report["median_change"] = median_change(report["parent"], report["change"])
     text = json.dumps(report, indent=2) + "\n"
     with open(os.path.join(args.out, f"BENCH_{args.tag}.json"), "w") as fh:
         fh.write(text)

@@ -202,8 +202,9 @@ class DynamicsSchedule:
         degrees = np.bincount((labels[:, 1:] + rows).ravel(), minlength=batch * n)
         degrees = degrees.reshape(batch, n)
         degrees[:, 1:] += 1
-        for i in np.flatnonzero(degrees.max(axis=1) > p.delta).tolist():
-            labels[i] = prune(parents[i], p.delta, rngs[i])
+        over = np.flatnonzero(degrees.max(axis=1) > p.delta).tolist()
+        if over:
+            labels[over] = [prune(parents[i], p.delta, rngs[i]) for i in over]
         return tree_topologies(labels, p.delta)
 
 

@@ -374,10 +374,14 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
         check_theoretical_gate(n, delta)
     tolerant = config.disconnection_tolerant
     limit = config.effective_max_rounds(n, delta)
-    # Both rejection tests have zero real-arithmetic margin at k = n (the
-    # leader's energy converges to exactly k-1 and the residuals to 1/k^c
-    # from below), so they get the conservation tolerance 1e-9*n as slack;
-    # for k < n the detection margins exceed it by orders of magnitude.
+    # Both rejection tests get the conservation tolerance 1e-9*n as slack.
+    # Only theoretical mode needs it: after tau(n) rounds the exact leader
+    # lies at most 1.3e-31 below k-1 at k = n in the runs measured, and a
+    # float run can end an ulp above it. In experimental mode collection
+    # stops once the leader passes k-1-k^-c, so at k = n the leader ended
+    # 0.040-0.097 below k-1 and the largest residual 0.038-0.080 below
+    # k^-c in the runs measured; for k < n the detection margins exceed
+    # the slack by orders of magnitude.
     drift_tol = 1e-9 * n
     if tolerant:
         # the start of every verification: each node has heard only itself

@@ -4,7 +4,8 @@ Pipeline: ``sizes_table`` counts unlabeled rooted trees per vertex count,
 ``row_pairs`` turns the counts into one table per tree size over (copies,
 subtree-size) pairs, ``ranrut`` samples a tree from those tables in one
 pass over its vertices, and ``prune`` pushes subtrees downward until every
-vertex respects the degree bound. The counts and the tables are grown on
+vertex respects the degree bound, walking and renumbering only the
+subtrees of over-bound vertices. The counts and the tables are grown on
 demand, each size once per process, and serve every n.
 
 A tree is its preorder parent list, ``parents``: vertex v is the v-th
@@ -115,9 +116,11 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> list[i
     # a tree on k - j*d vertices, so the pairs form a chain down to a base
     # of one or two vertices. A vertex draws its whole chain; its children
     # are the base's leaf, then each pair's subtrees from the last drawn
-    # pair to the first. Every child's size, and so its preorder number,
-    # is known once its parent has drawn, so the loop visits the vertices
-    # in preorder, which is the order of the draws. Only vertices with at
+    # pair to the first. So the subtrees of a pair fill the vertex's range
+    # from the end of what is left after the draw, and each is placed as
+    # it is drawn. Every child's size, and so its preorder number, is
+    # known once its parent has drawn, so the loop visits the vertices in
+    # preorder, which is the order of the draws. Only vertices with at
     # least three in their subtree draw at all; smaller ones take a short
     # path.
     size_of = [1] * n  # subtree size, set by the parent's draw
@@ -126,10 +129,9 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> list[i
     copies = {}  # same-copy: copy root -> offset from the drawn subtree
     for v in range(n):
         size = size_of[v]
-        if size == 1:
-            continue
-        if size == 2:
-            parents[v + 1] = v
+        if size < 3:
+            if size == 2:
+                parents[v + 1] = v
             continue
         if same_copy and v in copies:
             # the drawn subtree is complete: copy it, shifted by the offset;
@@ -139,17 +141,11 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> list[i
             for u in range(src + 1, src + size):
                 parents[u + offset] = parents[u] + offset
             continue
-        c = v + 1
-        chain = []
         while size > 2:
             cumulative, outcomes, _ = tables[size]
             size, sub_sizes = outcomes[bisect_left(cumulative, random_())]
-            chain.append(sub_sizes)
-        if size == 2:
-            parents[c] = v
-            c += 1
-        for sub_sizes in reversed(chain):
-            first = c
+            # the pair's subtrees follow the size left after the draw
+            first = c = v + size
             for d in sub_sizes:
                 parents[c] = v
                 size_of[c] = d
@@ -158,6 +154,8 @@ def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> list[i
                 # copies of one or two vertices need no draw to copy
                 for root in range(first + d, c, d):
                     copies[root] = root - first
+        if size == 2:
+            parents[v + 1] = v
     return parents
 
 
@@ -172,6 +170,16 @@ def prune(parents: list[int], delta: int, rng: random.Random) -> list[int]:
     preserved. Returns a new parent list, numbered in its own preorder; a
     tree already within the bound comes back equal, and draws nothing. The
     input is left as it was.
+
+    Only the preorder range ``[v, v + size(v))`` of each top-level
+    over-bound vertex v (one with no over-bound ancestor) is walked and
+    renumbered; every other entry is the input's. That is the whole-tree
+    walk, draws included: re-attaching moves a subtree only below a
+    descendant of the visited vertex, so no subtree changes its vertex
+    count and no vertex leaves its range, and the ranges are walked in
+    increasing order, which is the order in which the whole-tree walk
+    reaches them. The uniform choices are ``rng.randrange``'s draws, taken
+    from ``rng.getrandbits`` through ``_below``.
     """
     n = len(parents)
     if n >= 3 and delta < 2:
@@ -182,37 +190,57 @@ def prune(parents: list[int], delta: int, rng: random.Random) -> list[int]:
         raise InfeasibleDegreeBound("delta must be >= 1")
     full = delta - 1  # a non-root vertex with this many children has no room
     children = _children(parents)
-    # Re-attaching only ever moves a subtree below a descendant of the
-    # visited vertex, so each child list is final once its vertex is
-    # visited: the visit order is the pruned tree's preorder.
-    pruned = []
-    stack = [0]
-    above = [-1]  # preorder index of each stacked vertex's parent
-    while stack:
-        v = stack.pop()
-        label = len(pruned)
-        pruned.append(above.pop())
-        kids = children[v]
-        if not kids:
-            continue
-        limit = delta if v == 0 else full
-        while len(kids) > limit:
-            sub = kids.pop()  # rightmost subtree
-            # v is still full: descend through uniform children until one
-            # has room
-            w = kids[rng.randrange(len(kids))]
-            while len(children[w]) >= full:
-                w = children[w][rng.randrange(len(children[w]))]
-            children[w].append(sub)
-        if len(kids) == 1:
-            # the common case at small delta (every non-root vertex at
-            # delta 2); a plain push is cheaper than the two extends
-            stack.append(kids[0])
-            above.append(label)
-        else:
-            stack.extend(reversed(kids))
-            above.extend([label] * len(kids))
+    pruned = parents[:]
+    if len(children[0]) > delta:
+        tops = [0]
+    else:
+        tops = [v for v in range(1, n) if len(children[v]) > full]
+    getrandbits = rng.getrandbits
+    end = 0  # the end of the last walked range
+    for top in tops:
+        if top < end:
+            continue  # nested in the range just walked
+        # Each child list is final once its vertex is visited, so the
+        # visit order is the pruned range's preorder.
+        label = top
+        stack = [top]
+        above = [parents[top]]  # the number of each stacked vertex's parent
+        while stack:
+            v = stack.pop()
+            pruned[label] = above.pop()
+            kids = children[v]
+            if kids:
+                limit = delta if v == 0 else full
+                while len(kids) > limit:
+                    sub = kids.pop()  # rightmost subtree
+                    # v is still full: descend through uniform children
+                    # until one has room
+                    w = kids[_below(getrandbits, len(kids))]
+                    while len(children[w]) >= full:
+                        w = children[w][_below(getrandbits, len(children[w]))]
+                    children[w].append(sub)
+                if len(kids) == 1:
+                    # the common case at small delta (every non-root vertex
+                    # at delta 2); a plain push is cheaper than two extends
+                    stack.append(kids[0])
+                    above.append(label)
+                else:
+                    stack.extend(reversed(kids))
+                    above.extend([label] * len(kids))
+            label += 1
+        end = label
     return pruned
+
+
+def _below(getrandbits, m: int) -> int:
+    """``rng.randrange(m)`` for an int m >= 1, given ``rng.getrandbits``:
+    CPython's ``Random._randbelow_with_getrandbits``, k-bit draws,
+    k = m.bit_length(), until one falls below m."""
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
 
 
 def _children(parents: list[int]) -> list[list[int]]:

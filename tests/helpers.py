@@ -3,6 +3,7 @@
 import numpy as np
 
 from adncount import Topology
+from adncount.errors import InfeasibleDegreeBound
 from adncount.protocol import (collection_operands, collection_round, notification_rounds,
                                verification_rounds)
 
@@ -179,6 +180,54 @@ def graph_degree(parents, v):
 
 def max_graph_degree(parents):
     return max(graph_degree(parents, v) for v in range(len(parents)))
+
+
+def prune_walk_oracle(parents, delta, rng):
+    """``trees.prune`` as one depth-first walk over the whole tree, with
+    its draws through ``rng.randrange``: the same feasibility checks, the
+    same pruned parent list and the same generator consumption."""
+    n = len(parents)
+    if n >= 3 and delta < 2:
+        raise InfeasibleDegreeBound(
+            f"no tree on {n} >= 3 vertices has max degree <= {delta}"
+        )
+    if delta < 1:
+        raise InfeasibleDegreeBound("delta must be >= 1")
+    full = delta - 1  # a non-root vertex with this many children has no room
+    children = [[] for _ in parents]
+    for v in range(1, n):
+        children[parents[v]].append(v)
+    # Re-attaching only ever moves a subtree below a descendant of the
+    # visited vertex, so each child list is final once its vertex is
+    # visited: the visit order is the pruned tree's preorder.
+    pruned = []
+    stack = [0]
+    above = [-1]  # preorder index of each stacked vertex's parent
+    while stack:
+        v = stack.pop()
+        label = len(pruned)
+        pruned.append(above.pop())
+        kids = children[v]
+        if not kids:
+            continue
+        limit = delta if v == 0 else full
+        while len(kids) > limit:
+            sub = kids.pop()  # rightmost subtree
+            # v is still full: descend through uniform children until one
+            # has room
+            w = kids[rng.randrange(len(kids))]
+            while len(children[w]) >= full:
+                w = children[w][rng.randrange(len(children[w]))]
+            children[w].append(sub)
+        if len(kids) == 1:
+            # the common case at small delta (every non-root vertex at
+            # delta 2); a plain push is cheaper than the two extends
+            stack.append(kids[0])
+            above.append(label)
+        else:
+            stack.extend(reversed(kids))
+            above.extend([label] * len(kids))
+    return pruned
 
 
 def degree_sequence(topology):

@@ -5,10 +5,11 @@ the snapshot pipeline was refactored, the path, theoretical and round-cap
 record digests before the collection diagnostics were reduced in blocks,
 the random-tree record digests before each tree snapshot was built in
 one draw pass and one walk, and the gnp, star and T = 1 path digests
-before each G(n, p) snapshot was drawn in one bulk read, and the n = 70
-tolerant gnp digests before the heard sets became uint64 words. A refactor or speed-up must leave them
-unchanged; a deliberate behaviour change must update them and say so in
-CHANGES.md.
+before each G(n, p) snapshot was drawn in one bulk read, the n = 70
+tolerant gnp digests before the heard sets became uint64 words, and the
+n = 75 tree digest before prune walked only its over-bound subtrees. A
+refactor or speed-up must leave them unchanged; a deliberate behaviour
+change must update them and say so in CHANGES.md.
 """
 
 import hashlib
@@ -52,6 +53,10 @@ PINNED_SPEC = SweepSpec(
 SWEEP_CSV_SHA256 = "4d38869247e9707b0556296df214fb55297504f42b61bc3044e5834d0e5dda2a"
 SWEEP_JSON_SHA256 = "4850333f260f79578a80a52e5e04587e20b13f42cc51a4469bc64b27d93adc32"
 TREE_SNAPSHOTS_SHA256 = "73c2a4088db127daa2f8b2674818e2afbfeaebcf45bcb23c53f62f872e5073af"
+# 20 pruned trees at n = 75 per delta in {2, 4, 8}, in both ranrut variants,
+# drawn from one shared Random(31) per variant; recorded before prune walked
+# only its over-bound subtrees and drew without randrange.
+TREE75_SNAPSHOTS_SHA256 = "116ec09735c66609fa05af1dc28e2f79e4f272f8a4917dca7c471e20d56fd94a"
 
 # Single records, diagnostics included, whose collection phases are long:
 # (a) a static path at n = 30, 40 769 rounds, 39 755 of them collection;
@@ -170,6 +175,17 @@ def test_pinned_tree_snapshots():
                 tree = prune(ranrut(n, rng, variant), delta, rng)
                 lines.append(json.dumps(tree_to_topology(tree).to_json_dict()))
     assert sha256("\n".join(lines).encode()) == TREE_SNAPSHOTS_SHA256
+
+
+def test_pinned_tree_snapshots_n75():
+    lines = []
+    for variant in ("paper-literal", "same-copy"):
+        rng = random.Random(31)
+        for delta in (2, 4, 8):
+            for _ in range(20):
+                tree = prune(ranrut(75, rng, variant), delta, rng)
+                lines.append(json.dumps(tree_to_topology(tree).to_json_dict()))
+    assert sha256("\n".join(lines).encode()) == TREE75_SNAPSHOTS_SHA256
 
 
 def test_pinned_gnp_snapshots():

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from adncount import trees
 from adncount.errors import InfeasibleDegreeBound
 from adncount.trees import RANRUT_VARIANTS
 
-from helpers import (assert_same_snapshot, is_path_graph, max_graph_degree, tree_depth,
-                     validate_tree)
+from helpers import (assert_same_snapshot, is_path_graph, max_graph_degree,
+                     prune_walk_oracle, tree_depth, validate_tree)
 
 
 def test_sizes_table_small():
@@ -197,6 +198,78 @@ def preorder_parent_lists(draw):
 @given(preorder_parent_lists(), st.integers(2, 5), st.integers(0, 2**32))
 def test_prune_properties_any_preorder_tree(parents, delta, seed):
     assert_prune_properties(parents, delta, random.Random(seed))
+
+
+def over_bound_shape(parents, delta):
+    """Which of three shapes ``parents`` has at ``delta``: its root over the
+    bound, an over-bound vertex below another one (nested), and two
+    over-bound vertices, neither below the other (disjoint)."""
+    children = [0] * len(parents)
+    for p in parents[1:]:
+        children[p] += 1
+    over = {v for v, k in enumerate(children) if k > (delta if v == 0 else delta - 1)}
+    nested = False
+    tops = set()
+    for v in sorted(over):
+        a = parents[v]
+        while a >= 0 and a not in over:
+            a = parents[a]
+        nested |= a >= 0
+        if a < 0:
+            tops.add(v)
+    return {"root": 0 in over, "nested": nested, "disjoint": len(tops) > 1}
+
+
+def assert_prune_is_the_walk(parents, delta, rng):
+    """``prune`` gives the whole-tree walk's result or exception, and leaves
+    ``rng`` in the walk's state."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    try:
+        want = prune_walk_oracle(parents, delta, twin)
+    except InfeasibleDegreeBound as error:
+        with pytest.raises(InfeasibleDegreeBound, match=f"^{re.escape(str(error))}$"):
+            prune(parents, delta, rng)
+    else:
+        assert prune(parents, delta, rng) == want
+    assert rng.getstate() == twin.getstate()
+
+
+def test_prune_is_the_whole_tree_walk():
+    seen = {"root": 0, "nested": 0, "disjoint": 0}
+    for variant in RANRUT_VARIANTS:
+        rng = random.Random(21)
+        for n in [*range(2, 14), 30, 75]:
+            for _ in range(40):
+                tree = ranrut(n, rng, variant)
+                for delta in range(1, 9):
+                    for shape, hit in over_bound_shape(tree, delta).items():
+                        seen[shape] += hit
+                    assert_prune_is_the_walk(tree, delta, rng)
+    # hand-made: a root over the bound with a nested chain of over-bound
+    # vertices, and two disjoint over-bound subtrees below a root within it
+    for tree, delta, shape in (
+            ([-1, 0, 1, 1, 1, 2, 2, 2, 0, 0, 0], 2,
+             {"root": True, "nested": True, "disjoint": False}),
+            ([-1, 0, 1, 1, 1, 0, 5, 5, 5, 5], 3,
+             {"root": False, "nested": False, "disjoint": True})):
+        assert over_bound_shape(tree, delta) == shape
+        assert_prune_is_the_walk(tree, delta, random.Random(4))
+    assert min(seen.values()) > 100, seen
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(preorder_parent_lists(), st.integers(1, 6), st.integers(0, 2**32))
+def test_prune_is_the_walk_on_any_preorder_tree(parents, delta, seed):
+    assert_prune_is_the_walk(parents, delta, random.Random(seed))
+
+
+def test_below_is_randrange():
+    rng, twin = random.Random(8), random.Random(8)
+    for m in range(1, 201):
+        for _ in range(5):
+            assert trees._below(rng.getrandbits, m) == twin.randrange(m)
+        assert rng.getstate() == twin.getstate()
 
 
 def test_validate_tree_requires_preorder():
