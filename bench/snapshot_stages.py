@@ -1,7 +1,6 @@
-"""Per-stage cost of a random-tree and a G(n, p) snapshot, of each round
-kernel, of a T = 1 tree and a static path ``count``, of a served epoch per
-family, and of one pass over each acceptance grid, for one checkout or for
-two side by side.
+"""Per-stage cost of a served snapshot epoch per family, of each round
+kernel, of a T = 1 tree and a static path ``count``, and of one pass over
+each acceptance grid, for one checkout or for two side by side.
 
 Run from the root of a checkout; it imports ``adncount`` from that
 checkout's ``src/``:
@@ -14,40 +13,30 @@ With ``--parent PATH`` it also loads ``PATH/src/adncount``, under the
 package name ``adncount_parent``, and measures both: every repeat of every
 measurement below runs once for each side, the parent first in even
 repeats and the change first in odd ones, so that drift in the machine's
-speed does not favour one side. The parent must offer the functions the
-stages call. The report then holds one object per side, ``change`` and
-``parent``, and ``median_change``: the change's figure over the parent's,
-as a percentage, for every median and every grid pass.
+speed does not favour one side. Each side's timers wrap its own modules,
+so the parent must have every ``hook_points`` name. The report then holds one
+object per side, ``change`` and ``parent``, and ``median_change``: the
+change's figure over the parent's, as a percentage, for every median and
+every grid pass.
 
-For each (n, delta) of ``TREE_POINTS`` it builds ``SNAPSHOTS`` snapshots
-one at a time through the single-snapshot generators, in five stages:
+``served_epochs_us_T1`` serves ``EPOCHS`` consecutive epochs of a real
+T = 1 ``DynamicsSchedule`` per point (random-tree at each (n, delta) of
+``TREE_POINTS``; at n = 30, gnp at p = ``GNP_P``, path at delta = 2 and
+star), built outside the timed loop with seeds from ``SEED``, and reads
+each snapshot's kernel operands as ``count`` does. Each repeat serves
+twice, on two schedules of the same params: ``plain`` untimed inside, and
+``total`` with a timer on each of the schedule's own lookup points
+(``hook_points``) and on the operand reads. ``schedule`` is the rest of
+``total``, so the stages plus ``schedule`` equal it in every repeat
+(integer nanoseconds, before scaling). A point reports the stages its
+family fires, in µs per served epoch; a random-tree point adds
+``over_bound_share``, ``prune`` calls over ``ranrut`` calls (look-ahead
+epochs included).
 
-1. ``seed``: ``random.Random(derive_seed(seed, epoch))``;
-2. ``ranrut``: the paper-literal draw;
-3. ``prune``: the degree bound, with the same generator, called only on
-   trees over the bound, as a schedule does; ``over_bound_share`` is
-   their share of the snapshots, and ``prune`` is averaged over all of
-   them;
-4. ``tree_to_topology``;
-5. ``arrays``: the kernel operands ``count`` reads when a snapshot comes
-   into force, ``collection_operands(topology, delta)`` and
-   ``symmetric_arrays()``.
-
-Snapshots are built one at a time and each stage is timed around its
-call (two ``perf_counter`` reads, a fraction of a microsecond, included).
-
-For G(n, p) at n = 30 and p = ``GNP_P`` it times three stages per batch
-of ``GNP_BATCH`` epochs, as a schedule builds them: ``seed`` (one
-generator per epoch), ``gnp`` (one ``gnp_topologies`` call with
-delta = n - 1, the only degree bound a gnp schedule takes) and
-``arrays`` (the operands of each snapshot, as above).
-
-The ``SNAPSHOTS`` epochs from master seed ``SEED`` are rebuilt
-``REPEATS`` times, and the fastest and median pass are reported, in
-microseconds per snapshot. ``count_T1_delta4`` times ``COUNT_RUNS``
-whole ``count`` runs of a random-tree stream at n = 30, delta = 4 and
-T = 1 (a fresh snapshot every round), one per seed from 0, and reports
-total wall time over total rounds.
+``count_T1_delta4`` times ``COUNT_RUNS`` whole ``count`` runs of a
+random-tree stream at n = 30, delta = 4 and T = 1 (a fresh snapshot every
+round), one per seed from 0, and reports total wall time over total
+rounds.
 
 ``kernels_us_per_call`` times each round kernel at n = 30 on ``path(30)``
 (delta = 2) and on one G(n, p) snapshot at p = ``GNP_P`` (delta = n - 1),
@@ -63,21 +52,13 @@ of ``REPEATS`` batches are reported. ``count_static_path`` times
 same 40 769 rounds) and reports µs per round, and the engine's overhead per
 round: that figure minus the median path kernel time of each round's phase.
 
-``schedule_epochs`` times ``topology_at`` over ``EPOCHS`` consecutive
-rounds of a T = 1 schedule of each family at n = 30 (random-tree and path
-at delta = 4 and 2, gnp at p = ``GNP_P``), with the kernel operands of
-every snapshot, and reports the fastest and median of ``REPEATS``
-schedules (seeds from ``SEED``) in microseconds per served epoch. The schedule is built outside
-the timed loop. This is the per-epoch snapshot cost of a run, look-ahead
-included.
-
 ``acceptance_grids`` runs each grid of ``GRID_SPECS`` in
 ``tests/test_acceptance.py`` once through ``run_sweep`` with one worker,
 and reports its rows, its ``count`` calls (a sweep runs each
 seed-invariant stream once and copies the record to the other rows) and
 its wall time in seconds.
 
-Every timed sample (a batch, a run, a schedule or a grid pass) is
+Every timed sample (a batch, a run, a served pass or a grid pass) is
 scaled, as in ``perfbench/run.py``, by ``CAL_REF_S`` over the mean of the
 calibration slices just before and just after it (``calibrate`` and
 ``CAL_REF_S``, loaded from ``perfbench/run.py``), so the figures read in
@@ -101,24 +82,22 @@ import platform
 import random
 import statistics
 import sys
-from time import perf_counter
+from time import perf_counter, perf_counter_ns
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 30
 TREE_POINTS = ((N, 2), (N, 4), (N, 8), (75, 2), (75, 4))  # (n, delta)
-SNAPSHOTS = 2000  # per batch
-REPEATS = 7  # batches per degree bound
+REPEATS = 7  # batches, served passes or runs per measurement
 COUNT_RUNS = 5
 SEED = 7
-STAGES = ("seed", "ranrut", "prune", "tree_to_topology", "arrays")
 GNP_P = 0.3
-GNP_STAGES = ("seed", "gnp", "arrays")
-GNP_BATCH = 64  # epochs per gnp_topologies call, as in a schedule
 GNP_WIDE_N = 75
 EPOCHS = 2000  # served epochs per schedule
 KERNEL_CALLS = 5000  # per batch
-SCHEDULES = (("random-tree", 4, None), ("star", N - 1, None), ("path", 2, None),
-             ("gnp", N - 1, GNP_P))
+# (family, n, delta, p) of each served point
+SERVED_POINTS = (*(("random-tree", n, delta, None) for n, delta in TREE_POINTS),
+                 ("gnp", N, N - 1, GNP_P), ("path", N, 2, None), ("star", N, N - 1, None))
+STAGES = ("seed", "ranrut", "prune", "shuffle", "convert", "operands")
 MEDIANS = ("median_us", "median_run_us_per_round", "seconds")
 
 
@@ -173,110 +152,9 @@ def scaled(sample):
     return result, 2 * CAL_REF_S / (before + calibrate())
 
 
-def over_bound(parents, delta):
-    """Whether a tree's graph degree exceeds delta somewhere."""
-    degrees = [1] * len(parents)
-    degrees[0] = 0
-    for p in parents[1:]:
-        degrees[p] += 1
-    return max(degrees) > delta
-
-
-def time_batch(adn, n, delta, epochs, master):
-    """Seconds spent in each stage over one batch of snapshots, and the
-    number of trees over the bound.
-
-    Snapshots are built one at a time, so only one is alive at once and
-    garbage collection sees the same small heap as in a run.
-    """
-    derive_seed, ranrut, prune = adn.derive_seed, adn.ranrut, adn.prune
-    tree_to_topology, operands = adn.tree_to_topology, adn.collection_operands
-    totals = [0.0] * len(STAGES)
-    pruned = 0
-    for epoch in epochs:
-        t0 = perf_counter()
-        rng = random.Random(derive_seed(master, epoch))
-        t1 = perf_counter()
-        tree = ranrut(n, rng, "paper-literal")
-        t2 = perf_counter()
-        over = over_bound(tree, delta)  # a schedule's bound test, untimed
-        pruned += over
-        t3 = perf_counter()
-        if over:
-            tree = prune(tree, delta, rng)
-        t4 = perf_counter()
-        topology = tree_to_topology(tree)
-        t5 = perf_counter()
-        operands(topology, delta)
-        topology.symmetric_arrays()
-        t6 = perf_counter()
-        for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t3, t4), (t4, t5), (t5, t6))):
-            totals[i] += end - start
-    return dict(zip(STAGES, totals)), pruned
-
-
-def time_gnp_batch(adn, epochs, master):
-    """Seconds spent in each G(n, p) stage over ``epochs``, built
-    ``GNP_BATCH`` at a time; only one batch is alive at once."""
-    derive_seed, operands = adn.derive_seed, adn.collection_operands
-    gnp_topologies = adn.topology.gnp_topologies
-    totals = [0.0] * len(GNP_STAGES)
-    for first in range(epochs.start, epochs.stop, GNP_BATCH):
-        t0 = perf_counter()
-        rngs = [random.Random(derive_seed(master, epoch))
-                for epoch in range(first, min(first + GNP_BATCH, epochs.stop))]
-        t1 = perf_counter()
-        topologies = gnp_topologies(N, GNP_P, rngs, N - 1)
-        t2 = perf_counter()
-        for topology in topologies:
-            operands(topology, N - 1)
-            topology.symmetric_arrays()
-        t3 = perf_counter()
-        for i, (start, end) in enumerate(((t0, t1), (t1, t2), (t2, t3))):
-            totals[i] += end - start
-    return dict(zip(GNP_STAGES, totals))
-
-
 def fastest_and_median(values, digits=2):
     return {"min_us": round(min(values), digits),
             "median_us": round(statistics.median(values), digits)}
-
-
-def summarise(batches, snapshots):
-    """Fastest and median batch per stage and in total, in µs per snapshot."""
-    per_stage = {stage: fastest_and_median([b[stage] / snapshots * 1e6 for b in batches])
-                 for stage in batches[0]}
-    per_stage["total"] = fastest_and_median(
-        [sum(b.values()) / snapshots * 1e6 for b in batches])
-    return per_stage
-
-
-def scaled_batch(time_one):
-    """A batch's per-stage seconds, scaled."""
-    totals, scale = scaled(time_one)
-    return {stage: t * scale for stage, t in totals.items()}
-
-
-def stage_costs(libs, snapshots, repeats, master):
-    result = {side: {} for side in libs}
-    for n, delta in TREE_POINTS:
-        def sample(side, i):
-            (totals, pruned), scale = scaled(lambda: time_batch(
-                libs[side], n, delta, range(i * snapshots, (i + 1) * snapshots), master))
-            return {stage: t * scale for stage, t in totals.items()}, pruned
-
-        for side, runs in alternate(list(libs), repeats, sample).items():
-            point = summarise([totals for totals, _ in runs], snapshots)
-            # every repeat rebuilds the same epochs, so their shares are equal
-            point["over_bound_share"] = round(runs[0][1] / snapshots, 3)
-            result[side][f"n={n} delta={delta}"] = point
-    return result
-
-
-def gnp_stage_costs(libs, snapshots, repeats, master):
-    batches = alternate(list(libs), repeats, lambda side, i: scaled_batch(lambda: time_gnp_batch(
-        libs[side], range(i * snapshots, (i + 1) * snapshots), master)))
-    return {side: {f"p={GNP_P}": summarise(runs, snapshots)} for side, runs in batches.items()}
 
 
 def per_call_us(calls_by_side, calls, repeats):
@@ -401,27 +279,102 @@ def static_path_cost(libs, kernels):
     return result
 
 
-def schedule_epoch_costs(libs, epochs, repeats, master):
-    """Per side, µs per served epoch of ``topology_at`` at T = 1, per family."""
+def hook_points(adn):
+    """The schedule's own lookup points in ``adn``'s modules, as
+    (owner, attribute, stage)."""
+    dynamics = adn.dynamics
+    return ((dynamics.DynamicsSchedule, "_generators", "seed"),
+            (dynamics, "ranrut", "ranrut"),
+            (dynamics, "prune", "prune"),
+            (dynamics, "_path_order", "shuffle"),
+            (dynamics, "tree_topologies", "convert"),
+            (dynamics, "gnp_topologies", "convert"),
+            (dynamics, "path_topologies", "convert"))
+
+
+def operand_reads(adn, delta):
+    """What ``count`` reads of a snapshot when it comes into force."""
+    operands = adn.collection_operands
+
+    def read(topology):
+        operands(topology, delta)
+        topology.symmetric_arrays()
+
+    return read
+
+
+def serve(schedule, epochs, read):
+    """Rounds 1 .. epochs of a T = 1 schedule, each snapshot passed to read."""
+    topology_at = schedule.topology_at
+    for r in range(1, epochs + 1):
+        read(topology_at(r))
+
+
+def staged_serve(adn, schedule, epochs, read):
+    """``serve`` with a timer on every hook point of ``adn`` and on ``read``:
+    per stage its nanoseconds (``schedule`` the rest) and its calls, and
+    the total nanoseconds. Every hooked attribute is restored on return."""
+    spent = dict.fromkeys(STAGES, 0)
+    calls = dict.fromkeys(STAGES, 0)
+
+    def timed(stage, fn):
+        def wrapper(*args):
+            t0 = perf_counter_ns()
+            try:
+                return fn(*args)
+            finally:
+                spent[stage] += perf_counter_ns() - t0
+                calls[stage] += 1
+        return wrapper
+
+    points = hook_points(adn)
+    originals = [vars(owner)[attr] for owner, attr, _ in points]
+    try:
+        for (owner, attr, stage), original in zip(points, originals):
+            setattr(owner, attr, timed(stage, original))
+        t0 = perf_counter_ns()
+        serve(schedule, epochs, timed("operands", read))
+        total = perf_counter_ns() - t0
+    finally:
+        for (owner, attr, _), original in zip(points, originals):
+            setattr(owner, attr, original)
+    spent["schedule"] = total - sum(spent.values())
+    return spent, calls, total
+
+
+def served_epoch_costs(libs, epochs, repeats, master):
+    """Per side and point, scaled µs per served epoch of T = 1 schedules:
+    the plain and staged totals and each stage that fires."""
     result = {side: {} for side in libs}
-    for family, delta, p in SCHEDULES:
-        def serve(side, i):
+    for family, n, delta, p in SERVED_POINTS:
+        def sample(side, i):
             adn = libs[side]
-            schedule = adn.DynamicsSchedule(adn.ScheduleParams(family, N, delta, 1, master + i, p=p))
+            params = adn.ScheduleParams(family, n, delta, 1, master + i, p=p)
+            plain, staged = adn.DynamicsSchedule(params), adn.DynamicsSchedule(params)
+            read = operand_reads(adn, delta)
 
             def timed():
-                t0 = perf_counter()
-                for r in range(1, epochs + 1):
-                    topology = schedule.topology_at(r)
-                    adn.collection_operands(topology, delta)
-                    topology.symmetric_arrays()
-                return perf_counter() - t0
+                t0 = perf_counter_ns()
+                serve(plain, epochs, read)
+                return perf_counter_ns() - t0
 
-            seconds, scale = scaled(timed)
-            return seconds * scale / epochs * 1e6
+            plain_ns, plain_scale = scaled(timed)
+            (spent, calls, total), scale = scaled(
+                lambda: staged_serve(adn, staged, epochs, read))
+            us = {stage: ns * scale / epochs / 1e3 for stage, ns in spent.items()}
+            us.update(total=total * scale / epochs / 1e3,
+                      plain=plain_ns * plain_scale / epochs / 1e3)
+            return us, calls
 
-        for side, us in alternate(list(libs), repeats, serve).items():
-            result[side][family] = {"delta": delta, **fastest_and_median(us)}
+        for side, runs in alternate(list(libs), repeats, sample).items():
+            calls = {stage: sum(c[stage] for _, c in runs) for stage in STAGES}
+            fired = [stage for stage in STAGES if calls[stage]]
+            point = {stage: fastest_and_median([us[stage] for us, _ in runs])
+                     for stage in ("plain", "total", *fired, "schedule")}
+            if family == "random-tree":
+                point["over_bound_share"] = round(calls["prune"] / calls["ranrut"], 3)
+            key = f"{family} n={n} delta={delta}" + ("" if p is None else f" p={p}")
+            result[side][key] = point
     return result
 
 
@@ -489,12 +442,10 @@ def main(argv=None) -> int:
 
     kernels = kernel_costs(libs, KERNEL_CALLS, REPEATS)
     sections = {
-        "stages_us_per_snapshot": stage_costs(libs, SNAPSHOTS, REPEATS, SEED),
-        "gnp_stages_us_per_snapshot": gnp_stage_costs(libs, SNAPSHOTS, REPEATS, SEED),
+        "served_epochs_us_T1": served_epoch_costs(libs, EPOCHS, REPEATS, SEED),
         "kernels_us_per_call": kernels,
         "count_T1_delta4": count_cost(libs, tree_T1_schedule),
         "count_static_path": static_path_cost(libs, kernels),
-        "schedule_epochs_us_T1": schedule_epoch_costs(libs, EPOCHS, REPEATS, SEED),
         "acceptance_grids": acceptance_grid_passes(libs),
     }
     report = {
@@ -505,7 +456,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "calibration_ref_s": CAL_REF_S,
-        "snapshots": SNAPSHOTS,
         "repeats": REPEATS,
         "kernel_calls": KERNEL_CALLS,
         "epochs": EPOCHS,

@@ -19,6 +19,7 @@ from . import experiment
 from .dynamics import (FAMILY_NAMES, FULL_DEGREE_FAMILIES, UNDRAWN_FIRST, DynamicsSchedule,
                        ScheduleParams, canonical_family)
 from .errors import CountingError, InvalidParameters
+from .protocol import ProtocolConfig
 from .trees import CHECK_TABLES_N_MAX, RANRUT_VARIANTS, check_tables
 
 def _parse_T(value: str):
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=float, default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--ranrut-variant", choices=list(RANRUT_VARIANTS),
-                   default="paper-literal")
+                   default=ScheduleParams.variant)
     g.add_argument("--out", default=None, help="output file (default stdout)")
 
     r = sub.add_parser("run", help="run one counting execution")
@@ -56,9 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=int, default=None)
     r.add_argument("--T", type=_parse_T, default=math.inf)
     r.add_argument("--p", type=float, default=None)
-    r.add_argument("--c", type=float, default=1.01)
+    r.add_argument("--c", type=float, default=ProtocolConfig.c)
     r.add_argument("--mode", choices=["experimental", "theoretical"],
-                   default="experimental")
+                   default=ProtocolConfig.mode)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--max-rounds", type=int, default=None)
     r.add_argument("--json", action="store_true", help="print the full record as JSON")
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_flags(args, T, delta_defaults, variant="paper-literal") -> ScheduleParams:
+def _params_from_flags(args, T, delta_defaults, variant=ScheduleParams.variant) -> ScheduleParams:
     """Schedule parameters from the flags; --delta may be omitted for the
     families in ``delta_defaults``, where it becomes n - 1."""
     family = canonical_family(args.family)

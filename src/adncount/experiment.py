@@ -54,8 +54,8 @@ class SweepSpec:
     T_set: tuple[float, ...]
     repetitions: int
     master_seed: int
-    mode: str = "experimental"
-    c: float = 1.01
+    mode: str = ProtocolConfig.mode
+    c: float = ProtocolConfig.c
     delta_rule: str = "powers-of-two"
     delta_cap: int | None = None
     p_set: tuple[float, ...] = ()
@@ -160,8 +160,8 @@ class SweepSpec:
         if unknown:
             raise InvalidParameters(f"unknown sweep spec keys: {', '.join(sorted(unknown))}")
 
-        def items(key, default=None):
-            value = data[key] if default is None else data.get(key, default)
+        def items(key):
+            value = data[key]
             if not isinstance(value, list):
                 raise InvalidParameters(f"{key} must be a JSON list, got {value!r}")
             return tuple(value)
@@ -172,12 +172,12 @@ class SweepSpec:
             T_set=tuple(math.inf if T == "inf" else T for T in items("T_set")),
             repetitions=data["repetitions"],
             master_seed=data["master_seed"],
-            mode=data.get("mode", "experimental"),
-            c=data.get("c", 1.01),
-            delta_rule=data.get("delta_rule", "powers-of-two"),
-            delta_cap=data.get("delta_cap"),
-            p_set=items("p_set", []),
-            max_rounds=data.get("max_rounds"),
+            mode=data.get("mode", cls.mode),
+            c=data.get("c", cls.c),
+            delta_rule=data.get("delta_rule", cls.delta_rule),
+            delta_cap=data.get("delta_cap", cls.delta_cap),
+            p_set=items("p_set") if "p_set" in data else cls.p_set,
+            max_rounds=data.get("max_rounds", cls.max_rounds),
         )
 
 

@@ -108,7 +108,11 @@ class RunDiagnostics:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one full execution, including all input parameters."""
+    """Outcome of one full execution, including all input parameters but
+    the ranrut variant of a random-tree stream. Sweeps and ``run`` always
+    draw ``paper-literal``, so only a library caller can make a
+    ``same-copy`` record, and ``SweepResult.from_json_dict`` cannot tell
+    the two variants apart."""
 
     family: str
     n: int

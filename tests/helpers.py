@@ -267,9 +267,13 @@ class ListSchedule:
     """A snapshot stream for ``count`` made of given snapshots: each is in
     force for ``params.T`` rounds (a finite T), in order, and the list
     starts over when it runs out. ``params`` gives n, delta and the record
-    fields."""
+    fields. ``count`` opens epochs every ``params.period`` rounds, so params
+    whose period is not T (a star, or T = inf) raise ValueError: the stream
+    would serve its first snapshot alone."""
 
     def __init__(self, params, snapshots):
+        if params.period != params.T:
+            raise ValueError(f"a list stream needs params whose period is T, got {params}")
         self.params = params
         self._snapshots = list(snapshots)
 

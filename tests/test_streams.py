@@ -1,11 +1,13 @@
 """The stream contract: ``count`` reads only a stream's ``params`` and
 ``topology_at``, so any stream of degree-bounded snapshots can drive it."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, Topology, count
+from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, Topology, count, path, star
 from helpers import ListSchedule, dense_phase_lengths, prufer_tree
 
 
@@ -20,6 +22,16 @@ def test_list_of_served_snapshots_gives_the_same_record(params):
     schedule = DynamicsSchedule(params)
     served = [schedule.topology_at(r) for r in range(1, record.rounds_total + 1, params.T)]
     assert count(ListSchedule(params, served), config) == record
+
+
+@pytest.mark.parametrize("params", [
+    ScheduleParams("star", 4, 3, 2, 0),
+    ScheduleParams("path", 4, 2, math.inf, 0),
+], ids=["star", "static"])
+def test_list_schedule_refuses_params_without_period_T(params):
+    # count would open only epoch 0 and never serve path(4)
+    with pytest.raises(ValueError, match="period is T"):
+        ListSchedule(params, [star(4), path(4)])
 
 
 def degree_bounded_trees(draw):
