@@ -16,8 +16,10 @@ for every end-to-end metric of ``BENCHMARK.json`` (read from the change's
 checkout, for the direction in which each metric is better), it prints
 the medians and quartiles of both sides, the change of the median, and
 the number of pairs the change won (ties count for neither side). A run
-that is not ``correct`` or that reports failed runs is flagged and makes
-the exit status 1; its metrics still count.
+that is not ``correct`` or that reports failed runs is flagged, and so is
+a pair whose two sides print different ``csv_sha256 ... (round 0)``
+lines (``OUTPUT DIFFERS``); either makes the exit status 1, and the
+metrics of the runs still count.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its final JSON object."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+    """One ``perfbench/run.py`` run in ``checkout``: its final JSON object,
+    and its ``csv_sha256`` line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -48,7 +51,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.exit(f"perf_pairs: run in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(lines[-1])
+    digest = next((line for line in lines if ": csv_sha256 " in line), None)
+    return json.loads(lines[-1]), digest
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -79,8 +83,9 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            digests = {}
             for side in order:
-                result = run_once(sides[side], workload, seed, args.seconds)
+                result, digests[side] = run_once(sides[side], workload, seed, args.seconds)
                 metrics = {m: result["metrics"][m]["value"] for m in better}
                 ok = result["correct"] and result["failed"] == 0
                 flagged += not ok
@@ -89,6 +94,10 @@ def main(argv=None) -> int:
                       + ("" if ok else "  NOT CORRECT"), flush=True)
                 for m, v in metrics.items():
                     values[workload][side][m].append(v)
+            if digests["parent"] is None or digests["parent"] != digests["change"]:
+                flagged += 1
+                print(f"{workload} seed {seed}: OUTPUT DIFFERS: parent {digests['parent']!r}, "
+                      f"change {digests['change']!r}", flush=True)
 
     pairs = len(args.seeds)
     for workload in args.workload:
@@ -103,7 +112,8 @@ def main(argv=None) -> int:
                   f"change {cm:.6g} [{c1:.6g}, {c3:.6g}], median {100 * (cm / pm - 1):+.1f} %, "
                   f"change wins {wins}/{pairs}, parent quartile distance {p3 - p1:.6g}")
     if flagged:
-        print(f"{flagged} runs were not correct or reported failed runs", file=sys.stderr)
+        print(f"{flagged} runs were not correct or reported failed runs, or pairs whose "
+              "outputs differ", file=sys.stderr)
         return 1
     return 0
 

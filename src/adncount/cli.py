@@ -16,19 +16,18 @@ import math
 import sys
 
 from . import experiment
-from .dynamics import (FAMILY_NAMES, FULL_DEGREE_FAMILIES, UNDRAWN_FIRST, DynamicsSchedule,
-                       ScheduleParams, canonical_family)
+from .dynamics import (FAMILY_NAMES, FULL_DEGREE_FAMILIES, STATIC_T, UNDRAWN_FIRST,
+                       DynamicsSchedule, ScheduleParams, canonical_family, read_T, write_T)
 from .errors import CountingError, InvalidParameters
-from .protocol import ProtocolConfig
+from .protocol import MODES, ProtocolConfig
 from .trees import CHECK_TABLES_N_MAX, RANRUT_VARIANTS, check_tables
 
 def _parse_T(value: str):
-    if value == "inf":
-        return math.inf
     try:
-        T = int(value)
+        T = math.inf if read_T(value) == math.inf else int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"T must be a positive integer or 'inf', got {value!r}")
+        raise argparse.ArgumentTypeError(
+            f"T must be a positive integer or {STATIC_T!r}, got {value!r}")
     if T < 1:
         raise argparse.ArgumentTypeError("T must be >= 1")
     return T
@@ -58,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--T", type=_parse_T, default=math.inf)
     r.add_argument("--p", type=float, default=None)
     r.add_argument("--c", type=float, default=ProtocolConfig.c)
-    r.add_argument("--mode", choices=["experimental", "theoretical"],
-                   default=ProtocolConfig.mode)
+    r.add_argument("--mode", choices=MODES, default=ProtocolConfig.mode)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--max-rounds", type=int, default=None)
     r.add_argument("--json", action="store_true", help="print the full record as JSON")
@@ -164,7 +162,7 @@ def _cmd_check_bound(args) -> int:
         mean = "n/a" if row["rounds_mean"] is None else repr(row["rounds_mean"])
         sys.stdout.write(
             f"{s.family} n={s.n} delta={s.delta} "
-            f"T={'inf' if s.T == math.inf else s.T}"
+            f"T={write_T(s.T)}"
             f"{'' if s.p is None else f' p={s.p!r}'}: "
             f"mean={mean} bound={row['bound']} within={row['within']}\n"
         )
@@ -185,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (CountingError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CountingError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

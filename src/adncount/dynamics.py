@@ -51,6 +51,19 @@ def canonical_family(name):
     return _FAMILY_ALIASES.get(name, name) if isinstance(name, str) else name
 
 
+STATIC_T = "inf"  # a static T, math.inf, in JSON, CSV and on the command line
+
+
+def write_T(T):
+    """T as written in JSON, CSV and reports: an integer, or ``STATIC_T``."""
+    return STATIC_T if T == math.inf else int(T)
+
+
+def read_T(value):
+    """``write_T`` undone; any value but ``STATIC_T`` is left to its reader."""
+    return math.inf if value == STATIC_T else value
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Inputs that define one dynamic-network instance, and the facts about
@@ -64,7 +77,7 @@ class ScheduleParams:
     T: float  # positive int, or math.inf for static
     seed: int
     p: float | None = None
-    variant: str = "paper-literal"
+    variant: str = RANRUT_VARIANTS[0]
 
     def __post_init__(self):
         f, n, delta, T = self.family, self.n, self.delta, self.T

@@ -12,7 +12,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 
 from .dynamics import (
@@ -21,8 +21,11 @@ from .dynamics import (
     DynamicsSchedule,
     ScheduleParams,
     canonical_family,
+    read_T,
+    write_T,
 )
-from .errors import InvalidParameters, RoundLimitExceeded, _is_int, _is_real
+from .errors import (ANY, LIST, InvalidParameters, RoundLimitExceeded, _is_int, _is_real, below,
+                     read_fields)
 from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count, record_inputs
 from .seeds import derive_seed
 
@@ -103,7 +106,6 @@ class SweepSpec:
         # c, mode and max_rounds are validated by ProtocolConfig
         ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
         # the grid, built once: building it validates every point before any run
-        lo, hi = self.n_range
         points = tuple(
             ScheduleParams(family, n, delta, T if T == math.inf else int(T), 0, p)
             for family in self.families
@@ -143,42 +145,26 @@ class SweepSpec:
         return list(self._points)
 
     def to_json_dict(self) -> dict:
-        """One key per field, in field order; a static T is written "inf"."""
+        """One key per field, in field order, with T written by ``write_T``."""
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["T_set"] = ["inf" if T == math.inf else int(T) for T in self.T_set]
+        data["T_set"] = list(map(write_T, self.T_set))
         return {key: list(value) if isinstance(value, tuple) else value
                 for key, value in data.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepSpec":
-        """Parse a spec file's JSON object; malformed fields and keys that
-        name no field raise InvalidParameters, missing required keys
-        KeyError. Families may use the CLI alias ``tree``."""
-        if not isinstance(data, dict):
-            raise InvalidParameters("a sweep spec must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InvalidParameters(f"unknown sweep spec keys: {', '.join(sorted(unknown))}")
-
-        def items(key):
-            value = data[key]
-            if not isinstance(value, list):
-                raise InvalidParameters(f"{key} must be a JSON list, got {value!r}")
-            return tuple(value)
-
-        return cls(
-            families=tuple(map(canonical_family, items("families"))),
-            n_range=items("n_range"),
-            T_set=tuple(math.inf if T == "inf" else T for T in items("T_set")),
-            repetitions=data["repetitions"],
-            master_seed=data["master_seed"],
-            mode=data.get("mode", cls.mode),
-            c=data.get("c", cls.c),
-            delta_rule=data.get("delta_rule", cls.delta_rule),
-            delta_cap=data.get("delta_cap", cls.delta_cap),
-            p_set=items("p_set") if "p_set" in data else cls.p_set,
-            max_rounds=data.get("max_rounds", cls.max_rounds),
-        )
+        """Parse a spec file's JSON object: one key per field, which may be
+        left out where the field has a default. A malformed field, or a key
+        missing or naming no field, raises InvalidParameters. Families may
+        use the CLI alias ``tree``."""
+        values = read_fields(
+            data, "sweep spec",
+            {f.name: LIST if f.type.startswith("tuple") else ANY for f in fields(cls)},
+            {f.name: f.default for f in fields(cls) if f.default is not MISSING})
+        values = {key: tuple(value) if isinstance(value, list) else value
+                  for key, value in values.items()}
+        return cls(**values | {"families": tuple(map(canonical_family, values["families"])),
+                               "T_set": tuple(map(read_T, values["T_set"]))})
 
 
 _STUDY_T_SET = (1, 10, 20, 40, 80, 160, 320, 640, 1280, math.inf)
@@ -246,44 +232,26 @@ class SweepResult:
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
-            "rows": [
-                {
-                    "config_index": row.config_index,
-                    "rep": row.rep,
-                    "record": row.record.to_json_dict(),
-                }
-                for row in self.rows
-            ],
+            "rows": [vars(row) | {"record": row.record.to_json_dict()} for row in self.rows],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepResult":
-        """Parse an exported sweep; a malformed structure, a row outside
-        the spec's grid, a record whose inputs are not those of its row's
-        run, or a second row for one (config_index, rep) raises
-        InvalidParameters, a missing key KeyError."""
-        if not isinstance(data, dict):
-            raise InvalidParameters("a sweep result must be a JSON object")
+        """Parse an exported sweep; a malformed structure, a missing or
+        unknown key, a row outside the spec's grid, a record whose inputs
+        are not those of its row's run, or a second row for one
+        (config_index, rep) raises InvalidParameters."""
+        data = read_fields(data, "sweep result", {"spec": ANY, "rows": LIST})
         spec = SweepSpec.from_json_dict(data["spec"])
-        if not isinstance(data["rows"], list):
-            raise InvalidParameters("rows must be a JSON list")
         settings = spec.settings()
-        configs = len(settings)
-        rows = []
-        seen = set()
+        row_checks = {"config_index": below(len(settings)), "rep": below(spec.repetitions),
+                      "record": ANY}
+        rows = {}  # by (config_index, rep), in file order
         for row in data["rows"]:
-            if not isinstance(row, dict) or not isinstance(row["record"], dict):
-                raise InvalidParameters(f"each row must be an object with a record, got {row!r}")
+            row = read_fields(row, "row", row_checks)
             ci, rep = row["config_index"], row["rep"]
-            if not (_is_int(ci) and 0 <= ci < configs):
-                raise InvalidParameters(
-                    f"config_index {ci!r} is outside the spec's {configs} configurations")
-            if not (_is_int(rep) and 0 <= rep < spec.repetitions):
-                raise InvalidParameters(
-                    f"rep {rep!r} is outside the spec's {spec.repetitions} repetitions")
-            if (ci, rep) in seen:
+            if (ci, rep) in rows:
                 raise InvalidParameters(f"duplicate row for config_index {ci}, rep {rep}")
-            seen.add((ci, rep))
             record = RunRecord.from_json_dict(row["record"])
             params = replace(settings[ci], seed=derive_seed(spec.master_seed, ci, rep))
             config = run_config(params, spec.mode, spec.c, spec.max_rounds)
@@ -292,8 +260,8 @@ class SweepResult:
                     raise InvalidParameters(
                         f"the record of config_index {ci}, rep {rep} has {key} "
                         f"{getattr(record, key)!r}, but its run has {value!r}")
-            rows.append(RunRow(config_index=ci, rep=rep, record=record))
-        return cls(spec=spec, rows=tuple(rows))
+            rows[ci, rep] = RunRow(config_index=ci, rep=rep, record=record)
+        return cls(spec=spec, rows=tuple(rows.values()))
 
 
 def run_config(params: ScheduleParams, mode: str, c: float,
@@ -378,13 +346,7 @@ def check_bound(result: SweepResult) -> list[dict]:
 
 
 def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if value == math.inf:
-        return "inf"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # a float's str is its repr
 
 
 def export_csv(result: SweepResult, path) -> None:
@@ -400,7 +362,7 @@ def csv_text(result: SweepResult) -> str:
     """The CSV payload as a string (used for byte-level determinism checks)."""
     lines = [CSV_HEADER]
     for row in result.rows:
-        values = vars(row.record) | {"rep": row.rep}
+        values = vars(row.record) | {"rep": row.rep, "T": write_T(row.record.T)}
         lines.append(",".join(_csv_value(values[column]) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 

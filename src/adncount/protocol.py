@@ -32,24 +32,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import DynamicsSchedule, ScheduleParams
-from .errors import (
-    BudgetOverflow,
-    DegreeBoundViolated,
-    InvalidParameters,
-    RoundLimitExceeded,
-    _is_int,
-    _is_real,
-)
+from .dynamics import STATIC_T, DynamicsSchedule, ScheduleParams, read_T, write_T
+from .errors import (ANY, COUNT, INTEGER, LIST, NUMBER, BudgetOverflow, DegreeBoundViolated,
+                     InvalidParameters, RoundLimitExceeded, _is_int, _is_real, read_fields)
 from .topology import Topology
 
 LOG2_5 = math.log2(5.0)
 
 _THEORETICAL_N_GATE = 8
 _THEORETICAL_DELTA_GATE = 4
+MODES = ("experimental", "theoretical")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -57,12 +53,12 @@ class ProtocolConfig:
     """Engine knobs; defaults follow the simulation setup (c = 1.01)."""
 
     c: float = 1.01
-    mode: str = "experimental"
+    mode: str = MODES[0]
     max_rounds: int | None = None  # None -> 10 * delta * n**4
     disconnection_tolerant: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("experimental", "theoretical"):
+        if self.mode not in MODES:
             raise InvalidParameters(f"unknown mode {self.mode!r}")
         if not (_is_real(self.c) and self.c > 1.0):
             raise InvalidParameters(f"c must be a number > 1, got {self.c!r}")
@@ -134,62 +130,49 @@ class RunRecord:
     diagnostics: RunDiagnostics
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.T == math.inf:
-            out["T"] = "inf"
         # a dataclass instance's __dict__ holds its fields in declaration order
-        out["per_k_trace"] = [vars(t).copy() for t in self.per_k_trace]
-        out["diagnostics"] = vars(self.diagnostics).copy()
-        return out
+        return vars(self) | {"T": write_T(self.T),
+                             "per_k_trace": [vars(t).copy() for t in self.per_k_trace],
+                             "diagnostics": vars(self.diagnostics).copy()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunRecord":
-        """Parse an exported record; a field of the wrong type raises
-        InvalidParameters, a missing key KeyError."""
+        """Parse an exported record. A malformed field, a missing or unknown
+        key, or a round total that is not the sum of its per-k trace raises
+        InvalidParameters."""
+        values = read_fields(data, "record", _RECORD_CHECKS)
+        trace = tuple(PhaseTrace(**read_fields(t, "per_k_trace entry", _TRACE_CHECKS))
+                      for t in values["per_k_trace"])
+        sums = {phase: sum(map(attrgetter(phase), trace)) for phase in _PHASES}
+        sums["total"] = sum(sums.values())
+        for phase, total in sums.items():
+            if values[f"rounds_{phase}"] != total:
+                raise InvalidParameters(
+                    f"record rounds_{phase} is {values[f'rounds_{phase}']}, "
+                    f"but its per_k_trace sums to {total}")
+        return cls(**values | {
+            "T": read_T(values["T"]),
+            "per_k_trace": trace,
+            "diagnostics": RunDiagnostics(
+                **read_fields(values["diagnostics"], "diagnostics", _DIAGNOSTICS_CHECKS)),
+        })
 
-        def get(obj, key, ok, what):
-            value = obj[key]
-            if not ok(value):
-                raise InvalidParameters(f"record field {key} must be {what}, got {value!r}")
-            return value
 
-        def integer(key, obj=data):
-            return get(obj, key, _is_int, "an integer")
-
-        trace = get(data, "per_k_trace", lambda v: isinstance(v, list)
-                    and all(isinstance(t, dict) for t in v), "a list of objects")
-        diagnostic_keys = [f.name for f in fields(RunDiagnostics)]
-        diagnostics = get(data, "diagnostics", lambda v: isinstance(v, dict)
-                          and sorted(v) == sorted(diagnostic_keys),
-                          "an object of " + ", ".join(diagnostic_keys))
-        T = get(data, "T", lambda v: v == "inf" or _is_int(v), "an integer or \"inf\"")
-        return cls(
-            family=get(data, "family", lambda v: isinstance(v, str), "a string"),
-            n=integer("n"),
-            delta=integer("delta"),
-            T=math.inf if T == "inf" else T,
-            p=get(data, "p", lambda v: v is None or _is_real(v), "a number or null"),
-            mode=get(data, "mode", lambda v: isinstance(v, str), "a string"),
-            c=get(data, "c", _is_real, "a number"),
-            seed=integer("seed"),
-            max_rounds=integer("max_rounds"),
-            disconnection_tolerant=get(data, "disconnection_tolerant",
-                                       lambda v: isinstance(v, bool), "true or false"),
-            estimate=get(data, "estimate", lambda v: v is None or _is_int(v),
-                         "an integer or null"),
-            rounds_total=integer("rounds_total"),
-            rounds_collection=integer("rounds_collection"),
-            rounds_verification=integer("rounds_verification"),
-            rounds_notification=integer("rounds_notification"),
-            status=get(data, "status", lambda v: v in ("ok", "round_limit"),
-                       '"ok" or "round_limit"'),
-            per_k_trace=tuple(
-                PhaseTrace(*(integer(f.name, t) for f in fields(PhaseTrace))) for t in trace
-            ),
-            diagnostics=RunDiagnostics(**{
-                key: get(diagnostics, key, _is_real, "a number") for key in diagnostic_keys
-            }),
-        )
+_TEXT = (lambda value: isinstance(value, str), "a string")
+_RECORD_CHECKS = {
+    "family": _TEXT, "n": INTEGER, "delta": INTEGER,
+    "T": (lambda value: value == STATIC_T or _is_int(value), f'an integer or "{STATIC_T}"'),
+    "p": (lambda value: value is None or _is_real(value), "a number or null"),
+    "mode": _TEXT, "c": NUMBER, "seed": INTEGER, "max_rounds": INTEGER,
+    "disconnection_tolerant": (lambda value: isinstance(value, bool), "true or false"),
+    "estimate": (lambda value: value is None or _is_int(value), "an integer or null"),
+    "rounds_total": COUNT, "rounds_collection": COUNT, "rounds_verification": COUNT,
+    "rounds_notification": COUNT,
+    "status": (lambda value: value in ("ok", "round_limit"), '"ok" or "round_limit"'),
+    "per_k_trace": LIST, "diagnostics": ANY,
+}
+_TRACE_CHECKS = dict.fromkeys((f.name for f in fields(PhaseTrace)), COUNT)
+_DIAGNOSTICS_CHECKS = dict.fromkeys((f.name for f in fields(RunDiagnostics)), NUMBER)
 
 
 def verification_rounds(k: int, c: float) -> int:

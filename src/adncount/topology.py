@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import INTEGER, LIST, read_fields
+
 
 def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -113,9 +115,12 @@ class Topology:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Topology":
-        if data.get("leader", 0) != 0:
-            raise ValueError("leader must be node 0")
+        data = read_fields(data, "topology", _TOPOLOGY_CHECKS, {"leader": 0})
         return cls(data["n"], [tuple(e) for e in data["edges"]])
+
+
+_TOPOLOGY_CHECKS = {"n": INTEGER, "edges": LIST,
+                    "leader": (lambda value: _is_index(value) and value == 0, "node 0")}
 
 
 def star(n: int) -> Topology:

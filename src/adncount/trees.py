@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .errors import InfeasibleDegreeBound, InvalidParameters
 
-RANRUT_VARIANTS = ("paper-literal", "same-copy")
+RANRUT_VARIANTS = ("paper-literal", "same-copy")  # the first is the default
 CHECK_TABLES_N_MAX = 16  # the largest n_max that check_tables enumerates
 
 
@@ -102,7 +102,7 @@ def row_pairs(k: int) -> list[tuple[int, int, float]]:
     return [(len(sub_sizes), sub_sizes[0], p) for (_, sub_sizes), p in zip(outcomes, probs)]
 
 
-def ranrut(n: int, rng: random.Random, variant: str = "paper-literal") -> list[int]:
+def ranrut(n: int, rng: random.Random, variant: str = RANRUT_VARIANTS[0]) -> list[int]:
     """Sample the parent list of a rooted tree on n vertices; see the module
     docstring for the variants."""
     if n < 1:

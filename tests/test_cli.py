@@ -133,6 +133,9 @@ def test_run_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
+LEAVE_OUT = object()  # an override that removes its key
+
+
 def write_spec(tmp_path, **overrides):
     spec = {
         "families": ["path"],
@@ -144,7 +147,7 @@ def write_spec(tmp_path, **overrides):
     }
     spec.update(overrides)
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps({k: v for k, v in spec.items() if v is not LEAVE_OUT}))
     return str(spec_path)
 
 
@@ -249,8 +252,10 @@ def test_sweep_spec_tree_alias(tmp_path, capsys):
     (["sweep", "--spec", "{spec}", "--out-json", "{tmp}/missing/runs.json"], {},
      "cannot write JSON to"),
     (["check-bound", "--in-json", "{tmp}/missing.json"], {}, "cannot read JSON from"),
+    (["sweep", "--spec", "{spec}"], {"repetitions": LEAVE_OUT},
+     "missing sweep spec keys: repetitions"),
 ], ids=["run-tree-no-delta", "spec-no-families", "spec-no-T", "csv-dir-missing",
-        "json-dir-missing", "in-json-missing"])
+        "json-dir-missing", "in-json-missing", "spec-no-repetitions"])
 def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, overrides, message):
     spec = write_spec(tmp_path, **overrides)
     code, out, err = run_cli(capsys, *(a.format(spec=spec, tmp=tmp_path) for a in argv))
@@ -351,9 +356,11 @@ def sweep_json(tmp_path, capsys):
 
 
 def edit_record(data, **fields):
-    """``data`` with the first row's record fields replaced."""
+    """``data`` with the first row's record fields replaced, or removed by
+    ``LEAVE_OUT``."""
     first = data["rows"][0]
-    return {**data, "rows": [{**first, "record": {**first["record"], **fields}}]}
+    record = {k: v for k, v in {**first["record"], **fields}.items() if v is not LEAVE_OUT}
+    return {**data, "rows": [{**first, "record": record}]}
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -388,12 +395,20 @@ def edit_record(data, **fields):
     lambda data: edit_record(data, c=7.5),
     lambda data: edit_record(data, max_rounds=10),
     lambda data: edit_record(data, disconnection_tolerant=True),
+    # a record whose round totals are not those of its own per-k trace
+    lambda data: edit_record(data, rounds_total=10**9),
+    lambda data: edit_record(  # the phase totals still add up to rounds_total
+        data, rounds_collection=data["rows"][0]["record"]["rounds_collection"] + 1,
+        rounds_verification=data["rows"][0]["record"]["rounds_verification"] - 1),
+    lambda data: edit_record(data, status=LEAVE_OUT),
+    lambda data: edit_record(data, extra=1),
 ], ids=["list", "rows-null", "row-not-object", "record-not-object", "config-past-grid",
         "config-negative", "config-string", "rows-doubled", "rep-repeated", "rep-string",
         "rep-past-repetitions", "rep-negative", "trace-null", "trace-entry-not-object",
         "rounds-string", "n-float", "T-string", "status-unknown", "diagnostics-partial",
         "diagnostics-null", "family-unknown", "n-other", "delta-other", "seed-other", "T-other",
-        "p-set", "mode-other", "c-other", "max-rounds-other", "tolerance-flipped"])
+        "p-set", "mode-other", "c-other", "max-rounds-other", "tolerance-flipped",
+        "rounds-total-off", "phase-total-off", "record-key-missing", "record-key-unknown"])
 def test_check_bound_malformed_json_exits_2(tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(sweep_json(tmp_path, capsys))))

@@ -23,7 +23,7 @@ from adncount import (
     tree_to_topology,
 )
 from adncount import trees
-from adncount.errors import InfeasibleDegreeBound
+from adncount.errors import InfeasibleDegreeBound, InvalidParameters
 from adncount.trees import RANRUT_VARIANTS
 
 from helpers import (assert_same_snapshot, is_path_graph, max_graph_degree,
@@ -328,10 +328,15 @@ def test_check_tables_detects_corruption(monkeypatch):
     (lambda: Topology(0, []), ValueError, "n must be >= 1"),
     (lambda: Topology.from_json_dict({"n": 2, "leader": 1, "edges": [[0, 1]]}), ValueError,
      "leader must be node 0"),
+    (lambda: Topology.from_json_dict({"n": 2, "leader": False, "edges": [[0, 1]]}), ValueError,
+     "leader must be node 0"),
+    (lambda: Topology.from_json_dict({"n": 2, "edges": [[0, 1]], "leader_id": 0}),
+     InvalidParameters, "unknown topology keys: leader_id"),
     (lambda: gnp(1, 0.5, random.Random(0)), ValueError, "gnp requires n >= 2"),
     (lambda: prune([-1, 0], 0, random.Random(0)), InfeasibleDegreeBound, "delta must be >= 1"),
     (lambda: enumerate_rooted_trees(0), ValueError, "n must be >= 1"),
-], ids=["topology-empty", "leader-not-0", "gnp-one-node", "prune-delta-0", "enumerate-empty"])
+], ids=["topology-empty", "leader-not-0", "leader-false", "topology-key-unknown", "gnp-one-node",
+        "prune-delta-0", "enumerate-empty"])
 def test_library_refuses_bad_sizes(call, error, message):
     with pytest.raises(error, match=message):
         call()
