@@ -138,6 +138,14 @@ def _cmd_sweep(args) -> int:
     else:
         with open(args.spec) as fh:
             spec = experiment.SweepSpec.from_json_dict(json.load(fh))
+    # refuse an unwritable output before the first run; appending keeps the
+    # bytes of an existing file until the export writes it
+    for path, kind in ((args.out_csv, "CSV"), (args.out_json, "JSON")):
+        if path:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
     result = experiment.run_sweep(spec, workers=args.workers)
     if args.out_csv:
         experiment.export_csv(result, args.out_csv)

@@ -26,7 +26,8 @@ from .dynamics import (
 )
 from .errors import (ANY, LIST, InvalidParameters, RoundLimitExceeded, _is_int, _is_real, below,
                      read_fields)
-from .protocol import ProtocolConfig, RunRecord, check_theoretical_gate, count, record_inputs
+from .protocol import (ProtocolConfig, RunRecord, check_collection_threshold,
+                       check_theoretical_gate, count, record_inputs)
 from .seeds import derive_seed
 
 DELTA_RULES = ("powers-of-two", "fixed-n-minus-1", "largest-power-of-two")
@@ -125,6 +126,8 @@ class SweepSpec:
         if self.mode == "theoretical":
             for point in points:
                 check_theoretical_gate(point.n, point.delta)
+        else:  # the largest n is the first to lose its threshold
+            check_collection_threshold(hi, self.c)
 
     def _deltas(self, family: str, n: int) -> list[int]:
         if family in FULL_DEGREE_FAMILIES or self.delta_rule == "fixed-n-minus-1":

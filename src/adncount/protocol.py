@@ -143,13 +143,10 @@ class RunRecord:
         values = read_fields(data, "record", _RECORD_CHECKS)
         trace = tuple(PhaseTrace(**read_fields(t, "per_k_trace entry", _TRACE_CHECKS))
                       for t in values["per_k_trace"])
-        sums = {phase: sum(map(attrgetter(phase), trace)) for phase in _PHASES}
-        sums["total"] = sum(sums.values())
-        for phase, total in sums.items():
-            if values[f"rounds_{phase}"] != total:
+        for key, total in _round_totals(trace).items():
+            if values[key] != total:
                 raise InvalidParameters(
-                    f"record rounds_{phase} is {values[f'rounds_{phase}']}, "
-                    f"but its per_k_trace sums to {total}")
+                    f"record {key} is {values[key]}, but its per_k_trace sums to {total}")
         return cls(**values | {
             "T": read_T(values["T"]),
             "per_k_trace": trace,
@@ -206,6 +203,16 @@ def check_theoretical_gate(n: int, delta: int) -> None:
             f"theoretical mode is gated to n <= {_THEORETICAL_N_GATE} and "
             f"delta <= {_THEORETICAL_DELTA_GATE}, got n={n}, delta={delta}"
         )
+
+
+def check_collection_threshold(n: int, c: float) -> None:
+    """Reject an experimental-mode c whose collection stop k - 1 - k^-c is
+    k - 1 in floats at k = n (c = inf included): the leader only
+    approaches k - 1 from below, so the run would end only at the round
+    cap. Every k < n keeps a threshold when n does."""
+    if (n - 1) - n ** -c == n - 1:
+        raise InvalidParameters(
+            f"c={c!r} leaves no collection threshold at n={n}: n - 1 - n^-c rounds to n - 1")
 
 
 def collection_operands(topology: Topology, delta: int) -> tuple:
@@ -342,7 +349,9 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     safety cap is hit (e.g. a G(n, p) stream that stays disconnected).
 
     Raises DegreeBoundViolated when a snapshot over the degree bound comes
-    into force, in any phase.
+    into force, in any phase, and InvalidParameters before the first round
+    past the theoretical gate, or for a c that leaves experimental mode no
+    collection threshold at n.
 
     Each round is one kernel call plus a little bookkeeping. The schedule
     is asked for a snapshot only at the first round of each epoch (every
@@ -359,6 +368,8 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     theoretical = config.mode == "theoretical"
     if theoretical:
         check_theoretical_gate(n, delta)
+    else:
+        check_collection_threshold(n, c)
     tolerant = config.disconnection_tolerant
     limit = config.effective_max_rounds(n, delta)
     # Both rejection tests get the conservation tolerance 1e-9*n as slack.
@@ -484,19 +495,19 @@ def record_inputs(params: ScheduleParams, config: ProtocolConfig) -> dict:
     )
 
 
+def _round_totals(trace) -> dict:
+    """The ``rounds_*`` fields of a record with this per-k trace."""
+    totals = {f"rounds_{phase}": sum(map(attrgetter(phase), trace)) for phase in _PHASES}
+    return totals | {"rounds_total": sum(totals.values())}
+
+
 def _assemble(params, config, r, traces, diagnostics, estimate, status) -> RunRecord:
-    rounds_collection = sum(t.collection for t in traces)
-    rounds_verification = sum(t.verification for t in traces)
-    rounds_notification = sum(t.notification for t in traces)
-    rounds_total = rounds_collection + rounds_verification + rounds_notification
-    assert rounds_total == r - 1, "phase accounting out of sync"
+    totals = _round_totals(traces)
+    assert totals["rounds_total"] == r - 1, "phase accounting out of sync"
     return RunRecord(
         **record_inputs(params, config),
         estimate=estimate,
-        rounds_total=rounds_total,
-        rounds_collection=rounds_collection,
-        rounds_verification=rounds_verification,
-        rounds_notification=rounds_notification,
+        **totals,
         status=status,
         per_k_trace=tuple(traces),
         diagnostics=diagnostics.freeze(),

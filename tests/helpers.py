@@ -1,11 +1,29 @@
 """Shared test oracles, kept independent of the library's own update paths."""
 
+import importlib.util
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 
 from adncount import Topology
 from adncount.errors import InfeasibleDegreeBound
-from adncount.protocol import (collection_operands, collection_round, notification_rounds,
-                               verification_rounds)
+from adncount.protocol import collection_operands, collection_round
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module: perfbench/ is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's dense replay of the three phases is the tests' one
+# phase-length reference, and its record checks are theirs too.
+reference = load_perfbench("reference")
+checks = load_perfbench("checks")
 
 
 def gnp_oracle(n, p, rng):
@@ -297,57 +315,10 @@ def prufer_tree(n, sequence):
     return Topology(n, edges)
 
 
-def dense_phase_lengths(schedule, c, tolerant=False):
-    """Per-k (k, collection, verification, notification) rounds of the
-    protocol, replayed densely on ``schedule``: collection multiplies by
-    ``dense_share_matrix``, and the max- and OR-gossips go over the closed
-    adjacency matrix. With ``tolerant``, verification goes on until the
-    leader's row of a boolean heard matrix (``heard[i, j]``: i has heard
-    from j) is full, and notification until a positive verdict has reached
-    every node."""
-    n, delta = schedule.params.n, schedule.params.delta
-    slack = 1e-9 * n  # the engine's documented conservation tolerance
-    dense = {}  # per snapshot: (share matrix, closed adjacency)
-    r = 0
-
-    def step():
-        nonlocal r
-        r += 1
-        topology = schedule.topology_at(r)
-        if topology not in dense:
-            closed = np.eye(n, dtype=bool)
-            for u, v in topology.edges:
-                closed[u, v] = closed[v, u] = True
-            dense[topology] = (dense_share_matrix(topology, delta), closed)
-        return dense[topology]
-
-    phases = []
-    k = 1
-    while True:
-        k += 1
-        energy = np.ones(n)
-        energy[0] = 0.0
-        collection = 0
-        while energy[0] < k - 1 - k ** (-c):
-            energy = step()[0] @ energy
-            collection += 1
-        correct = energy[0] <= k - 1 + slack
-        residual = energy.copy()
-        residual[0] = 0.0
-        heard = np.eye(n, dtype=bool)
-        verification = 0
-        while verification < verification_rounds(k, c) or (tolerant and not heard[0].all()):
-            closed = step()[1]
-            residual = np.where(closed, residual, -np.inf).max(axis=1)
-            heard = closed @ heard
-            verification += 1
-        correct = correct and residual[0] <= k ** (-c) + slack
-        halt = np.zeros(n, dtype=bool)
-        halt[0] = correct
-        notification = 0
-        while notification < notification_rounds(k) or (tolerant and halt[0] and not halt.all()):
-            halt = (step()[1] & halt).any(axis=1)
-            notification += 1
-        phases.append((k, collection, verification, notification))
-        if correct:
-            return phases
+def replay_stream(stream, c, tolerant, max_rounds):
+    """``reference.replay`` on any stream, not only a fresh schedule of its
+    params: the replay builds its snapshots with ``DynamicsSchedule(params)``,
+    which serves ``stream`` meanwhile (a renamed global fails the patch).
+    Returns (estimate, [(k, collection, verification, notification)])."""
+    with mock.patch.object(reference, "DynamicsSchedule", lambda params: stream):
+        return reference.replay(stream.params, c, tolerant, max_rounds)

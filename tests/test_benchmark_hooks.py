@@ -16,20 +16,13 @@ from pathlib import Path
 import pytest
 
 from adncount import ScheduleParams, SweepSpec, cli
+from helpers import load_perfbench
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_traced_name_exists():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     hooks = [(owner, attr) for owner, attr, _ in (*spans.LOOKUPS, *spans.FIRST_BUILDS)]
     assert len(hooks) > 20
     missing = [f"{owner.__name__}.{attr}" for owner, attr in hooks if attr not in vars(owner)]
@@ -73,7 +66,7 @@ def test_spans_that_read_zero(tmp_path, capsys, family):
     paths = {name: str(tmp_path / name) for name in ("spec.json", "runs.csv", "runs.json")}
     with open(paths["spec.json"], "w") as fh:
         json.dump(spec, fh)
-    spans = load_spans()
+    spans = load_perfbench("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -254,14 +254,27 @@ def test_sweep_spec_tree_alias(tmp_path, capsys):
     (["check-bound", "--in-json", "{tmp}/missing.json"], {}, "cannot read JSON from"),
     (["sweep", "--spec", "{spec}"], {"repetitions": LEAVE_OUT},
      "missing sweep spec keys: repetitions"),
+    (["run", "--family", "star", "--n", "3", "--c", "inf"], {},
+     "c=inf leaves no collection threshold at n=3"),
+    (["run", "--family", "star", "--n", "3", "--c", "40"], {},
+     "c=40.0 leaves no collection threshold at n=3"),
+    (["sweep", "--spec", "{spec}"], {"c": float("inf")},  # written as Infinity
+     "c=inf leaves no collection threshold at n=3"),
 ], ids=["run-tree-no-delta", "spec-no-families", "spec-no-T", "csv-dir-missing",
-        "json-dir-missing", "in-json-missing", "spec-no-repetitions"])
-def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, overrides, message):
+        "json-dir-missing", "in-json-missing", "spec-no-repetitions", "run-c-inf", "run-c-40",
+        "spec-c-infinity"])
+def test_bad_input_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv, overrides,
+                                            message):
+    calls = []
+    count = experiment.count
+    monkeypatch.setattr(experiment, "count", lambda *args: calls.append(args) or count(*args))
     spec = write_spec(tmp_path, **overrides)
     code, out, err = run_cli(capsys, *(a.format(spec=spec, tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+    if argv[0] == "sweep":
+        assert calls == []  # a sweep refuses bad inputs and outputs before its first run
 
 
 @pytest.mark.parametrize("argv, spec, workers", [

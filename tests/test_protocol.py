@@ -34,9 +34,10 @@ from adncount.errors import (
     InvalidParameters,
     RoundLimitExceeded,
 )
+from adncount.protocol import record_inputs
 
-from helpers import (ListSchedule, dense_phase_lengths, dense_share_matrix, heard_oracle,
-                     heard_words, spectral_collection_lengths)
+from helpers import (ListSchedule, checks, dense_share_matrix, heard_oracle, heard_words,
+                     reference, spectral_collection_lengths)
 
 
 # ---------------------------------------------------------------- rounds
@@ -188,15 +189,14 @@ def test_collection_budget_overflow():
 # ------------------------------------------------------------ phase runs
 
 def collect_to_threshold(topo, delta, k, c=1.01):
-    """Experimental collection from (0, 1, ..., 1) on a static topology."""
+    """The energies of an experimental collection from (0, 1, ..., 1) on a
+    static topology, once the leader reaches k - 1 - k^-c."""
     operands = collection_operands(topo, delta)
     energy = np.ones(topo.n)
     energy[0] = 0.0
-    rounds = 0
     while energy[0] < k - 1 - k ** (-c):
         energy = collection_round(energy, operands)
-        rounds += 1
-    return energy, rounds
+    return energy
 
 
 def max_gossip(values, topo, rounds):
@@ -207,25 +207,22 @@ def max_gossip(values, topo, rounds):
 
 
 def test_run_collection_n2_takes_two_rounds():
-    # one round leaves the leader at 1/2, below the k = 2 threshold
-    # 1 - 2**-1.01; count's trace length is pinned by test_count_n2_golden_trace
-    energy, rounds = collect_to_threshold(path(2), 1, 2)
-    assert rounds == 2
-    assert energy[0] == 0.75
-    assert energy[1] == 0.25
+    # the leader holds 1 - 2**-r after r rounds, so one round leaves it at
+    # 1/2, below the k = 2 threshold 1 - 2**-1.01, and these are two rounds;
+    # count's trace length is pinned by test_count_n2_golden_trace
+    assert collect_to_threshold(path(2), 1, 2).tolist() == [0.75, 0.25]
 
 
 def test_run_collection_theoretical_ignores_threshold():
-    cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    _, needed = collect_to_threshold(path(2), 1, 2, c=2.4)
-    rec = count(DynamicsSchedule(ScheduleParams("path", 2, 1, math.inf, 0)), cfg)
-    assert needed == 3
-    # tau(2) with delta = 1, well past the threshold
+    params = ScheduleParams("path", 2, 1, math.inf, 0)
+    rec = count(DynamicsSchedule(params), ProtocolConfig(c=2.4, mode="theoretical"))
+    # the threshold is reached in 3 rounds, and tau(2) with delta = 1 runs 6
+    assert reference.replay(params, 2.4, False, rec.max_rounds) == (2, [(2, 3, 4, 2)])
     assert rec.per_k_trace == (PhaseTrace(k=2, collection=6, verification=4, notification=2),)
 
 
 def test_run_verification_n2_trace():
-    energy, _ = collect_to_threshold(path(2), 1, 2)
+    energy = collect_to_threshold(path(2), 1, 2)
     residual = energy.copy()
     residual[0] = 0.0
     heard = max_gossip(residual, path(2), verification_rounds(2, 1.01))
@@ -237,7 +234,7 @@ def test_run_verification_detects_undersized_candidate():
     # on 5 nodes the k = 2 collection leaves residuals above 1/2^c, and the
     # max-gossip carries one of them to the leader
     topo = path(5)
-    energy, _ = collect_to_threshold(topo, 2, 2)
+    energy = collect_to_threshold(topo, 2, 2)
     residual = energy.copy()
     residual[0] = 0.0
     heard = max_gossip(residual, topo, verification_rounds(2, 1.01))
@@ -248,7 +245,7 @@ def test_run_verification_detects_undersized_candidate():
 def test_max_heard_reaches_leader_on_static_topology():
     # at k = n the leader must hear the global maximum residual
     topo = path(6)
-    energy, _ = collect_to_threshold(topo, 2, 6)
+    energy = collect_to_threshold(topo, 2, 6)
     residual = energy.copy()
     residual[0] = 0.0
     heard = max_gossip(residual, topo, verification_rounds(6, 1.01))
@@ -321,17 +318,13 @@ def test_count_n5_static_path_golden():
 def test_count_small_grid_exact(family, delta, T, p):
     for n in range(3, 9):
         d = (n - 1) if delta is None else min(delta, n - 1)
+        params = ScheduleParams(family, n, d, T, 1234 + n, p=p)
         cfg = ProtocolConfig(disconnection_tolerant=(family == "gnp"))
-        rec = count(DynamicsSchedule(ScheduleParams(family, n, d, T, 1234 + n, p=p)), cfg)
-        assert rec.estimate == n
-        assert rec.status == "ok"
-        total = sum(t.collection + t.verification + t.notification for t in rec.per_k_trace)
-        assert rec.rounds_total == total
-        d0 = rec.diagnostics
-        assert d0.max_conservation_error <= 1e-9 * n
-        assert d0.max_nonleader_energy <= 1.0 + 1e-12
-        assert d0.min_energy >= 0.0
-        assert d0.min_leader_gain >= 0.0
+        rec = count(DynamicsSchedule(params), cfg)
+        expect = record_inputs(params, cfg) | {"tolerant": cfg.disconnection_tolerant}
+        assert checks.record_errors(rec, expect) == []
+        ref = reference.replay(params, rec.c, cfg.disconnection_tolerant, rec.max_rounds)
+        assert checks.reference_errors(ref, rec) == []
 
 
 STATIC_STREAMS = [("path", 12, 2), ("path", 30, 2), ("path", 13, 4), ("star", 30, 29)] + [
@@ -350,7 +343,7 @@ def test_static_collection_lengths_match_spectral_prediction():
         undecided = [k for k, length in predicted.items() if length is None]
         if undecided:
             dense = {k: collection for k, collection, _, _ in
-                     dense_phase_lengths(DynamicsSchedule(schedule.params), rec.c)}
+                     reference.replay(schedule.params, rec.c, False, rec.max_rounds)[1]}
             predicted.update((k, dense[k]) for k in undecided)
         assert predicted == lengths, (family, n, delta)
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, Topology, count, path, star
-from helpers import ListSchedule, dense_phase_lengths, prufer_tree
+from adncount.protocol import record_inputs
+from helpers import ListSchedule, checks, prufer_tree, replay_stream
 
 
 @pytest.mark.parametrize("params", [
@@ -98,16 +99,12 @@ def disconnecting_streams(draw):
 
 
 def assert_stream_properties(stream, tolerant=False):
-    n = stream.params.n
-    record = count(stream, ProtocolConfig(disconnection_tolerant=tolerant))
-    assert record.status == "ok"
-    assert record.estimate == n
-    d = record.diagnostics
-    assert d.max_conservation_error <= 1e-9 * n
-    assert d.max_nonleader_energy <= 1.0 + 1e-12  # the criterion-2 bound
-    assert d.min_leader_gain >= 0.0
-    phases = [(t.k, t.collection, t.verification, t.notification) for t in record.per_k_trace]
-    assert phases == dense_phase_lengths(stream, record.c, tolerant)
+    config = ProtocolConfig(disconnection_tolerant=tolerant)
+    record = count(stream, config)
+    expect = record_inputs(stream.params, config) | {"tolerant": tolerant}
+    assert checks.record_errors(record, expect) == []
+    replayed = replay_stream(stream, record.c, tolerant, record.max_rounds)
+    assert checks.reference_errors(replayed, record) == []
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
