@@ -115,7 +115,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     params = _params_from_flags(args, args.T, FULL_DEGREE_FAMILIES)
-    record = experiment.run_one(params, args.mode, args.c, args.max_rounds)
+    record = experiment.run_one(params, ProtocolConfig(args.c, args.mode, args.max_rounds))
     if args.json:
         sys.stdout.write(json.dumps(record.to_json_dict()) + "\n")
     else:
@@ -138,6 +138,7 @@ def _cmd_sweep(args) -> int:
     else:
         with open(args.spec) as fh:
             spec = experiment.SweepSpec.from_json_dict(json.load(fh))
+    experiment.check_workers(args.workers)
     # refuse an unwritable output before the first run; appending keeps the
     # bytes of an existing file until the export writes it
     for path, kind in ((args.out_csv, "CSV"), (args.out_json, "JSON")):

@@ -26,8 +26,7 @@ from .dynamics import (
 )
 from .errors import (ANY, LIST, InvalidParameters, RoundLimitExceeded, _is_int, _is_real, below,
                      read_fields)
-from .protocol import (ProtocolConfig, RunRecord, check_collection_threshold,
-                       check_theoretical_gate, count, record_inputs)
+from .protocol import ProtocolConfig, RunRecord, admit, count, record_inputs
 from .seeds import derive_seed
 
 DELTA_RULES = ("powers-of-two", "fixed-n-minus-1", "largest-power-of-two")
@@ -51,6 +50,8 @@ class SweepSpec:
     ``delta_cap`` further caps the two power rules; it cannot be combined
     with ``fixed-n-minus-1`` or given to star and gnp alone. No family, T
     or p may be given twice, and ``p_set`` is for the gnp family alone.
+    ``config`` is the ``ProtocolConfig`` of ``c``, ``mode`` and
+    ``max_rounds``; ``protocol.admit`` must pass every grid point under it.
     """
 
     families: tuple[str, ...]
@@ -104,8 +105,7 @@ class SweepSpec:
             repeated = [v for i, v in enumerate(values) if values.index(v) < i]
             if repeated:
                 raise InvalidParameters(f"{key} repeats {repeated[0]!r}")
-        # c, mode and max_rounds are validated by ProtocolConfig
-        ProtocolConfig(c=self.c, mode=self.mode, max_rounds=self.max_rounds)
+        object.__setattr__(self, "config", ProtocolConfig(self.c, self.mode, self.max_rounds))
         # the grid, built once: building it validates every point before any run
         points = tuple(
             ScheduleParams(family, n, delta, T if T == math.inf else int(T), 0, p)
@@ -123,11 +123,8 @@ class SweepSpec:
                 f"no power-of-two degree bound fits n_range and delta_cap for "
                 f"{', '.join(unfit)}"
             )
-        if self.mode == "theoretical":
-            for point in points:
-                check_theoretical_gate(point.n, point.delta)
-        else:  # the largest n is the first to lose its threshold
-            check_collection_threshold(hi, self.c)
+        for point in points:
+            admit(point, self.config)
 
     def _deltas(self, family: str, n: int) -> list[int]:
         if family in FULL_DEGREE_FAMILIES or self.delta_rule == "fixed-n-minus-1":
@@ -257,8 +254,7 @@ class SweepResult:
                 raise InvalidParameters(f"duplicate row for config_index {ci}, rep {rep}")
             record = RunRecord.from_json_dict(row["record"])
             params = replace(settings[ci], seed=derive_seed(spec.master_seed, ci, rep))
-            config = run_config(params, spec.mode, spec.c, spec.max_rounds)
-            for key, value in record_inputs(params, config).items():
+            for key, value in record_inputs(params, run_config(params, spec.config)).items():
                 if getattr(record, key) != value:
                     raise InvalidParameters(
                         f"the record of config_index {ci}, rep {rep} has {key} "
@@ -267,21 +263,24 @@ class SweepResult:
         return cls(spec=spec, rows=tuple(rows.values()))
 
 
-def run_config(params: ScheduleParams, mode: str, c: float,
-               max_rounds: int | None) -> ProtocolConfig:
-    """The protocol settings of the run of ``params``: it is
-    disconnection-tolerant exactly when its stream may disconnect."""
-    return ProtocolConfig(c=c, mode=mode, max_rounds=max_rounds,
-                          disconnection_tolerant=params.may_disconnect)
+def run_config(params: ScheduleParams, config: ProtocolConfig) -> ProtocolConfig:
+    """``config`` for the run of ``params``: it is disconnection-tolerant
+    exactly when its stream may disconnect."""
+    return replace(config, disconnection_tolerant=params.may_disconnect)
 
 
-def run_one(params: ScheduleParams, mode: str, c: float,
-            max_rounds: int | None = None) -> RunRecord:
+def run_one(params: ScheduleParams, config: ProtocolConfig) -> RunRecord:
     """Execute a single run; round-limit failures become error records."""
     try:
-        return count(DynamicsSchedule(params), run_config(params, mode, c, max_rounds))
+        return count(DynamicsSchedule(params), run_config(params, config))
     except RoundLimitExceeded as exc:
         return exc.record
+
+
+def check_workers(workers) -> None:
+    """Refuse a worker count ``run_sweep`` cannot use."""
+    if not (_is_int(workers) and workers >= 1):
+        raise InvalidParameters(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -291,12 +290,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     (``ScheduleParams.seed_invariant_key``) at its key's lowest
     (config_index, rep), any other at its own row. Every row is its
     stream's record with ``seed`` and ``T`` replaced by its own, the only
-    fields in which its own run would differ. ``mode``, ``c`` and
-    ``max_rounds`` are the same for every run of a sweep. The pool has at
-    most one worker per job, and a single job runs in this process.
+    fields in which its own run would differ. Every run of a sweep is
+    made under ``spec.config``. The pool has at most one worker per job,
+    and a single job runs in this process.
     """
-    if not (_is_int(workers) and workers >= 1):
-        raise InvalidParameters(f"workers must be an integer >= 1, got {workers!r}")
+    check_workers(workers)
     jobs = []
     job_of = {}  # stream -> index into jobs
     plan = []  # per row: config_index, rep, params, index into jobs
@@ -307,7 +305,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             if job == len(jobs):
                 jobs.append(params)
             plan.append((ci, rep, params, job))
-    run = partial(run_one, mode=spec.mode, c=spec.c, max_rounds=spec.max_rounds)
+    run = partial(run_one, config=spec.config)
     workers = min(workers, len(jobs))
     if workers == 1:
         records = list(map(run, jobs))

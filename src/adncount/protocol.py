@@ -43,8 +43,6 @@ from .topology import Topology
 
 LOG2_5 = math.log2(5.0)
 
-_THEORETICAL_N_GATE = 8
-_THEORETICAL_DELTA_GATE = 4
 MODES = ("experimental", "theoretical")  # the first is the default
 
 
@@ -195,24 +193,27 @@ def collection_budget(k: int, delta: int) -> int:
     return tau
 
 
-def check_theoretical_gate(n: int, delta: int) -> None:
-    """Reject a theoretical-mode run beyond n <= 8, delta <= 4, where the
-    budgets tau(k) grow as (2*delta)^k and no run would finish."""
-    if n > _THEORETICAL_N_GATE or delta > _THEORETICAL_DELTA_GATE:
-        raise InvalidParameters(
-            f"theoretical mode is gated to n <= {_THEORETICAL_N_GATE} and "
-            f"delta <= {_THEORETICAL_DELTA_GATE}, got n={n}, delta={delta}"
-        )
-
-
-def check_collection_threshold(n: int, c: float) -> None:
-    """Reject an experimental-mode c whose collection stop k - 1 - k^-c is
-    k - 1 in floats at k = n (c = inf included): the leader only
-    approaches k - 1 from below, so the run would end only at the round
-    cap. Every k < n keeps a threshold when n does."""
-    if (n - 1) - n ** -c == n - 1:
-        raise InvalidParameters(
-            f"c={c!r} leaves no collection threshold at n={n}: n - 1 - n^-c rounds to n - 1")
+def admit(params: ScheduleParams, config: ProtocolConfig) -> None:
+    """Refuse, with InvalidParameters, a run that can end only at the round
+    cap. In theoretical mode each candidate k runs at least tau(k) plus its
+    fixed verification and notification rounds, so the run is refused at
+    the first k where that sum over 2..k passes the cap. In experimental
+    mode a c whose collection stop k - 1 - k^-c is k - 1 in floats at
+    k = n (c = inf included) is refused: the leader only approaches k - 1
+    from below. Every k < n keeps a threshold when n does."""
+    n, delta, c = params.n, params.delta, config.c
+    if config.mode == "experimental":
+        if (n - 1) - n ** -c == n - 1:
+            raise InvalidParameters(
+                f"c={c!r} leaves no collection threshold at n={n}: n - 1 - n^-c rounds to n - 1")
+        return
+    cap, need = config.effective_max_rounds(n, delta), 0
+    for k in range(2, n + 1):
+        need += collection_budget(k, delta) + verification_rounds(k, c) + notification_rounds(k)
+        if need > cap:
+            raise InvalidParameters(
+                f"theoretical mode at n={n}, delta={delta} needs more rounds than the "
+                f"cap {cap}: k = 2..{k} take {need}")
 
 
 def collection_operands(topology: Topology, delta: int) -> tuple:
@@ -350,8 +351,7 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
 
     Raises DegreeBoundViolated when a snapshot over the degree bound comes
     into force, in any phase, and InvalidParameters before the first round
-    past the theoretical gate, or for a c that leaves experimental mode no
-    collection threshold at n.
+    for a run that ``admit`` refuses.
 
     Each round is one kernel call plus a little bookkeeping. The schedule
     is asked for a snapshot only at the first round of each epoch (every
@@ -365,11 +365,8 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
         config = ProtocolConfig()
     params = schedule.params
     n, delta, c = params.n, params.delta, config.c
+    admit(params, config)
     theoretical = config.mode == "theoretical"
-    if theoretical:
-        check_theoretical_gate(n, delta)
-    else:
-        check_collection_threshold(n, c)
     tolerant = config.disconnection_tolerant
     limit = config.effective_max_rounds(n, delta)
     # Both rejection tests get the conservation tolerance 1e-9*n as slack.

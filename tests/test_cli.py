@@ -1,6 +1,7 @@
 """CLI: exit codes, byte determinism, file outputs."""
 
 import json
+import os
 
 import pytest
 
@@ -260,21 +261,30 @@ def test_sweep_spec_tree_alias(tmp_path, capsys):
      "c=40.0 leaves no collection threshold at n=3"),
     (["sweep", "--spec", "{spec}"], {"c": float("inf")},  # written as Infinity
      "c=inf leaves no collection threshold at n=3"),
+    # every grid point is checked: n = 30 is the first to lose its threshold
+    (["sweep", "--spec", "{spec}"], {"c": 10, "n_range": [25, 35]},
+     "c=10 leaves no collection threshold at n=30:"),
+    (["sweep", "--grid", "path", "--workers", "0", "--out-csv", "{tmp}/fresh.csv"], {},
+     "workers must be an integer >= 1, got 0"),
 ], ids=["run-tree-no-delta", "spec-no-families", "spec-no-T", "csv-dir-missing",
         "json-dir-missing", "in-json-missing", "spec-no-repetitions", "run-c-inf", "run-c-40",
-        "spec-c-infinity"])
+        "spec-c-infinity", "spec-c-10", "workers-0"])
 def test_bad_input_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv, overrides,
                                             message):
     calls = []
     count = experiment.count
     monkeypatch.setattr(experiment, "count", lambda *args: calls.append(args) or count(*args))
     spec = write_spec(tmp_path, **overrides)
-    code, out, err = run_cli(capsys, *(a.format(spec=spec, tmp=tmp_path) for a in argv))
+    argv = [a.format(spec=spec, tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
     if argv[0] == "sweep":
         assert calls == []  # a sweep refuses bad inputs and outputs before its first run
+    # no output file is left behind
+    outputs = [path for flag, path in zip(argv, argv[1:]) if flag in ("--out-csv", "--out-json")]
+    assert not any(map(os.path.exists, outputs))
 
 
 @pytest.mark.parametrize("argv, spec, workers", [
@@ -343,12 +353,13 @@ def test_check_bound_reads_sweep_json(tmp_path, capsys):
 
 
 def test_sweep_theoretical_spec_beyond_gate_exits_2(tmp_path, capsys):
+    # path takes delta 4 from n = 5, the first grid point past its cap
     spec_path = write_spec(tmp_path, mode="theoretical", c=2.4, n_range=[3, 9])
     out_csv = tmp_path / "result.csv"
     code, out, err = run_cli(capsys, "sweep", "--spec", spec_path, "--out-csv", str(out_csv))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "n=9" in err
+    assert err.startswith("error: theoretical mode at n=5, delta=4 needs")
     assert not out_csv.exists()
 
 
@@ -357,8 +368,19 @@ def test_run_theoretical_beyond_gate_names_no_setting(capsys):
                              "--mode", "theoretical", "--c", "2.4")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: theoretical mode is gated")
+    assert err == ("error: theoretical mode at n=10, delta=2 needs more rounds than the cap "
+                   "200000: k = 2..7 take 277182\n")
     assert "override" not in err
+
+
+def test_run_theoretical_admission_follows_max_rounds(capsys):
+    argv = ("run", "--family", "star", "--n", "4", "--mode", "theoretical", "--c", "2.4")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("cap 7680: k = 2..4 take 7976\n")
+    code, out, _ = run_cli(capsys, *argv, "--max-rounds", "8000")
+    assert code == 0
+    assert "rounds_total: 7976 " in out
 
 
 def sweep_json(tmp_path, capsys):

@@ -111,15 +111,19 @@ def test_spec_validation():
         tiny_spec(families=("random-tree", "star", "path"), n_range=(2, 2), T_set=(1,))
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(n_range=(3, 9)),  # n = 9 is past the gate; n = 3..8 are not
-    dict(families=("star",), n_range=(3, 6)),  # star at n = 6 has delta 5
+@pytest.mark.parametrize("overrides, first_refused", [
+    # path takes delta 4 from n = 5
+    pytest.param(dict(n_range=(3, 9)), "n=5, delta=4", id="overrides0"),
+    pytest.param(dict(families=("star",), n_range=(3, 6)), "n=4, delta=3", id="overrides1"),
 ])
-def test_theoretical_spec_beyond_gate_is_refused(overrides):
-    # the spec is refused as a whole, so no run of its grid starts
-    with pytest.raises(InvalidParameters, match="theoretical mode is gated"):
+def test_theoretical_spec_beyond_gate_is_refused(overrides, first_refused):
+    # the spec is refused as a whole, at its first point that needs more
+    # rounds than the cap, so no run of its grid starts
+    with pytest.raises(InvalidParameters, match=f"theoretical mode at {first_refused} needs"):
         tiny_spec(mode="theoretical", c=2.4, **overrides)
-    tiny_spec(mode="theoretical", c=2.4, n_range=(3, 8))  # within the gate
+    tiny_spec(mode="theoretical", c=2.4, n_range=(3, 4))  # every point fits the default cap
+    # star n = 4 needs 7976 rounds, past its default cap 7680
+    tiny_spec(mode="theoretical", c=2.4, families=("star",), n_range=(3, 4), max_rounds=8000)
 
 
 def test_spec_json_round_trip():
@@ -240,7 +244,7 @@ DEDUP_SPECS = {
     "theoretical": SweepSpec(
         families=("star", "path", "random-tree"), n_range=(3, 4),
         T_set=(1, math.inf), repetitions=2, master_seed=11, mode="theoretical",
-        c=2.4,
+        c=2.4, max_rounds=8000,  # star n = 4 needs 7976 rounds
     ),
 }
 
@@ -248,7 +252,7 @@ DEDUP_SPECS = {
 def run_row_by_row(spec):
     rows = tuple(
         RunRow(ci, rep, run_one(replace(point, seed=derive_seed(spec.master_seed, ci, rep)),
-                                spec.mode, spec.c, spec.max_rounds))
+                                spec.config))
         for ci, point in enumerate(spec.settings())
         for rep in range(spec.repetitions)
     )

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adncount import (
     RunDiagnostics,
     RunRecord,
     ScheduleParams,
+    SweepSpec,
     Topology,
     collection_budget,
     collection_operands,
@@ -217,7 +219,7 @@ def test_run_collection_theoretical_ignores_threshold():
     params = ScheduleParams("path", 2, 1, math.inf, 0)
     rec = count(DynamicsSchedule(params), ProtocolConfig(c=2.4, mode="theoretical"))
     # the threshold is reached in 3 rounds, and tau(2) with delta = 1 runs 6
-    assert reference.replay(params, 2.4, False, rec.max_rounds) == (2, [(2, 3, 4, 2)])
+    assert reference.replay(params, 2.4, False, rec.rounds_total) == (2, [(2, 3, 4, 2)])
     assert rec.per_k_trace == (PhaseTrace(k=2, collection=6, verification=4, notification=2),)
 
 
@@ -323,7 +325,7 @@ def test_count_small_grid_exact(family, delta, T, p):
         rec = count(DynamicsSchedule(params), cfg)
         expect = record_inputs(params, cfg) | {"tolerant": cfg.disconnection_tolerant}
         assert checks.record_errors(rec, expect) == []
-        ref = reference.replay(params, rec.c, cfg.disconnection_tolerant, rec.max_rounds)
+        ref = reference.replay(params, rec.c, cfg.disconnection_tolerant, rec.rounds_total)
         assert checks.reference_errors(ref, rec) == []
 
 
@@ -343,7 +345,7 @@ def test_static_collection_lengths_match_spectral_prediction():
         undecided = [k for k, length in predicted.items() if length is None]
         if undecided:
             dense = {k: collection for k, collection, _, _ in
-                     reference.replay(schedule.params, rec.c, False, rec.max_rounds)[1]}
+                     reference.replay(schedule.params, rec.c, False, rec.rounds_total)[1]}
             predicted.update((k, dense[k]) for k in undecided)
         assert predicted == lengths, (family, n, delta)
 
@@ -601,12 +603,63 @@ def test_count_theoretical_full_run():
     assert [t.collection for t in rec.per_k_trace] == [24, 213, 1420]
 
 
-def test_theoretical_gate():
+def theoretical_need(n, delta, c):
+    """The per-k phases of a theoretical run that confirms k = n: each k
+    runs tau(k) and its fixed verification and notification rounds."""
+    return tuple(PhaseTrace(k, collection_budget(k, delta), verification_rounds(k, c),
+                            notification_rounds(k)) for k in range(2, n + 1))
+
+
+def one_point_spec(family, n, delta):
+    """A theoretical SweepSpec whose grid is the one point (family, n,
+    delta), or None where no delta rule yields delta at n."""
+    if delta == n - 1:
+        rule = dict(delta_rule="fixed-n-minus-1")
+    elif delta & (delta - 1) == 0:
+        rule = dict(delta_rule="largest-power-of-two", delta_cap=delta)
+    else:
+        return None
+    return lambda: SweepSpec(families=(family,), n_range=(n, n), T_set=(math.inf,),
+                             repetitions=1, master_seed=0, mode="theoretical", c=2.4, **rule)
+
+
+ADMITTED = {("path", 2, 1), ("path", 3, 2), ("path", 4, 2), ("path", 5, 2), ("star", 3, 2)}
+
+
+@pytest.mark.parametrize("family, n, delta", [
+    ("path", n, delta) for n in range(2, 11) for delta in range(1, 5)
+    if (delta == 1 if n == 2 else 2 <= delta < n)
+] + [("star", 3, 2), ("star", 4, 3)])
+def test_theoretical_admission(family, n, delta):
+    # at the default cap a run is admitted exactly when the rounds it needs
+    # fit, and then it takes exactly those; a refusal comes before round 1
+    params = ScheduleParams(family, n, delta, math.inf, 0)
     cfg = ProtocolConfig(c=2.4, mode="theoretical")
-    with pytest.raises(InvalidParameters):
-        count(DynamicsSchedule(ScheduleParams("path", 9, 2, math.inf, 0)), cfg)
-    with pytest.raises(InvalidParameters):
-        count(DynamicsSchedule(ScheduleParams("path", 8, 8, math.inf, 0)), cfg)
+    need = theoretical_need(n, delta, 2.4)
+    total = sum(t.collection + t.verification + t.notification for t in need)
+    if (family, n, delta) in ADMITTED:
+        assert total <= cfg.effective_max_rounds(n, delta)
+        rec = count(DynamicsSchedule(params), cfg)
+        assert (rec.status, rec.estimate, rec.per_k_trace, rec.rounds_total) == (
+            "ok", n, need, total)
+        return
+    assert total > cfg.effective_max_rounds(n, delta)
+    refusals = [lambda: count(DynamicsSchedule(params), cfg), one_point_spec(family, n, delta)]
+    for refuse in filter(None, refusals):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameters, match=f"theoretical mode at n={n}, delta={delta} "):
+            refuse()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_theoretical_admission_follows_max_rounds():
+    # star n = 4 needs 7976 rounds: past the default cap 7680, within 8000
+    params = ScheduleParams("star", 4, 3, math.inf, 0)
+    need = theoretical_need(4, 3, 2.4)
+    rec = count(DynamicsSchedule(params), ProtocolConfig(c=2.4, mode="theoretical",
+                                                         max_rounds=8000))
+    assert (rec.status, rec.estimate, rec.per_k_trace) == ("ok", 4, need)
+    assert rec.rounds_total == 7976
 
 
 def test_config_validation():

@@ -103,7 +103,7 @@ def assert_stream_properties(stream, tolerant=False):
     record = count(stream, config)
     expect = record_inputs(stream.params, config) | {"tolerant": tolerant}
     assert checks.record_errors(record, expect) == []
-    replayed = replay_stream(stream, record.c, tolerant, record.max_rounds)
+    replayed = replay_stream(stream, record.c, tolerant, record.rounds_total)
     assert checks.reference_errors(replayed, record) == []
 
 
