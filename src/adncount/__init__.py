@@ -7,14 +7,7 @@ parameter-sweep harness used to check the polynomial-envelope claims.
 """
 
 from .dynamics import DynamicsSchedule, ScheduleParams
-from .errors import (
-    BudgetOverflow,
-    CountingError,
-    DegreeBoundViolated,
-    InfeasibleDegreeBound,
-    InvalidParameters,
-    RoundLimitExceeded,
-)
+from .errors import CountingError, InvalidParameters, RoundLimitExceeded
 from .experiment import (
     RunRow,
     SweepResult,

@@ -20,7 +20,7 @@ from .dynamics import (FAMILY_NAMES, FULL_DEGREE_FAMILIES, STATIC_T, UNDRAWN_FIR
                        DynamicsSchedule, ScheduleParams, canonical_family, read_T, write_T)
 from .errors import CountingError, InvalidParameters
 from .protocol import MODES, ProtocolConfig
-from .trees import CHECK_TABLES_N_MAX, RANRUT_VARIANTS, check_tables
+from .trees import CHECK_TABLES_N_MAX, check_tables
 
 def _parse_T(value: str):
     try:
@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--delta", type=int, default=None)
     g.add_argument("--p", type=float, default=None)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--ranrut-variant", choices=list(RANRUT_VARIANTS),
-                   default=ScheduleParams.variant)
     g.add_argument("--out", default=None, help="output file (default stdout)")
 
     r = sub.add_parser("run", help="run one counting execution")
@@ -84,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_flags(args, T, delta_defaults, variant=ScheduleParams.variant) -> ScheduleParams:
+def _params_from_flags(args, T, delta_defaults) -> ScheduleParams:
     """Schedule parameters from the flags; --delta may be omitted for the
     families in ``delta_defaults``, where it becomes n - 1."""
     family = canonical_family(args.family)
@@ -92,18 +90,15 @@ def _params_from_flags(args, T, delta_defaults, variant=ScheduleParams.variant) 
     if delta is None and family in delta_defaults:
         delta = args.n - 1
     if delta is None:
-        raise CountingError(f"{family} requires --delta")
-    return ScheduleParams(
-        family=family, n=args.n, delta=delta, T=T, seed=args.seed, p=args.p, variant=variant
-    )
+        raise InvalidParameters(f"{family} requires --delta")
+    return ScheduleParams(family=family, n=args.n, delta=delta, T=T, seed=args.seed, p=args.p)
 
 
 def _cmd_generate(args) -> int:
     # The round-1 snapshot is epoch 0 for every T; T = 1 is merely a value
     # that every family accepts. An undrawn epoch 0 depends on no degree
     # bound, so --delta may be omitted for those families too.
-    params = _params_from_flags(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST),
-                                args.ranrut_variant)
+    params = _params_from_flags(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST))
     text = json.dumps(DynamicsSchedule(params).topology_at(1).to_json_dict()) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -136,8 +131,7 @@ def _cmd_sweep(args) -> int:
     elif args.full:
         raise InvalidParameters("--full applies to --grid only; a spec file sets its own grid")
     else:
-        with open(args.spec) as fh:
-            spec = experiment.SweepSpec.from_json_dict(json.load(fh))
+        spec = experiment.SweepSpec.from_json_dict(experiment.read_json(args.spec))
     experiment.check_workers(args.workers)
     # refuse an unwritable output before the first run; appending keeps the
     # bytes of an existing file until the export writes it
@@ -192,7 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (CountingError, OSError, json.JSONDecodeError) as exc:
+    except (CountingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,19 +50,9 @@ class CountingError(Exception):
 
 
 class InvalidParameters(CountingError, ValueError):
-    """Parameter combination not allowed for the requested family or mode."""
-
-
-class InfeasibleDegreeBound(InvalidParameters):
-    """Degree bound too small for any tree on the requested vertex count."""
-
-
-class DegreeBoundViolated(CountingError):
-    """A topology handed to the protocol exceeds the configured degree bound."""
-
-
-class BudgetOverflow(CountingError):
-    """Theoretical-mode round budget is not representable in 128 bits."""
+    """An input the package refuses: a parameter outside its range or its
+    family's rules, a malformed JSON file, a snapshot over the degree
+    bound, or a round budget beyond 128 bits."""
 
 
 class RoundLimitExceeded(CountingError):

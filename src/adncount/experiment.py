@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -291,8 +292,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     (config_index, rep), any other at its own row. Every row is its
     stream's record with ``seed`` and ``T`` replaced by its own, the only
     fields in which its own run would differ. Every run of a sweep is
-    made under ``spec.config``. The pool has at most one worker per job,
-    and a single job runs in this process.
+    made under ``spec.config``. The pool has at most one worker per job
+    and per CPU, and a pool of one runs in this process.
     """
     check_workers(workers)
     jobs = []
@@ -306,7 +307,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 jobs.append(params)
             plan.append((ci, rep, params, job))
     run = partial(run_one, config=spec.config)
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         records = list(map(run, jobs))
     else:
@@ -377,9 +378,19 @@ def export_json(result: SweepResult, path) -> None:
         raise OSError(f"cannot write JSON to {path}: {exc}") from exc
 
 
-def load_json(path) -> SweepResult:
+def read_json(path):
+    """The JSON value in the file at ``path``, read as UTF-8. A file that
+    cannot be opened raises OSError, and one that is not UTF-8, not JSON,
+    or nested past the parser's recursion limit raises InvalidParameters;
+    both messages start ``cannot read JSON from <path>:``."""
     try:
-        with open(path) as fh:
-            return SweepResult.from_json_dict(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read JSON from {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParameters(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def load_json(path) -> SweepResult:
+    return SweepResult.from_json_dict(read_json(path))

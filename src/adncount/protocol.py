@@ -37,8 +37,8 @@ from operator import attrgetter
 import numpy as np
 
 from .dynamics import STATIC_T, DynamicsSchedule, ScheduleParams, read_T, write_T
-from .errors import (ANY, COUNT, INTEGER, LIST, NUMBER, BudgetOverflow, DegreeBoundViolated,
-                     InvalidParameters, RoundLimitExceeded, _is_int, _is_real, read_fields)
+from .errors import (ANY, COUNT, INTEGER, LIST, NUMBER, InvalidParameters, RoundLimitExceeded,
+                     _is_int, _is_real, read_fields)
 from .topology import Topology
 
 LOG2_5 = math.log2(5.0)
@@ -181,15 +181,16 @@ def notification_rounds(k: int) -> int:
 
 
 def collection_budget(k: int, delta: int) -> int:
-    """Theoretical collection length tau(k) = k * ceil((2*delta)^k * ln k)."""
+    """Theoretical collection length tau(k) = k * ceil((2*delta)^k * ln k).
+    A tau(k) of 128 bits or more raises InvalidParameters."""
     base = (2 * delta) ** k  # exact integer
     try:
         rho = math.ceil(base * math.log(k))
     except OverflowError:
-        raise BudgetOverflow(f"tau({k}) overflows for delta={delta}") from None
+        raise InvalidParameters(f"tau({k}) overflows for delta={delta}") from None
     tau = k * rho
     if tau >= 1 << 128:
-        raise BudgetOverflow(f"tau({k}) = {tau} exceeds 128 bits")
+        raise InvalidParameters(f"tau({k}) = {tau} exceeds 128 bits")
     return tau
 
 
@@ -219,12 +220,10 @@ def admit(params: ScheduleParams, config: ProtocolConfig) -> None:
 def collection_operands(topology: Topology, delta: int) -> tuple:
     """What ``collection_round`` needs of a snapshot under the degree bound
     delta: (retention row, src, dst, 2*delta), with src and dst the
-    ``collection_arrays`` pairs. Raises DegreeBoundViolated when a degree
+    ``collection_arrays`` pairs. Raises InvalidParameters when a degree
     of the snapshot exceeds delta."""
     if topology.max_degree > delta:
-        raise DegreeBoundViolated(
-            f"max degree {topology.max_degree} exceeds delta={delta}"
-        )
+        raise InvalidParameters(f"max degree {topology.max_degree} exceeds delta={delta}")
     return (topology.retention(delta), *topology.collection_arrays(), _two_delta(delta))
 
 
@@ -349,9 +348,9 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     Raises RoundLimitExceeded with the partial record attached when the
     safety cap is hit (e.g. a G(n, p) stream that stays disconnected).
 
-    Raises DegreeBoundViolated when a snapshot over the degree bound comes
-    into force, in any phase, and InvalidParameters before the first round
-    for a run that ``admit`` refuses.
+    Raises InvalidParameters when a snapshot over the degree bound comes
+    into force, in any phase, and before the first round for a run that
+    ``admit`` refuses.
 
     Each round is one kernel call plus a little bookkeeping. The schedule
     is asked for a snapshot only at the first round of each epoch (every

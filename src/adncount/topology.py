@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import INTEGER, LIST, read_fields
+from .errors import INTEGER, LIST, InvalidParameters, read_fields
 
 
 def _is_index(value) -> bool:
@@ -40,19 +40,19 @@ class Topology:
 
     def __init__(self, n: int, edges):
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidParameters("n must be >= 1")
         normalized = []
         seen = set()
         for u, v in edges:
             if not (_is_index(u) and _is_index(v)):
-                raise ValueError(f"edge ({u},{v}) has a non-integer endpoint")
+                raise InvalidParameters(f"edge ({u},{v}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise InvalidParameters(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
-                raise ValueError(f"self-loop at {u}")
+                raise InvalidParameters(f"self-loop at {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise InvalidParameters(f"duplicate edge {key}")
             seen.add(key)
             normalized.append(key)
         normalized.sort()
@@ -126,7 +126,7 @@ _TOPOLOGY_CHECKS = {"n": INTEGER, "edges": LIST,
 def star(n: int) -> Topology:
     """Leader adjacent to all n-1 others; no other edges."""
     if n < 2:
-        raise ValueError("star requires n >= 2")
+        raise InvalidParameters("star requires n >= 2")
     pairs = np.zeros((n - 1, 2), dtype=np.intp)
     pairs[:, 1] = np.arange(1, n)
     return Topology._batch(n, pairs, (n - 1,))[0]
@@ -135,7 +135,7 @@ def star(n: int) -> Topology:
 def path(n: int) -> Topology:
     """Edges {i, i+1}; the leader sits at one endpoint."""
     if n < 2:
-        raise ValueError("path requires n >= 2")
+        raise InvalidParameters("path requires n >= 2")
     return path_topologies((range(n),))[0]
 
 
@@ -176,9 +176,9 @@ def gnp_topologies(n: int, p: float, rngs, delta: int | None = None) -> list[Top
       consume, so the generator's state afterwards is the same as well.
     """
     if n < 2:
-        raise ValueError("gnp requires n >= 2")
+        raise InvalidParameters("gnp requires n >= 2")
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+        raise InvalidParameters("p must be in [0, 1]")
     m = n * (n - 1) // 2
     words = np.frombuffer(
         b"".join([rng.getrandbits(64 * m).to_bytes(8 * m, "little") for rng in rngs]), "<u8")

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InfeasibleDegreeBound, InvalidParameters
+from .errors import InvalidParameters
 
 RANRUT_VARIANTS = ("paper-literal", "same-copy")  # the first is the default
 CHECK_TABLES_N_MAX = 16  # the largest n_max that check_tables enumerates
@@ -106,9 +106,9 @@ def ranrut(n: int, rng: random.Random, variant: str = RANRUT_VARIANTS[0]) -> lis
     """Sample the parent list of a rooted tree on n vertices; see the module
     docstring for the variants."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameters("n must be >= 1")
     if variant not in RANRUT_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidParameters(f"unknown variant {variant!r}")
     tables = _ROWS if len(_ROWS) > n else _grow_rows(n)
     same_copy = variant == "same-copy"
     random_ = rng.random
@@ -179,15 +179,14 @@ def prune(parents: list[int], delta: int, rng: random.Random) -> list[int]:
     count and no vertex leaves its range, and the ranges are walked in
     increasing order, which is the order in which the whole-tree walk
     reaches them. The uniform choices are ``rng.randrange``'s draws, taken
-    from ``rng.getrandbits`` through ``_below``.
+    from ``rng.getrandbits`` through ``_below``. A delta that no tree on
+    ``len(parents)`` vertices meets raises InvalidParameters.
     """
     n = len(parents)
     if n >= 3 and delta < 2:
-        raise InfeasibleDegreeBound(
-            f"no tree on {n} >= 3 vertices has max degree <= {delta}"
-        )
+        raise InvalidParameters(f"no tree on {n} >= 3 vertices has max degree <= {delta}")
     if delta < 1:
-        raise InfeasibleDegreeBound("delta must be >= 1")
+        raise InvalidParameters("delta must be >= 1")
     full = delta - 1  # a non-root vertex with this many children has no room
     children = _children(parents)
     pruned = parents[:]
@@ -269,7 +268,7 @@ def enumerate_rooted_trees(n: int) -> tuple:
     independent of the counting recurrence.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameters("n must be >= 1")
     if n == 1:
         return ((),)
     forms = {tuple(sorted(ms)) for ms in _form_multisets(n - 1, n - 1)}

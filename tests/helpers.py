@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 
 from adncount import Topology
-from adncount.errors import InfeasibleDegreeBound
+from adncount.errors import InvalidParameters
 from adncount.protocol import collection_operands, collection_round
 
 
@@ -206,11 +206,11 @@ def prune_walk_oracle(parents, delta, rng):
     same pruned parent list and the same generator consumption."""
     n = len(parents)
     if n >= 3 and delta < 2:
-        raise InfeasibleDegreeBound(
+        raise InvalidParameters(
             f"no tree on {n} >= 3 vertices has max degree <= {delta}"
         )
     if delta < 1:
-        raise InfeasibleDegreeBound("delta must be >= 1")
+        raise InvalidParameters("delta must be >= 1")
     full = delta - 1  # a non-root vertex with this many children has no room
     children = [[] for _ in parents]
     for v in range(1, n):

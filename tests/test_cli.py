@@ -244,6 +244,11 @@ def test_sweep_spec_tree_alias(tmp_path, capsys):
     assert outputs[0][0].count(b"\nrandom-tree,") == 4
 
 
+# files no JSON reader accepts: not UTF-8, and nested past the parser's
+# recursion limit
+BAD_JSON = {"not-utf8.json": b"\xff", "deep.json": b"[" * 10000}
+
+
 @pytest.mark.parametrize("argv, overrides, message", [
     (["run", "--family", "tree", "--n", "5"], {}, "random-tree requires --delta"),
     (["sweep", "--spec", "{spec}"], {"families": []}, "families must be non-empty"),
@@ -266,15 +271,21 @@ def test_sweep_spec_tree_alias(tmp_path, capsys):
      "c=10 leaves no collection threshold at n=30:"),
     (["sweep", "--grid", "path", "--workers", "0", "--out-csv", "{tmp}/fresh.csv"], {},
      "workers must be an integer >= 1, got 0"),
+    (["sweep", "--spec", "{tmp}/not-utf8.json"], {}, "cannot read JSON from"),
+    (["check-bound", "--in-json", "{tmp}/not-utf8.json"], {}, "cannot read JSON from"),
+    (["sweep", "--spec", "{tmp}/deep.json"], {}, "cannot read JSON from"),
 ], ids=["run-tree-no-delta", "spec-no-families", "spec-no-T", "csv-dir-missing",
         "json-dir-missing", "in-json-missing", "spec-no-repetitions", "run-c-inf", "run-c-40",
-        "spec-c-infinity", "spec-c-10", "workers-0"])
+        "spec-c-infinity", "spec-c-10", "workers-0", "spec-not-utf8", "in-json-not-utf8",
+        "spec-too-deep"])
 def test_bad_input_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv, overrides,
                                             message):
     calls = []
     count = experiment.count
     monkeypatch.setattr(experiment, "count", lambda *args: calls.append(args) or count(*args))
     spec = write_spec(tmp_path, **overrides)
+    for name, data in BAD_JSON.items():
+        (tmp_path / name).write_bytes(data)
     argv = [a.format(spec=spec, tmp=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -181,9 +181,22 @@ class RecordingPool:
     (tiny_spec(T_set=(1,), repetitions=4), 2, [2]),
 ])
 def test_sweep_pool_is_never_larger_than_the_work(monkeypatch, spec, workers, sizes):
+    assert_pool_sizes(monkeypatch, spec, workers, 64, sizes)
+
+
+@pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, []), (None, [])])
+def test_sweep_pool_is_never_larger_than_the_cpus(monkeypatch, cpus, sizes):
+    # 4 jobs; os.cpu_count() may be None
+    assert_pool_sizes(monkeypatch, tiny_spec(T_set=(1,), repetitions=4), 8, cpus, sizes)
+
+
+def assert_pool_sizes(monkeypatch, spec, workers, cpus, sizes):
+    """``run_sweep(spec, workers)`` on ``cpus`` CPUs asks for the pools of
+    ``sizes`` and gives the bytes of ``workers=1``; no process is started."""
     seen = []
     monkeypatch.setattr(experiment, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(seen, max_workers))
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     assert run_sweep(spec, workers=workers) == run_sweep(spec, workers=1)
     assert seen == sizes
 

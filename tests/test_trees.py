@@ -14,16 +14,20 @@ from adncount import (
     Topology,
     canonical_form,
     check_tables,
+    collection_budget,
+    collection_operands,
     enumerate_rooted_trees,
     gnp,
+    path,
     prune,
     ranrut,
     row_pairs,
     sizes_table,
+    star,
     tree_to_topology,
 )
 from adncount import trees
-from adncount.errors import InfeasibleDegreeBound, InvalidParameters
+from adncount.errors import InvalidParameters
 from adncount.trees import RANRUT_VARIANTS
 
 from helpers import (assert_same_snapshot, is_path_graph, max_graph_degree,
@@ -146,7 +150,7 @@ def test_prune_noop_returns_input_unchanged():
 
 
 def test_prune_rejects_infeasible_bound():
-    with pytest.raises(InfeasibleDegreeBound):
+    with pytest.raises(InvalidParameters):
         prune([-1, 0, 0, 0], 1, random.Random(0))
 
 
@@ -227,8 +231,8 @@ def assert_prune_is_the_walk(parents, delta, rng):
     twin.setstate(rng.getstate())
     try:
         want = prune_walk_oracle(parents, delta, twin)
-    except InfeasibleDegreeBound as error:
-        with pytest.raises(InfeasibleDegreeBound, match=f"^{re.escape(str(error))}$"):
+    except InvalidParameters as error:
+        with pytest.raises(InvalidParameters, match=f"^{re.escape(str(error))}$"):
             prune(parents, delta, rng)
     else:
         assert prune(parents, delta, rng) == want
@@ -324,19 +328,29 @@ def test_check_tables_detects_corruption(monkeypatch):
     assert any("sizes_table[6]" in line for line in lines)
 
 
-@pytest.mark.parametrize("call, error, message", [
-    (lambda: Topology(0, []), ValueError, "n must be >= 1"),
-    (lambda: Topology.from_json_dict({"n": 2, "leader": 1, "edges": [[0, 1]]}), ValueError,
+@pytest.mark.parametrize("call, message", [
+    (lambda: Topology(0, []), "n must be >= 1"),
+    (lambda: Topology(3, [(0, 0)]), "self-loop at 0"),
+    (lambda: Topology.from_json_dict({"n": 2, "leader": 1, "edges": [[0, 1]]}),
      "leader must be node 0"),
-    (lambda: Topology.from_json_dict({"n": 2, "leader": False, "edges": [[0, 1]]}), ValueError,
+    (lambda: Topology.from_json_dict({"n": 2, "leader": False, "edges": [[0, 1]]}),
      "leader must be node 0"),
     (lambda: Topology.from_json_dict({"n": 2, "edges": [[0, 1]], "leader_id": 0}),
-     InvalidParameters, "unknown topology keys: leader_id"),
-    (lambda: gnp(1, 0.5, random.Random(0)), ValueError, "gnp requires n >= 2"),
-    (lambda: prune([-1, 0], 0, random.Random(0)), InfeasibleDegreeBound, "delta must be >= 1"),
-    (lambda: enumerate_rooted_trees(0), ValueError, "n must be >= 1"),
-], ids=["topology-empty", "leader-not-0", "leader-false", "topology-key-unknown", "gnp-one-node",
-        "prune-delta-0", "enumerate-empty"])
-def test_library_refuses_bad_sizes(call, error, message):
-    with pytest.raises(error, match=message):
+     "unknown topology keys: leader_id"),
+    (lambda: star(1), "star requires n >= 2"),
+    (lambda: path(1), "path requires n >= 2"),
+    (lambda: gnp(1, 0.5, random.Random(0)), "gnp requires n >= 2"),
+    (lambda: gnp(5, 1.5, random.Random(0)), re.escape("p must be in [0, 1]")),
+    (lambda: ranrut(0, random.Random(0)), "n must be >= 1"),
+    (lambda: ranrut(5, random.Random(0), "bogus"), "unknown variant 'bogus'"),
+    (lambda: prune([-1, 0], 0, random.Random(0)), "delta must be >= 1"),
+    (lambda: enumerate_rooted_trees(0), "n must be >= 1"),
+    (lambda: collection_budget(64, 4), "exceeds 128 bits"),
+    (lambda: collection_operands(star(4), 2), "max degree 3 exceeds delta=2"),
+], ids=["topology-empty", "topology-self-loop", "leader-not-0", "leader-false",
+        "topology-key-unknown", "star-one-node", "path-one-node", "gnp-one-node", "gnp-p-above-1",
+        "ranrut-empty", "ranrut-variant-unknown", "prune-delta-0", "enumerate-empty",
+        "budget-past-128-bits", "operands-over-delta"])
+def test_library_refuses_bad_sizes(call, message):
+    with pytest.raises(InvalidParameters, match=message):
         call()
