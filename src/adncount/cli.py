@@ -101,7 +101,7 @@ def _cmd_generate(args) -> int:
     params = _params_from_flags(args, 1, (*FULL_DEGREE_FAMILIES, *UNDRAWN_FIRST))
     text = json.dumps(DynamicsSchedule(params).topology_at(1).to_json_dict()) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with experiment.open_file(args.out, "write JSON to", "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -135,12 +135,10 @@ def _cmd_sweep(args) -> int:
     experiment.check_workers(args.workers)
     # refuse an unwritable output before the first run; appending keeps the
     # bytes of an existing file until the export writes it
-    for path, kind in ((args.out_csv, "CSV"), (args.out_json, "JSON")):
+    for path, action in ((args.out_csv, "write CSV to"), (args.out_json, "write JSON to")):
         if path:
-            try:
-                open(path, "a").close()
-            except OSError as exc:
-                raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
+            with experiment.open_file(path, action, "a"):
+                pass
     result = experiment.run_sweep(spec, workers=args.workers)
     if args.out_csv:
         experiment.export_csv(result, args.out_csv)

@@ -6,10 +6,10 @@ takes effect at rounds m*T + 1: the first change is visible at round
 T + 1 and every snapshot persists for exactly T rounds. T = inf means a
 static network.
 
-Per family, a change means: a fresh uniform rooted tree (pruned to the
-degree bound) or a fresh G(n, p) draw, or, for star and path, a uniform
-relabeling of the non-leader positions with the leader pinned to the
-star center / path endpoint. Every snapshot of epoch e is generated from
+Per family, a change means: a fresh ``paper-literal`` ranrut tree (pruned
+to the degree bound) or a fresh G(n, p) draw, or, for star and path, a
+uniform relabeling of the non-leader positions with the leader pinned to
+the star center / path endpoint. Every snapshot of epoch e is generated from
 the sub-seed derive_seed(seed, e), so sequences are reproducible and
 independent of anything else that consumes randomness. Since a snapshot
 depends on nothing else, a schedule builds the epochs it serves ahead, in
@@ -32,7 +32,7 @@ from .seeds import derive_seed, splitmix64
 # for perfbench/spans.py, which wraps them here
 from .topology import (Topology, gnp, gnp_topologies, path, path_topologies, star,  # noqa: F401
                        tree_to_topology, tree_topologies)
-from .trees import RANRUT_VARIANTS, prune, ranrut
+from .trees import prune, ranrut
 
 FAMILIES = ("random-tree", "star", "path", "gnp")
 # families that take delta = n - 1: a star's leader, and any node of a
@@ -68,8 +68,7 @@ def read_T(value):
 class ScheduleParams:
     """Inputs that define one dynamic-network instance, and the facts about
     its snapshot stream that follow from them. A parameter combination that
-    no schedule can serve raises InvalidParameters here. Every family
-    accepts either ranrut ``variant``; only random-tree streams read it."""
+    no schedule can serve raises InvalidParameters here."""
 
     family: str
     n: int
@@ -77,7 +76,6 @@ class ScheduleParams:
     T: float  # positive int, or math.inf for static
     seed: int
     p: float | None = None
-    variant: str = RANRUT_VARIANTS[0]
 
     def __post_init__(self):
         f, n, delta, T = self.family, self.n, self.delta, self.T
@@ -106,8 +104,6 @@ class ScheduleParams:
                 )
         elif self.p is not None:
             raise InvalidParameters(f"p is only meaningful for gnp, not {f}")
-        if self.variant not in RANRUT_VARIANTS:
-            raise InvalidParameters(f"unknown ranrut variant {self.variant!r}")
 
     @property
     def period(self) -> int | None:
@@ -206,7 +202,7 @@ class DynamicsSchedule:
             return path_topologies([_path_order(p.n, rng) for rng in rngs], p.delta)
         if p.family == "gnp":
             return gnp_topologies(p.n, p.p, rngs, p.delta)
-        parents = [ranrut(p.n, rng, p.variant) for rng in rngs]
+        parents = [ranrut(p.n, rng) for rng in rngs]
         labels = np.array(parents, dtype=np.intp)
         # every tree's degrees at once: its children, plus the parent edge
         # of each vertex but the root; only trees over the bound are pruned

@@ -13,6 +13,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 
@@ -351,13 +352,20 @@ def _csv_value(value) -> str:
     return "" if value is None else str(value)  # a float's str is its repr
 
 
+@contextmanager
+def open_file(path, action: str, mode: str, **options):
+    """``open``, with an OSError re-raised as ``cannot <action> <path>: <error>``."""
+    try:
+        with open(path, mode, **options) as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot {action} {path}: {exc}") from exc
+
+
 def export_csv(result: SweepResult, path) -> None:
     """Write the flat run table (exact header, LF line endings)."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(csv_text(result))
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    with open_file(path, "write CSV to", "w", newline="") as fh:
+        fh.write(csv_text(result))
 
 
 def csv_text(result: SweepResult) -> str:
@@ -370,12 +378,9 @@ def csv_text(result: SweepResult) -> str:
 
 
 def export_json(result: SweepResult, path) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
+    with open_file(path, "write JSON to", "w") as fh:
+        json.dump(result.to_json_dict(), fh, indent=1)
+        fh.write("\n")
 
 
 def read_json(path):
@@ -384,10 +389,8 @@ def read_json(path):
     or nested past the parser's recursion limit raises InvalidParameters;
     both messages start ``cannot read JSON from <path>:``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_file(path, "read JSON from", "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read JSON from {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise InvalidParameters(f"cannot read JSON from {path}: {exc}") from exc
 

@@ -102,11 +102,7 @@ class RunDiagnostics:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one full execution, including all input parameters but
-    the ranrut variant of a random-tree stream. Sweeps and ``run`` always
-    draw ``paper-literal``, so only a library caller can make a
-    ``same-copy`` record, and ``SweepResult.from_json_dict`` cannot tell
-    the two variants apart."""
+    """Outcome of one full execution, including every input of its run."""
 
     family: str
     n: int

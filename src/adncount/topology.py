@@ -43,7 +43,11 @@ class Topology:
             raise InvalidParameters("n must be >= 1")
         normalized = []
         seen = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InvalidParameters(f"edge {edge!r} is not a pair of nodes") from None
             if not (_is_index(u) and _is_index(v)):
                 raise InvalidParameters(f"edge ({u},{v}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
@@ -116,7 +120,7 @@ class Topology:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Topology":
         data = read_fields(data, "topology", _TOPOLOGY_CHECKS, {"leader": 0})
-        return cls(data["n"], [tuple(e) for e in data["edges"]])
+        return cls(data["n"], data["edges"])
 
 
 _TOPOLOGY_CHECKS = {"n": INTEGER, "edges": LIST,

@@ -16,8 +16,8 @@ increasing order.
 ``ranrut`` has two variants. ``same-copy`` attaches j structurally
 identical copies of one recursive draw, which is the classic sampler whose
 output is uniform over isomorphism classes. ``paper-literal`` draws the j
-subtrees independently and is the default used by the sweep harness, even
-though its output distribution is not exactly uniform.
+subtrees independently and is the default, which every snapshot stream
+draws, even though its output distribution is not exactly uniform.
 
 ``enumerate_rooted_trees`` is an independent brute-force oracle (canonical
 nested-tuple forms); it never consults the counting recurrence and is used

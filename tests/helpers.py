@@ -1,12 +1,13 @@
 """Shared test oracles, kept independent of the library's own update paths."""
 
 import importlib.util
+import random
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
-from adncount import Topology
+from adncount import Topology, derive_seed, gnp, path, prune, ranrut, star, tree_to_topology
 from adncount.errors import InvalidParameters
 from adncount.protocol import collection_operands, collection_round
 
@@ -297,6 +298,40 @@ class ListSchedule:
 
     def topology_at(self, r):
         return self._snapshots[(r - 1) // self.params.T % len(self._snapshots)]
+
+
+def epoch_snapshot(params, epoch, variant="paper-literal"):
+    """Epoch ``epoch`` of a schedule's stream, built on its own from the
+    single-snapshot generators (permuted paths through the validating
+    constructor). Random trees are drawn in ranrut's ``variant``; a
+    schedule's own are ``paper-literal``."""
+    if params.family == "star":
+        return star(params.n)
+    if params.family == "path" and epoch == 0:
+        return path(params.n)
+    rng = random.Random(derive_seed(params.seed, epoch))
+    if params.family == "path":
+        labels = list(range(1, params.n))
+        rng.shuffle(labels)
+        order = [0] + labels
+        return Topology(params.n, zip(order, order[1:]))
+    if params.family == "gnp":
+        return gnp(params.n, params.p, rng)
+    tree = prune(ranrut(params.n, rng, variant), params.delta, rng)
+    return tree_to_topology(tree)
+
+
+class VariantSchedule:
+    """The stream of a finite-T ``params`` with its random trees drawn in
+    ranrut's ``variant``: epoch e's snapshot is ``epoch_snapshot(params, e,
+    variant)``, built on every read."""
+
+    def __init__(self, params, variant):
+        self.params = params
+        self.variant = variant
+
+    def topology_at(self, r):
+        return epoch_snapshot(self.params, (r - 1) // self.params.T, self.variant)
 
 
 def prufer_tree(n, sequence):

@@ -258,6 +258,8 @@ BAD_JSON = {"not-utf8.json": b"\xff", "deep.json": b"[" * 10000}
     (["sweep", "--spec", "{spec}", "--out-json", "{tmp}/missing/runs.json"], {},
      "cannot write JSON to"),
     (["check-bound", "--in-json", "{tmp}/missing.json"], {}, "cannot read JSON from"),
+    (["generate", "--family", "star", "--n", "4", "--out", "{tmp}/missing/star.json"], {},
+     "cannot write JSON to {tmp}/missing/star.json: "),
     (["sweep", "--spec", "{spec}"], {"repetitions": LEAVE_OUT},
      "missing sweep spec keys: repetitions"),
     (["run", "--family", "star", "--n", "3", "--c", "inf"], {},
@@ -275,9 +277,9 @@ BAD_JSON = {"not-utf8.json": b"\xff", "deep.json": b"[" * 10000}
     (["check-bound", "--in-json", "{tmp}/not-utf8.json"], {}, "cannot read JSON from"),
     (["sweep", "--spec", "{tmp}/deep.json"], {}, "cannot read JSON from"),
 ], ids=["run-tree-no-delta", "spec-no-families", "spec-no-T", "csv-dir-missing",
-        "json-dir-missing", "in-json-missing", "spec-no-repetitions", "run-c-inf", "run-c-40",
-        "spec-c-infinity", "spec-c-10", "workers-0", "spec-not-utf8", "in-json-not-utf8",
-        "spec-too-deep"])
+        "json-dir-missing", "in-json-missing", "generate-dir-missing", "spec-no-repetitions",
+        "run-c-inf", "run-c-40", "spec-c-infinity", "spec-c-10", "workers-0", "spec-not-utf8",
+        "in-json-not-utf8", "spec-too-deep"])
 def test_bad_input_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv, overrides,
                                             message):
     calls = []
@@ -290,11 +292,12 @@ def test_bad_input_exits_2_with_its_message(monkeypatch, tmp_path, capsys, argv,
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {message}")
+    assert err.startswith(f"error: {message.format(tmp=tmp_path)}")
     if argv[0] == "sweep":
         assert calls == []  # a sweep refuses bad inputs and outputs before its first run
     # no output file is left behind
-    outputs = [path for flag, path in zip(argv, argv[1:]) if flag in ("--out-csv", "--out-json")]
+    outputs = [path for flag, path in zip(argv, argv[1:])
+               if flag in ("--out", "--out-csv", "--out-json")]
     assert not any(map(os.path.exists, outputs))
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +361,17 @@ def test_csv_single_record_schema():
     assert fields[6] == "1.01"
     assert fields[9] == "3"  # estimate
     assert fields[14] == "ok"
+
+
+def test_readme_formats_are_the_code_formats():
+    # the README's spec file example is a spec the reader accepts, and its
+    # CSV schema block is the header the export writes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    spec = SweepSpec.from_json_dict(json.loads(example))
+    assert spec.families == ("random-tree",)
+    schema = readme.split("### CSV schema\n", 1)[1].split("```")[1]
+    assert schema.strip() == CSV_HEADER
 
 
 @pytest.mark.parametrize("name", sorted(DEDUP_SPECS))

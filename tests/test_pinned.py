@@ -35,6 +35,7 @@ from adncount import (
     tree_to_topology,
 )
 from adncount.errors import RoundLimitExceeded
+from helpers import VariantSchedule
 
 # Four families in one grid: random-tree at delta 2 and 4 (prune fires) with
 # fresh trees every round (T = 1) and every 7 rounds; path at finite T, so
@@ -128,7 +129,14 @@ def test_pinned_round_limit_record():
 
 @pytest.mark.parametrize("delta,variant", sorted(TREE_RECORDS_SHA256))
 def test_pinned_random_tree_record(delta, variant):
-    rec = count(DynamicsSchedule(ScheduleParams("random-tree", 30, delta, 1, 0, variant=variant)))
+    params = ScheduleParams("random-tree", 30, delta, 1, 0)
+    # schedules draw paper-literal trees; a stream of the same epochs in
+    # the other variant is built test-side
+    if variant == "paper-literal":
+        stream = DynamicsSchedule(params)
+    else:
+        stream = VariantSchedule(params, variant)
+    rec = count(stream)
     assert rec.estimate == 30
     assert record_sha256(rec) == TREE_RECORDS_SHA256[delta, variant]
 

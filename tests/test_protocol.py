@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -683,3 +684,22 @@ def test_run_record_json_round_trip():
     assert again == rec
     static = count(DynamicsSchedule(ScheduleParams("path", 4, 2, math.inf, 2)))
     assert RunRecord.from_json_dict(static.to_json_dict()) == static  # T=inf survives
+
+
+@pytest.mark.parametrize("params, config", [
+    (ScheduleParams("random-tree", 8, 3, 1, 5), ProtocolConfig()),
+    (ScheduleParams("path", 8, 2, math.inf, 6), ProtocolConfig()),
+    (ScheduleParams("star", 6, 5, 4, 7), ProtocolConfig()),
+    (ScheduleParams("gnp", 8, 7, 10, 8, p=0.3), ProtocolConfig(disconnection_tolerant=True)),
+], ids=["random-tree-T1", "path-static", "star", "gnp-tolerant"])
+def test_record_names_and_rebuilds_its_run(params, config):
+    # every stream and engine input is a record field, so a record's own
+    # fields rebuild its run, and the rebuilt run gives the same record
+    names = {f.name for f in fields(ScheduleParams) + fields(ProtocolConfig)}
+    assert names <= record_inputs(params, config).keys()
+    rec = count(DynamicsSchedule(params), config)
+    rebuilt = ScheduleParams(**{f.name: getattr(rec, f.name) for f in fields(ScheduleParams)})
+    assert rebuilt == params
+    rebuilt_config = ProtocolConfig(**{f.name: getattr(rec, f.name)
+                                       for f in fields(ProtocolConfig)})
+    assert count(DynamicsSchedule(rebuilt), rebuilt_config) == rec

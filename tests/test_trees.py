@@ -331,6 +331,13 @@ def test_check_tables_detects_corruption(monkeypatch):
 @pytest.mark.parametrize("call, message", [
     (lambda: Topology(0, []), "n must be >= 1"),
     (lambda: Topology(3, [(0, 0)]), "self-loop at 0"),
+    (lambda: Topology(3, [(0,)]), re.escape("edge (0,) is not a pair of nodes")),
+    (lambda: Topology.from_json_dict({"n": 2, "leader": 0, "edges": [[0]]}),
+     re.escape("edge [0] is not a pair of nodes")),
+    (lambda: Topology.from_json_dict({"n": 2, "leader": 0, "edges": [5]}),
+     "edge 5 is not a pair of nodes"),
+    (lambda: Topology.from_json_dict({"n": 3, "leader": 0, "edges": [[0, 1, 2]]}),
+     re.escape("edge [0, 1, 2] is not a pair of nodes")),
     (lambda: Topology.from_json_dict({"n": 2, "leader": 1, "edges": [[0, 1]]}),
      "leader must be node 0"),
     (lambda: Topology.from_json_dict({"n": 2, "leader": False, "edges": [[0, 1]]}),
@@ -347,7 +354,8 @@ def test_check_tables_detects_corruption(monkeypatch):
     (lambda: enumerate_rooted_trees(0), "n must be >= 1"),
     (lambda: collection_budget(64, 4), "exceeds 128 bits"),
     (lambda: collection_operands(star(4), 2), "max degree 3 exceeds delta=2"),
-], ids=["topology-empty", "topology-self-loop", "leader-not-0", "leader-false",
+], ids=["topology-empty", "topology-self-loop", "edge-one-node", "json-edge-one-node",
+        "json-edge-not-a-list", "json-edge-three-nodes", "leader-not-0", "leader-false",
         "topology-key-unknown", "star-one-node", "path-one-node", "gnp-one-node", "gnp-p-above-1",
         "ranrut-empty", "ranrut-variant-unknown", "prune-delta-0", "enumerate-empty",
         "budget-past-128-bits", "operands-over-delta"])
