@@ -19,7 +19,10 @@ the number of pairs the change won (ties count for neither side). A run
 that is not ``correct`` or that reports failed runs is flagged, and so is
 a pair whose two sides print different ``csv_sha256 ... (round 0)``
 lines (``OUTPUT DIFFERS``); either makes the exit status 1, and the
-metrics of the runs still count.
+metrics of the runs still count. After the pairs, each side runs each
+workload once more with ``--trace 1 --seconds 1`` on the first seed: the
+traced run checks, besides the outputs, one kernel call per simulated
+round, and one that is not ``correct`` makes the exit status 1 too.
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[dict, str]:
     """One ``perfbench/run.py`` run in ``checkout``: its final JSON object,
     and its ``csv_sha256`` line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -99,6 +103,14 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: OUTPUT DIFFERS: parent {digests['parent']!r}, "
                       f"change {digests['change']!r}", flush=True)
 
+    for workload in args.workload:
+        for side, checkout in sides.items():
+            result, _ = run_once(checkout, workload, args.seeds[0], 1, trace=1)
+            ok = result["correct"] and result["failed"] == 0
+            flagged += not ok
+            print(f"{workload} seed {args.seeds[0]} {side} --trace 1: "
+                  + ("correct" if ok else "NOT CORRECT"), flush=True)
+
     pairs = len(args.seeds)
     for workload in args.workload:
         print(f"{workload}: {pairs} pairs, --seconds {args.seconds}")
@@ -112,8 +124,8 @@ def main(argv=None) -> int:
                   f"change {cm:.6g} [{c1:.6g}, {c3:.6g}], median {100 * (cm / pm - 1):+.1f} %, "
                   f"change wins {wins}/{pairs}, parent quartile distance {p3 - p1:.6g}")
     if flagged:
-        print(f"{flagged} runs were not correct or reported failed runs, or pairs whose "
-              "outputs differ", file=sys.stderr)
+        print(f"{flagged} runs (traced ones included) were not correct or reported failed "
+              "runs, or pairs whose outputs differ", file=sys.stderr)
         return 1
     return 0
 

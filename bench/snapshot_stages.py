@@ -47,10 +47,16 @@ it, ``verification_round``, ``notification_round`` and ``heard_round``
 Each kernel gets the snapshot's operands, read once before the batch, as
 ``count`` reads them once per epoch.
 Each batch is ``KERNEL_CALLS`` calls on one input; the fastest and median
-of ``REPEATS`` batches are reported. ``count_static_path`` times
+of ``REPEATS`` batches are reported. ``fold_us_per_block`` times, in the
+same batches, the diagnostics fold of one full block of post-round
+energies at n = 30, as ``count`` folds one per block of collection
+rounds. ``count_static_path`` times
 ``COUNT_RUNS`` static path runs at n = 30 and delta = 2 (every run has the
 same 40 769 rounds) and reports µs per round, and the engine's overhead per
 round: that figure minus the median path kernel time of each round's phase.
+The overhead splits into ``fold_us_per_round``, the run's non-empty folds
+each at the median full-block time (a partial block costs at most that),
+and ``loop_us_per_round``, the rest.
 
 ``acceptance_grids`` runs each grid of ``GRID_SPECS`` in
 ``tests/test_acceptance.py`` once through ``run_sweep`` with one worker,
@@ -229,6 +235,19 @@ def kernel_costs(libs, calls, repeats):
     return result
 
 
+def fold_cost(libs, calls, repeats):
+    """Per side, scaled µs per diagnostics fold of a full block of random
+    energies at n = N."""
+    def fold_call(adn):
+        import numpy as np
+
+        protocol = adn.protocol
+        block = np.random.default_rng(SEED).random((protocol._BLOCK, N))
+        return protocol._Diagnostics().fold, (block, 0.0, N)
+
+    return per_call_us({side: fold_call(adn) for side, adn in libs.items()}, calls, repeats)
+
+
 def count_cost(libs, schedule):
     """Per side, scaled µs per round of one ``count`` per seed, on
     ``schedule(adn, seed)`` for seeds 0 .. COUNT_RUNS - 1."""
@@ -264,18 +283,24 @@ def static_path_schedule(adn, seed):
     return adn.DynamicsSchedule(adn.ScheduleParams("path", N, 2, math.inf, seed))
 
 
-def static_path_cost(libs, kernels):
+def static_path_cost(libs, kernels, fold):
     """``count_cost`` of static paths, plus the engine overhead per round:
     the median µs per round less the median path kernel time of each
-    round's phase (every static path run has the same rounds)."""
+    round's phase (every static path run has the same rounds), split into
+    the folds' share and the loop's."""
     result = count_cost(libs, static_path_schedule)
     for side, adn in libs.items():
         record = adn.count(static_path_schedule(adn, 0))
         path_us = kernels[side]["path"]
         kernel_us = sum(getattr(record, f"rounds_{phase}") * path_us[f"{phase}_round"]["median_us"]
                         for phase in ("collection", "verification", "notification"))
-        result[side]["overhead_us_per_round"] = round(
-            result[side]["median_run_us_per_round"] - kernel_us / record.rounds_total, 2)
+        rows = adn.protocol._BLOCK
+        folds = sum(-(-t.collection // rows) for t in record.per_k_trace)
+        overhead = result[side]["median_run_us_per_round"] - kernel_us / record.rounds_total
+        fold_us = folds * fold[side]["median_us"] / record.rounds_total
+        result[side].update(overhead_us_per_round=round(overhead, 2),
+                            fold_us_per_round=round(fold_us, 2),
+                            loop_us_per_round=round(overhead - fold_us, 2))
     return result
 
 
@@ -441,11 +466,13 @@ def main(argv=None) -> int:
     import numpy as np
 
     kernels = kernel_costs(libs, KERNEL_CALLS, REPEATS)
+    fold = fold_cost(libs, KERNEL_CALLS, REPEATS)
     sections = {
         "served_epochs_us_T1": served_epoch_costs(libs, EPOCHS, REPEATS, SEED),
         "kernels_us_per_call": kernels,
+        "fold_us_per_block": fold,
         "count_T1_delta4": count_cost(libs, tree_T1_schedule),
-        "count_static_path": static_path_cost(libs, kernels),
+        "count_static_path": static_path_cost(libs, kernels, fold),
         "acceptance_grids": acceptance_grid_passes(libs),
     }
     report = {

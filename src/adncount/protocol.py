@@ -232,6 +232,12 @@ def _two_delta(delta: int) -> np.ndarray:
     return divisor
 
 
+# The kernels' numpy calls, bound once: a module global is found faster
+# than an attribute of np, and outputs go in place, passed positionally.
+_multiply, _divide, _add, _bincount = np.multiply, np.divide, np.add, np.bincount
+_maximum_at, _bitwise_or_at = np.maximum.at, np.bitwise_or.at
+
+
 def collection_round(energy: np.ndarray, operands: tuple,
                      out: np.ndarray | None = None) -> np.ndarray:
     """One energy-exchange round as a sparse per-edge update, on the
@@ -245,11 +251,13 @@ def collection_round(energy: np.ndarray, operands: tuple,
     new array; ``out`` must not share memory with ``energy``.
     """
     retain, src, dst, two_delta = operands
-    new = np.multiply(retain, energy, out=out)
+    new = _multiply(retain, energy, out)
+    # without pairs bincount returns int64 zeros, which cannot take the
+    # float quotient in place
     if src.size:
-        inflow = np.bincount(dst, energy[src], energy.size)
-        inflow /= two_delta
-        new += inflow
+        inflow = _bincount(dst, energy[src], energy.size)
+        _divide(inflow, two_delta, inflow)
+        _add(new, inflow, new)
     return new
 
 
@@ -259,17 +267,17 @@ def verification_round(values: np.ndarray, pairs: tuple) -> np.ndarray:
     new = values.copy()
     src, dst = pairs
     if src.size:
-        np.maximum.at(new, dst, values[src])
+        _maximum_at(new, dst, values[src])
     return new
 
 
 def notification_round(halt: np.ndarray, pairs: tuple) -> np.ndarray:
     """OR-gossip round over neighbors and self; ``pairs`` is the snapshot's
-    ``symmetric_arrays()``."""
+    ``symmetric_arrays()``. An OR does not depend on order, so one
+    assignment to the neighbors of every raised flag gives its bits."""
     new = halt.copy()
     src, dst = pairs
-    if src.size:
-        np.logical_or.at(new, dst, halt[src])
+    new[dst[halt[src]]] = True
     return new
 
 
@@ -285,7 +293,7 @@ def heard_round(heard: np.ndarray, pairs: tuple) -> np.ndarray:
     src, dst = pairs
     if src.size:
         for word, row in zip(new, heard):
-            np.bitwise_or.at(word, dst, row[src])
+            _bitwise_or_at(word, dst, row[src])
     return new
 
 
@@ -322,8 +330,11 @@ class _Diagnostics:
         nonleader = float(block[:, 1:].max())
         self.max_nonleader_energy = max(self.max_nonleader_energy, nonleader)
         self.min_energy = min(self.min_energy, float(block.min()))
-        gain = float(np.diff(block[:, 0], prepend=prev_leader).min())
-        self.min_leader_gain = min(self.min_leader_gain, gain)
+        leader = block[:, 0]
+        gain = leader[0] - prev_leader
+        if len(leader) > 1:
+            gain = min(gain, (leader[1:] - leader[:-1]).min())
+        self.min_leader_gain = min(self.min_leader_gain, float(gain))
 
     def freeze(self) -> RunDiagnostics:
         return RunDiagnostics(

@@ -9,7 +9,8 @@ import numpy as np
 
 from adncount import Topology, derive_seed, gnp, path, prune, ranrut, star, tree_to_topology
 from adncount.errors import InvalidParameters
-from adncount.protocol import collection_operands, collection_round
+from adncount.protocol import (_Diagnostics, collection_operands, collection_round,
+                               heard_round, notification_round, verification_round)
 
 
 def load_perfbench(name):
@@ -72,6 +73,83 @@ def heard_words(sets):
     words = -(-len(sets) // 64)
     return np.array([[s >> 64 * w & (1 << 64) - 1 for s in sets] for w in range(words)],
                     dtype=np.uint64)
+
+
+# The round kernels and the diagnostics fold as first written, one numpy
+# call per step with keyword outputs and ufunc.at scatters. The library's
+# kernels must give the same bytes: they do the same floating-point
+# operations in the same order, by cheaper call forms.
+
+def collection_round_oracle(energy, operands, out=None):
+    retain, src, dst, two_delta = operands
+    new = np.multiply(retain, energy, out=out)
+    if src.size:
+        inflow = np.bincount(dst, energy[src], energy.size)
+        inflow /= two_delta
+        new += inflow
+    return new
+
+
+def verification_round_oracle(values, pairs):
+    new = values.copy()
+    src, dst = pairs
+    if src.size:
+        np.maximum.at(new, dst, values[src])
+    return new
+
+
+def notification_round_oracle(halt, pairs):
+    new = halt.copy()
+    src, dst = pairs
+    if src.size:
+        np.logical_or.at(new, dst, halt[src])
+    return new
+
+
+def heard_round_oracle(heard, pairs):
+    new = heard.copy()
+    src, dst = pairs
+    if src.size:
+        for word, row in zip(new, heard):
+            np.bitwise_or.at(word, dst, row[src])
+    return new
+
+
+class DiagnosticsOracle(_Diagnostics):
+    """``_Diagnostics`` with the leader gains taken by ``np.diff``."""
+
+    def fold(self, block, prev_leader, n):
+        if not len(block):
+            return
+        err = float(np.abs(block.sum(axis=1) - (n - 1.0)).max())
+        self.max_conservation_error = max(self.max_conservation_error, err)
+        nonleader = float(block[:, 1:].max())
+        self.max_nonleader_energy = max(self.max_nonleader_energy, nonleader)
+        self.min_energy = min(self.min_energy, float(block.min()))
+        gain = float(np.diff(block[:, 0], prepend=prev_leader).min())
+        self.min_leader_gain = min(self.min_leader_gain, gain)
+
+
+def assert_kernels_match_oracles(topology, delta, rng):
+    """Every round kernel, on ``topology``'s operands and random inputs
+    from the numpy Generator ``rng``, gives the bytes of its oracle;
+    ``collection_round`` with and without ``out``, which it returns."""
+    n = topology.n
+    energy = rng.random(n)
+    operands = collection_operands(topology, delta)
+    want = collection_round_oracle(energy, operands).tobytes()
+    assert collection_round(energy, operands).tobytes() == want
+    row = np.full(n, np.nan)
+    assert collection_round(energy, operands, row) is row
+    assert row.tobytes() == want
+    pairs = topology.symmetric_arrays()
+    assert (verification_round(energy, pairs).tobytes()
+            == verification_round_oracle(energy, pairs).tobytes())
+    for halt in (rng.random(n) < 0.3, np.arange(n) == 0):
+        assert (notification_round(halt, pairs).tobytes()
+                == notification_round_oracle(halt, pairs).tobytes())
+    heard = rng.integers(0, 2**64, (-(-n // 64), n), dtype=np.uint64)
+    assert heard_round(heard, pairs).tobytes() == heard_round_oracle(heard, pairs).tobytes()
 
 
 def dense_share_matrix(topology, delta):

@@ -3,7 +3,9 @@ functions where the engine looks them up, by reading
 ``owner.__dict__[attr]``. A renamed or deleted name would surface only as a
 KeyError under ``perfbench/run.py --trace 1``, so every name is checked
 here, without installing the tracer. A name the engine no longer calls
-would leave its span at 0, so small traced sweeps check which spans fire.
+would leave its span at 0, so small traced sweeps check which spans fire,
+and that the kernels are called once per simulated round, as
+``perfbench/run.py --trace 1`` requires.
 The benchmark's own sweep specs are checked to stay valid, one grid point
 each, and to pass its set-up probe."""
 
@@ -78,6 +80,10 @@ def test_spans_that_read_zero(tmp_path, capsys, family):
     capsys.readouterr()
     calls = tracer.per_layer()
     assert {span for span in spans.SPAN_NAMES if calls[f"{span}.calls"][0] == 0} == zero
+    # perfbench/run.py --trace 1 reads correct: false without one kernel
+    # call per simulated round (a kernel inlined, reached through a local
+    # alias, or a round skipped)
+    assert tracer.kernel_calls() == tracer.rounds
 
 
 def test_benchmark_specs_are_one_valid_point(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -32,10 +32,11 @@ from adncount import (
     verification_rounds,
 )
 from adncount.errors import InvalidParameters, RoundLimitExceeded
-from adncount.protocol import record_inputs
+from adncount.protocol import _Diagnostics, record_inputs
 
-from helpers import (ListSchedule, checks, dense_share_matrix, heard_oracle, heard_words,
-                     reference, spectral_collection_lengths)
+from helpers import (DiagnosticsOracle, ListSchedule, assert_kernels_match_oracles, checks,
+                     dense_share_matrix, heard_oracle, heard_words, reference,
+                     spectral_collection_lengths)
 
 
 # ---------------------------------------------------------------- rounds
@@ -153,6 +154,39 @@ def test_heard_round_matches_int_oracle(n, p):
             words = heard_round(words, topology.symmetric_arrays())
             assert words.shape == (-(-n // 64), n)
             assert words.tolist() == heard_words(sets).tolist()
+
+
+@pytest.mark.parametrize("topo, delta", [
+    (Topology(5, []), 2),
+    (Topology(4, [(0, 1), (1, 2)]), 2),
+    (path(2), 1),
+    (Topology(2, []), 1),
+    (star(9), 8),
+    (gnp(75, 0.3, random.Random(3)), 74),
+], ids=["no-pairs", "isolated-node", "n2", "n2-no-edges", "star", "two-words"])
+def test_kernels_match_oracles_on_edge_cases(topo, delta):
+    # without pairs bincount gives int64 zeros, which must not reach the
+    # in-place float divide
+    assert_kernels_match_oracles(topo, delta, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 256])
+def test_fold_matches_oracle(rows):
+    # leader energies from three levels, two of them 2^-40 apart, so
+    # consecutive rows often repeat one and the first row's gain over
+    # prev_leader is sometimes the least
+    rng = np.random.default_rng(rows)
+    levels = [0.5, 0.75, 0.75 + 2**-40]
+    for _ in range(20):
+        block = rng.random((rows, 9))
+        block[:, 0] = rng.choice(levels, rows)
+        prev_leader = float(rng.choice(levels))
+        folded, oracle = _Diagnostics(), DiagnosticsOracle()
+        for diagnostics in (folded, oracle):
+            diagnostics.fold(block, prev_leader, 9)
+            diagnostics.fold(block[::-1], block[-1, 0], 9)
+        assert (np.array(astuple(folded.freeze())).tobytes()
+                == np.array(astuple(oracle.freeze())).tobytes())
 
 
 # ---------------------------------------------------------- phase lengths

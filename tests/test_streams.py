@@ -3,13 +3,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, Topology, count, path, star
 from adncount.protocol import record_inputs
-from helpers import ListSchedule, checks, prufer_tree, replay_stream
+from helpers import (ListSchedule, assert_kernels_match_oracles, checks, prufer_tree,
+                     replay_stream)
 
 
 @pytest.mark.parametrize("params", [
@@ -85,17 +87,22 @@ def connected_streams(draw):
     return ListSchedule(*connected_graphs(draw))
 
 
-@st.composite
-def disconnecting_streams(draw):
-    """A ListSchedule of ``connected_graphs`` with drawn edges dropped from
-    every graph but the first, which stays whole, so the stream is connected
-    once per pass over the list and may be disconnected in between."""
+def disconnecting_graphs(draw):
+    """``connected_graphs`` with drawn edges dropped from every graph but
+    the first, which stays whole, so the stream is connected once per pass
+    over the list and may be disconnected in between."""
     params, graphs = connected_graphs(draw)
     for i, graph in enumerate(graphs[1:], 1):
         keep = draw(st.lists(st.booleans(), min_size=len(graph.edges),
                              max_size=len(graph.edges)))
         graphs[i] = Topology(params.n, [e for e, kept in zip(graph.edges, keep) if kept])
-    return ListSchedule(params, graphs)
+    return params, graphs
+
+
+@st.composite
+def disconnecting_streams(draw):
+    """A ListSchedule of ``disconnecting_graphs``."""
+    return ListSchedule(*disconnecting_graphs(draw))
 
 
 def assert_stream_properties(stream, tolerant=False):
@@ -123,3 +130,13 @@ def test_degree_bounded_connected_streams(stream):
 @given(disconnecting_streams())
 def test_disconnecting_streams_in_tolerant_mode(stream):
     assert_stream_properties(stream, tolerant=True)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([degree_bounded_trees, connected_graphs, disconnecting_graphs]),
+       st.data(), st.integers(0, 2**32))
+def test_kernels_match_oracles_on_stream_snapshots(graphs, data, seed):
+    params, snapshots = graphs(data.draw)
+    rng = np.random.default_rng(seed)
+    for topology in snapshots:
+        assert_kernels_match_oracles(topology, params.delta, rng)
