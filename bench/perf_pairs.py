@@ -15,7 +15,8 @@ Each run's metrics are printed as it ends. At the end, per workload and
 for every end-to-end metric of ``BENCHMARK.json`` (read from the change's
 checkout, for the direction in which each metric is better), it prints
 the medians and quartiles of both sides, the change of the median, and
-the number of pairs the change won (ties count for neither side). A run
+the number of pairs the change won (ties count for neither side), and a
+verdict under the rules by which a change is accepted (``verdict``). A run
 that is not ``correct`` or that reports failed runs is flagged, and so is
 a pair whose two sides print different ``csv_sha256 ... (round 0)``
 lines (``OUTPUT DIFFERS``); either makes the exit status 1, and the
@@ -67,6 +68,37 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change is better; a tie counts for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's verdict over paired runs, ``better`` being "higher" or
+    "lower" and ``bound`` the metric's relative bound in BENCHMARK.json:
+
+    - ``gain``: the change wins at least 9 of every 10 pairs, and its median
+      is better than the parent's by more than the parent's quartile
+      distance;
+    - ``regression``: the change's median is worse than the parent's by
+      more than ``bound`` of the parent's median;
+    - ``unresolved``: neither, and the parent's quartile distance exceeds
+      ``bound`` of its median, so a regression could hide in its spread;
+    - ``flat``: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and sign * (cm - pm) > p3 - p1:
+        return "gain"
+    if sign * (cm - pm) < -bound * abs(pm):
+        return "regression"
+    if p3 - p1 > bound * abs(pm):
+        return "unresolved"
+    return "flat"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -79,7 +111,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bound = {m["name"]: m["bound"] for m in end_to_end}
     sides = {"parent": args.parent, "change": args.change}
     flagged = 0
     # per workload, side and metric: the values of every pair
@@ -116,13 +150,13 @@ def main(argv=None) -> int:
         print(f"{workload}: {pairs} pairs, --seconds {args.seconds}")
         for m, direction in better.items():
             parent, change = values[workload]["parent"][m], values[workload]["change"][m]
-            sign = 1 if direction == "higher" else -1
-            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             p1, pm, p3 = quartiles(parent)
             c1, cm, c3 = quartiles(change)
+            won = wins(parent, change, direction)
             print(f"  {m} ({direction} is better): parent {pm:.6g} [{p1:.6g}, {p3:.6g}], "
                   f"change {cm:.6g} [{c1:.6g}, {c3:.6g}], median {100 * (cm / pm - 1):+.1f} %, "
-                  f"change wins {wins}/{pairs}, parent quartile distance {p3 - p1:.6g}")
+                  f"change wins {won}/{pairs}, parent quartile distance {p3 - p1:.6g}")
+            print(f"    verdict: {verdict(parent, change, direction, bound[m])}")
     if flagged:
         print(f"{flagged} runs (traced ones included) were not correct or reported failed "
               "runs, or pairs whose outputs differ", file=sys.stderr)

@@ -64,7 +64,14 @@ and reports its rows, its ``count`` calls (a sweep runs each
 seed-invariant stream once and copies the record to the other rows) and
 its wall time in seconds.
 
-Every timed sample (a batch, a run, a served pass or a grid pass) is
+``startup`` starts fresh interpreters on each side's ``src/``:
+``modules`` is the sorted list of top-level modules that ``import
+adncount.cli`` adds on top of ``import numpy`` in one of them, and
+``median_ms`` the median wall time of ``STARTUP_RUNS`` interpreters that
+only run ``import adncount.cli`` (numpy included), the sides alternating.
+
+Every timed sample (a batch, a run, a served pass, a grid pass or a fresh
+interpreter) is
 scaled, as in ``perfbench/run.py``, by ``CAL_REF_S`` over the mean of the
 calibration slices just before and just after it (``calibrate`` and
 ``CAL_REF_S``, loaded from ``perfbench/run.py``), so the figures read in
@@ -87,6 +94,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 from time import perf_counter, perf_counter_ns
 
@@ -100,11 +108,12 @@ GNP_P = 0.3
 GNP_WIDE_N = 75
 EPOCHS = 2000  # served epochs per schedule
 KERNEL_CALLS = 5000  # per batch
+STARTUP_RUNS = 21  # fresh interpreters per side
 # (family, n, delta, p) of each served point
 SERVED_POINTS = (*(("random-tree", n, delta, None) for n, delta in TREE_POINTS),
                  ("gnp", N, N - 1, GNP_P), ("path", N, 2, None), ("star", N, N - 1, None))
 STAGES = ("seed", "ranrut", "prune", "shuffle", "convert", "operands")
-MEDIANS = ("median_us", "median_run_us_per_round", "seconds")
+MEDIANS = ("median_us", "median_run_us_per_round", "seconds", "median_ms")
 
 
 def load_benchmark():
@@ -439,6 +448,34 @@ def acceptance_grid_passes(libs):
     return {side: dict(zip(names, runs)) for side, runs in passes.items()}
 
 
+def startup_costs(sources):
+    """Per side, of fresh interpreters importing from its ``src`` in
+    ``sources``: the top-level modules ``import adncount.cli`` adds to
+    numpy's, and the scaled median milliseconds of the import."""
+    def python(side, body):
+        return [sys.executable, "-c", f"import sys; sys.path.insert(0, {sources[side]!r}); {body}"]
+
+    top_level = "{name.partition('.')[0] for name in sys.modules}"
+
+    def start(side, _):
+        def timed():
+            t0 = perf_counter()
+            subprocess.run(python(side, "import adncount.cli"), check=True)
+            return perf_counter() - t0
+
+        seconds, scale = scaled(timed)
+        return seconds * scale * 1e3
+
+    result = {}
+    for side, ms in alternate(list(sources), STARTUP_RUNS, start).items():
+        added = subprocess.run(
+            python(side, f"import numpy; before = {top_level}; import adncount.cli; "
+                         f"print(*sorted({top_level} - before))"),
+            check=True, capture_output=True, text=True).stdout.split()
+        result[side] = {"modules": added, "median_ms": round(statistics.median(ms), 1)}
+    return result
+
+
 def median_change(parent, change):
     """The change's figure over the parent's, as a signed percentage, for
     every median and grid pass of two sides' reports, nested as they
@@ -461,8 +498,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="a parent checkout to measure side by side")
     args = parser.parse_args(argv)
     libs = {"change": load_library()}
+    sources = {"change": os.path.join(ROOT, "src")}
     if args.parent:
         libs = {"parent": load_parent(args.parent), **libs}
+        sources = {"parent": os.path.join(os.path.abspath(args.parent), "src"), **sources}
     import numpy as np
 
     kernels = kernel_costs(libs, KERNEL_CALLS, REPEATS)
@@ -474,6 +513,7 @@ def main(argv=None) -> int:
         "count_T1_delta4": count_cost(libs, tree_T1_schedule),
         "count_static_path": static_path_cost(libs, kernels, fold),
         "acceptance_grids": acceptance_grid_passes(libs),
+        "startup": startup_costs(sources),
     }
     report = {
         "tag": args.tag,

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
@@ -210,6 +208,8 @@ class SweepResult:
 
     def aggregates(self) -> list[dict]:
         """Per-configuration summary of rounds_total over ok rows."""
+        import statistics  # loads fractions and decimal, so only when used
+
         groups: dict[int, list[RunRow]] = {}
         for row in self.rows:
             groups.setdefault(row.config_index, []).append(row)
@@ -312,6 +312,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers == 1:
         records = list(map(run, jobs))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a pool of one needs none
+
         chunk = max(1, len(jobs) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, jobs, chunksize=chunk))

@@ -234,7 +234,11 @@ def _two_delta(delta: int) -> np.ndarray:
 
 # The kernels' numpy calls, bound once: a module global is found faster
 # than an attribute of np, and outputs go in place, passed positionally.
-_multiply, _divide, _add, _bincount = np.multiply, np.divide, np.add, np.bincount
+# bincount is numpy's C function itself (NEP 18's ``_implementation``),
+# which skips the Python-level dispatcher on every call; a numpy without
+# it keeps the public function.
+_multiply, _divide, _add = np.multiply, np.divide, np.add
+_bincount = getattr(np.bincount, "_implementation", np.bincount)
 _maximum_at, _bitwise_or_at = np.maximum.at, np.bitwise_or.at
 
 

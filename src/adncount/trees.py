@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidParameters
@@ -72,6 +71,8 @@ def _grow_counts(n_max: int) -> list[int]:
 
 def _grow_rows(n: int) -> list:
     """_ROWS, grown to size n."""
+    from fractions import Fraction  # only ranrut's tables need it, not every run
+
     t = _grow_counts(n)
     for k in range(len(_ROWS), n + 1):
         denom = (k - 1) * t[k]

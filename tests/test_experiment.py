@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,11 +197,31 @@ def assert_pool_sizes(monkeypatch, spec, workers, cpus, sizes):
     """``run_sweep(spec, workers)`` on ``cpus`` CPUs asks for the pools of
     ``sizes`` and gives the bytes of ``workers=1``; no process is started."""
     seen = []
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(seen, max_workers))
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     assert run_sweep(spec, workers=workers) == run_sweep(spec, workers=1)
     assert seen == sizes
+
+
+def test_one_process_sweep_loads_no_pool_statistics_or_fractions():
+    # a fresh interpreter, as the import cost is paid once per process; a
+    # random-tree sweep still loads fractions when it grows its tables
+    child = f"""
+import math, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+import adncount, adncount.cli
+from adncount import SweepSpec, run_sweep
+spec = SweepSpec(families=("path",), n_range=(3, 3), T_set=(math.inf,), repetitions=2,
+                 master_seed=42, delta_rule="largest-power-of-two")
+assert len(run_sweep(spec, workers=1).rows) == 2
+deferred = ("concurrent.futures", "multiprocessing", "statistics", "fractions", "decimal")
+print(*(name for name in deferred if name in sys.modules))
+"""
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.5, 2.0, True, "2"])

@@ -31,6 +31,7 @@ from adncount import (
     verification_round,
     verification_rounds,
 )
+from adncount import protocol
 from adncount.errors import InvalidParameters, RoundLimitExceeded
 from adncount.protocol import _Diagnostics, record_inputs
 
@@ -156,7 +157,7 @@ def test_heard_round_matches_int_oracle(n, p):
             assert words.tolist() == heard_words(sets).tolist()
 
 
-@pytest.mark.parametrize("topo, delta", [
+EDGE_CASES = pytest.mark.parametrize("topo, delta", [
     (Topology(5, []), 2),
     (Topology(4, [(0, 1), (1, 2)]), 2),
     (path(2), 1),
@@ -164,9 +165,22 @@ def test_heard_round_matches_int_oracle(n, p):
     (star(9), 8),
     (gnp(75, 0.3, random.Random(3)), 74),
 ], ids=["no-pairs", "isolated-node", "n2", "n2-no-edges", "star", "two-words"])
+
+
+@EDGE_CASES
 def test_kernels_match_oracles_on_edge_cases(topo, delta):
     # without pairs bincount gives int64 zeros, which must not reach the
     # in-place float divide
+    assert_kernels_match_oracles(topo, delta, np.random.default_rng(11))
+
+
+@EDGE_CASES
+def test_public_bincount_fallback_matches_oracles(monkeypatch, topo, delta):
+    # collection calls bincount's C function where numpy has one; a numpy
+    # without it keeps the public function, which must give the same bits
+    if hasattr(np.bincount, "_implementation"):
+        assert protocol._bincount is np.bincount._implementation
+    monkeypatch.setattr(protocol, "_bincount", np.bincount)
     assert_kernels_match_oracles(topo, delta, np.random.default_rng(11))
 
 
