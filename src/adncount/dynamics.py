@@ -141,19 +141,17 @@ class DynamicsSchedule:
 
     A snapshot depends only on its epoch, so ``topology_at(r)`` serves any
     round r >= 1, in any order. Snapshots are built ahead in batches of
-    consecutive epochs: a batch starts at the requested epoch whenever that
-    epoch lies outside the current batch. Batch sizes double up to
-    ``_LOOKAHEAD`` while each batch starts right after the one before, and
-    start again at 1 after a jump. So a run that asks for its rounds in
-    order builds at most ``_LOOKAHEAD - 1`` epochs it never serves, and a
-    jump builds one.
+    consecutive epochs: a batch starts at the requested epoch e whenever e
+    lies outside the current batch, and holds ``min(e + 1, _LOOKAHEAD)``
+    epochs. So a run that asks for its rounds in order gets batches of 1,
+    2, 4, ..., ``_LOOKAHEAD`` epochs and builds at most ``_LOOKAHEAD - 1``
+    it never serves.
     """
 
     def __init__(self, params: ScheduleParams):
         self.params = params
         self._period = params.period
         self._rngs: list[random.Random] = []  # reseeded for every batch
-        self._size = 1
         self._first = 0  # the epoch of self._batch[0]
         self._batch = self._build(0)
 
@@ -164,8 +162,6 @@ class DynamicsSchedule:
         epoch = 0 if self._period is None else (r - 1) // self._period
         i = epoch - self._first
         if not 0 <= i < len(self._batch):
-            if i != len(self._batch):
-                self._size = 1
             self._first, i = epoch, 0
             self._batch = ()  # free the old batch's arrays before the new ones
             self._batch = self._build(epoch)
@@ -192,8 +188,7 @@ class DynamicsSchedule:
     def _build(self, first: int) -> list[Topology]:
         """Snapshots of a batch: epochs first, first + 1, ..."""
         p = self.params
-        epochs = range(first, first + self._size)
-        self._size = min(2 * self._size, _LOOKAHEAD)
+        epochs = range(first, first + min(first + 1, _LOOKAHEAD))
         if first == 0 and p.family in UNDRAWN_FIRST:
             # the first batch holds epoch 0 alone
             return [UNDRAWN_FIRST[p.family](p.n)]

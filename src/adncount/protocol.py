@@ -270,8 +270,7 @@ def verification_round(values: np.ndarray, pairs: tuple) -> np.ndarray:
     ``symmetric_arrays()``."""
     new = values.copy()
     src, dst = pairs
-    if src.size:
-        _maximum_at(new, dst, values[src])
+    _maximum_at(new, dst, values[src])
     return new
 
 
@@ -295,9 +294,8 @@ def heard_round(heard: np.ndarray, pairs: tuple) -> np.ndarray:
     """
     new = heard.copy()
     src, dst = pairs
-    if src.size:
-        for word, row in zip(new, heard):
-            _bitwise_or_at(word, dst, row[src])
+    for word, row in zip(new, heard):
+        _bitwise_or_at(word, dst, row[src])
     return new
 
 
@@ -369,7 +367,10 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
     tested only at those points and at the round past the cap. The
     kernels' operands (``collection_operands`` and ``symmetric_arrays``)
     are read there too, once per epoch. Each collection round writes its
-    energies straight into the next row of the diagnostics block.
+    energies straight into the next row of the diagnostics block. When a
+    full block ends on a round that left the energies bitwise unchanged,
+    the collection rounds up to the next stop (or the end of tau(k)) are
+    accounted without being run: they would repeat that round.
     """
     if config is None:
         config = ProtocolConfig()
@@ -447,6 +448,12 @@ def count(schedule: DynamicsSchedule, config: ProtocolConfig | None = None) -> R
                         diagnostics.fold(block, prev_leader, n)
                         prev_leader = energy[0]
                         rows = 0
+                        if block_rows[-1].tobytes() == block_rows[-2].tobytes():
+                            # a fixed point: every round up to the next stop
+                            # repeats the last row, which the fold holds. None
+                            # passes the threshold, or the loop would have
+                            # stopped at the row before.
+                            r = min(stop, first + budget) if theoretical else stop
             finally:
                 # also on a round cap, before the partial record is built
                 spent[0] = r - first

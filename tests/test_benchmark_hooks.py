@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from adncount import ScheduleParams, SweepSpec, cli
+import adncount
+from adncount import DynamicsSchedule, ProtocolConfig, ScheduleParams, SweepSpec, cli, derive_seed
 from helpers import load_perfbench
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,16 +87,42 @@ def test_spans_that_read_zero(tmp_path, capsys, family):
     assert tracer.kernel_calls() == tracer.rounds
 
 
-def test_benchmark_specs_are_one_valid_point(tmp_path, monkeypatch):
-    # perfbench/run.py pins BLAS to one thread through the environment when
-    # it loads; setting the variables here first restores them afterwards
+@pytest.fixture
+def bench(monkeypatch):
+    """``perfbench/run.py`` as a module."""
+    # it pins BLAS to one thread through the environment when it loads;
+    # setting the variables here first restores them afterwards
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # registered first: its dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, bench)
-    spec.loader.exec_module(bench)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_run_every_round(bench):
+    # count skips the collection rounds of a fixed point; on the benchmark's
+    # own streams (n = 30, the first run of --seed 1) no round may be
+    # skipped, or perfbench/run.py --trace 1 would read correct: false
+    spans = load_perfbench("spans")
+    for name, wl in bench.WORKLOADS.items():
+        params = ScheduleParams(wl.family, bench.N, wl.delta, wl.T,
+                                derive_seed(bench.master_seed(name, 1, 0), 0, 0), wl.p)
+        config = ProtocolConfig(c=bench.C, disconnection_tolerant=wl.tolerant)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            # through the package, where the tracer wraps count
+            record = adncount.count(DynamicsSchedule(params), config)
+        finally:
+            tracer.uninstall()
+        assert record.estimate == bench.N
+        assert tracer.kernel_calls() == tracer.rounds == record.rounds_total, name
+
+
+def test_benchmark_specs_are_one_valid_point(tmp_path, bench):
     for name, wl in bench.WORKLOADS.items():
         data = wl.spec(bench.master_seed(name, 1, 0))
         assert SweepSpec.from_json_dict(data).settings() == [

@@ -239,15 +239,27 @@ def test_lookahead_builds_at_most_63_unserved_epochs(monkeypatch, T, seeds):
     assert max(unserved) > 0  # the schedule does build ahead
 
 
-def test_jumps_build_one_epoch_each(monkeypatch):
-    # every read of BACKWARDS lies outside the batch before it and does not
-    # follow it, so each builds its epoch alone: 11 builds, after the one of
-    # epoch 0 that the schedule makes when it is created
+def test_jumps_build_the_batch_of_their_epoch(monkeypatch):
+    # a batch that starts at epoch e holds min(e + 1, 64) epochs, whether
+    # the read before it came just ahead or anywhere else. Every read of
+    # BACKWARDS lies outside the batch before it, so each builds one batch:
+    # 456 builds for 11 reads, after the one of epoch 0 that the schedule
+    # makes when it is created. The last epoch of each batch is served
+    # from it, and the epoch after it starts the next batch.
     calls = count_ranrut_calls(monkeypatch)
     schedule = DynamicsSchedule(ScheduleParams("random-tree", 20, 4, 1, 3))
+    assert calls[0] == 1
+    built = 0
     for r in BACKWARDS:
+        calls[0] = 0
         schedule.topology_at(r)
-    assert calls[0] == 1 + len(BACKWARDS)
+        size = calls[0]
+        assert size == min(r, 64)  # T = 1: round r opens epoch r - 1
+        schedule.topology_at(r + size - 1)
+        schedule.topology_at(r + size)
+        assert calls[0] == size + min(r + size, 64)
+        built += size
+    assert built == 456
 
 
 @pytest.mark.parametrize("seed", [0, -5, 2**64 + 3])
